@@ -11,24 +11,13 @@ from .scenario import (
 )
 from .ris import RisState, amplitude_gain, aris_output_power, reflection_matrix
 from .channel import (
-    ChannelSample,
     SecondOrderStats,
     compute_stats,
     cross_moment_cyclic,
     cross_moments,
     fourth_moment,
-    sample_channels,
-    sample_correlated_vector,
 )
-from .estimation import (
-    EstimationStats,
-    PilotPlan,
-    assign_pilots,
-    compute_estimation_stats,
-    estimate_channels,
-    lmmse_coefficient,
-    nmse,
-)
+from .estimation import EstimationStats, PilotPlan, assign_pilots, compute_estimation_stats
 from .perf import (
     SinrBreakdown,
     energy_efficiency,

@@ -1,4 +1,4 @@
-"""Correlated fading realizations and the analytic channel moments used by every closed form."""
+"""Analytic channel moments used by every closed form, and the complex Gaussian draw."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ris import RisState
-from .scenario import NetworkRealization, psd_factor
+from .scenario import NetworkRealization
 
 # Analytic traces are real; anything beyond this relative imaginary residual
 # indicates a transcription bug rather than round-off.
@@ -23,43 +23,6 @@ def _real_trace(value: complex) -> float:
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard circularly-symmetric complex Gaussian, unit variance per entry."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
-def sample_correlated_vector(covariance: np.ndarray, rng: np.random.Generator,
-                             size: int | None = None) -> np.ndarray:
-    """Zero-mean CN(0, covariance) draw(s) via the eigendecomposition factor."""
-    factor = psd_factor(covariance)
-    n = covariance.shape[0]
-    shape = (n,) if size is None else (size, n)
-    return complex_normal(rng, shape) @ factor.T
-
-
-@dataclass(frozen=True)
-class ChannelSample:
-    """One small-scale fading realization for every link, plus RIS thermal noise."""
-
-    h: np.ndarray        # (M, N) AP-RIS channels
-    z: np.ndarray        # (K, N) RIS-user channels
-    g: np.ndarray        # (M, K) direct channels
-    q: np.ndarray        # (M, K) aggregated channels g + h^H Theta z
-    v_pilot: np.ndarray  # (N, tau_p) RIS noise during the pilot phase
-    v_data: np.ndarray   # (N,) RIS noise during one data symbol
-
-
-def sample_channels(realization: NetworkRealization, ris_state: RisState,
-                    rng: np.random.Generator) -> ChannelSample:
-    sc = realization.scenario
-    area = sc.element_area
-    # R_m and R_bar_k are scalar multiples of the common R, so one factor serves all links.
-    base = complex_normal(rng, (sc.M, sc.N)) @ realization.R_factor.T
-    h = np.sqrt(realization.alpha * area)[:, None] * base
-    base = complex_normal(rng, (sc.K, sc.N)) @ realization.R_factor.T
-    z = np.sqrt(realization.alpha_bar * area)[:, None] * base
-    g = np.sqrt(realization.beta) * complex_normal(rng, (sc.M, sc.K))
-    q = g + ris_state.a * np.einsum("mn,n,kn->mk", np.conj(h), ris_state.phasor, z)
-    v_pilot = np.sqrt(sc.sigma2_bar) * complex_normal(rng, (sc.N, sc.tau_p))
-    v_data = np.sqrt(sc.sigma2_bar) * complex_normal(rng, (sc.N,))
-    return ChannelSample(h=h, z=z, g=g, q=q, v_pilot=v_pilot, v_data=v_data)
 
 
 @dataclass(frozen=True)

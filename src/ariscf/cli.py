@@ -19,14 +19,12 @@ from .perf import energy_efficiency, evaluate_phases
 from .ris import BudgetExhaustedWarning, RisState, amplitude_gain
 from .sac.agent import SacConfig, TrainingDiverged, save_checkpoint, load_checkpoint, train
 from .sac.env import RisEnv
-from .scenario import Scenario, load_scenario, sample_layout
+from .scenario import INT_FIELDS, Scenario, load_scenario, sample_layout
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
-
-_INT_FIELDS = {"M", "K", "N_H", "N_V", "tau_p", "tau_c"}
 
 
 class UsageError(Exception):
@@ -137,7 +135,7 @@ def _sweep_point(payload):
     stats = compute_stats(realization, RisState(phases=phases, a=a))
     est = compute_estimation_stats(sc, stats, plan)
     ee = energy_efficiency(sc, realization, se_total, a)
-    return [_fmt(value) if param not in _INT_FIELDS else str(value), str(seed),
+    return [_fmt(value) if param not in INT_FIELDS else str(value), str(seed),
             _fmt(se_total), _fmt(float(est.nmse.mean())), _fmt(a), _fmt(ee),
             "0" if exhausted else "1"]
 
@@ -147,7 +145,7 @@ def cmd_sweep(args) -> int:
     valid = {f.name for f in fields(Scenario)}
     if args.param not in valid:
         raise UsageError(f"--param {args.param!r} is not a Scenario field")
-    cast = int if args.param in _INT_FIELDS else float
+    cast = int if args.param in INT_FIELDS else float
     try:
         values = [cast(v) for v in args.values.split(",") if v]
     except ValueError as exc:
@@ -213,8 +211,13 @@ def cmd_train(args) -> int:
         result = train(env, config, args.seed)
     except TrainingDiverged as exc:
         diag_path = (args.out or "training") + ".diverged.npz"
-        np.savez(diag_path, **{k: np.asarray(v) for k, v in exc.snapshot.items()
-                               if isinstance(v, np.ndarray)})
+        arrays = {}
+        for key, value in exc.snapshot.items():
+            if isinstance(value, dict):   # e.g. the losses: one array per entry
+                arrays.update({f"{key}_{k}": np.asarray(v) for k, v in value.items()})
+            else:
+                arrays[key] = np.asarray(value)
+        np.savez(diag_path, **arrays)
         print(f"training diverged: {exc}; diagnostics at {diag_path}", file=sys.stderr)
         return EXIT_DIVERGED
 

@@ -6,17 +6,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSample, SecondOrderStats
+from .channel import SecondOrderStats
 from .scenario import Scenario
 
 
 @dataclass(frozen=True)
 class PilotPlan:
-    """Pilot assignment and the orthonormal pilot basis."""
+    """Pilot assignment: which of the tau_p orthonormal pilots each user sends."""
 
     tau_p: int
     pilot_of: np.ndarray      # (K,) pilot index per user
-    pilot_matrix: np.ndarray  # (tau_p, tau_p) unitary, columns are the pilots
 
     @property
     def K(self) -> int:
@@ -31,23 +30,11 @@ class PilotPlan:
         return self.pilot_of[:, None] == self.pilot_of[None, :]
 
 
-def assign_pilots(K: int, tau_p: int, basis: str = "canonical") -> PilotPlan:
-    """Round-robin assignment pilot_of[k] = k mod tau_p (0-indexed users).
-
-    The canonical basis makes projections bit-exact column picks; a DFT basis
-    is available since any unitary basis yields identical statistics.
-    """
+def assign_pilots(K: int, tau_p: int) -> PilotPlan:
+    """Round-robin assignment pilot_of[k] = k mod tau_p (0-indexed users)."""
     if tau_p < 1:
         raise ValueError("tau_p must be >= 1")
-    pilot_of = np.arange(K) % tau_p
-    if basis == "canonical":
-        pilot_matrix = np.eye(tau_p, dtype=complex)
-    elif basis == "dft":
-        n = np.arange(tau_p)
-        pilot_matrix = np.exp(-2j * np.pi * np.outer(n, n) / tau_p) / np.sqrt(tau_p)
-    else:
-        raise ValueError("basis must be 'canonical' or 'dft'")
-    return PilotPlan(tau_p=tau_p, pilot_of=pilot_of, pilot_matrix=pilot_matrix)
+    return PilotPlan(tau_p=tau_p, pilot_of=np.arange(K) % tau_p)
 
 
 @dataclass(frozen=True)
@@ -74,27 +61,3 @@ def compute_estimation_stats(scenario: Scenario, stats: SecondOrderStats,
     c = rho_tau * stats.kappa / (rho_tau * coset_kappa + active_noise[:, None] + scenario.sigma2)
     gamma = stats.kappa * c
     return EstimationStats(c=c, gamma=gamma, nmse=1.0 - c)
-
-
-def lmmse_coefficient(scenario: Scenario, stats: SecondOrderStats, plan: PilotPlan,
-                      m: int, k: int) -> float:
-    return float(compute_estimation_stats(scenario, stats, plan).c[m, k])
-
-
-def nmse(est_stats: EstimationStats, m: int, k: int) -> float:
-    return float(est_stats.nmse[m, k])
-
-
-@dataclass(frozen=True)
-class PilotObservation:
-    """Per-link pilot projections together with the fading sample that produced them."""
-
-    projections: np.ndarray  # (M, K) y^(p)_{m,k}
-    sample: ChannelSample
-
-
-def estimate_channels(observation: PilotObservation,
-                      est_stats: EstimationStats) -> tuple[np.ndarray, np.ndarray]:
-    """LMMSE estimates qhat = c * y^(p) and the estimation errors q - qhat."""
-    q_hat = est_stats.c * observation.projections
-    return q_hat, observation.sample.q - q_hat

@@ -12,9 +12,8 @@ from .channel import (
     cross_moment_cyclic,
     cross_moments,
     fourth_moment,
-    sample_channels,
 )
-from .estimation import EstimationStats, PilotObservation, PilotPlan, compute_estimation_stats
+from .estimation import EstimationStats, PilotPlan, compute_estimation_stats
 from .perf import sinr_closed_form
 from .ris import RisState, aris_output_power
 from .scenario import NetworkRealization
@@ -38,11 +37,6 @@ def _stream(master_seed: int, chunk: int, tag: int) -> np.random.Generator:
 def _chunk_sizes(n_trials: int):
     full, rem = divmod(int(n_trials), CHUNK_TRIALS)
     return [CHUNK_TRIALS] * full + ([rem] if rem else [])
-
-
-def random_symbols(K: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit-modulus data symbols with E{|x|^2} = 1."""
-    return np.exp(2j * np.pi * rng.uniform(size=K))
 
 
 def benchmark_instance():
@@ -73,29 +67,6 @@ def benchmark_instance():
     return realization, state, assign_pilots(sc.K, sc.tau_p)
 
 
-def simulate_pilot_phase(realization: NetworkRealization, ris_state: RisState,
-                         plan: PilotPlan, rng: np.random.Generator) -> PilotObservation:
-    """One pilot phase: superimposed pilots plus RIS and AP noise, projected per user."""
-    sc = realization.scenario
-    sample = sample_channels(realization, ris_state, rng)
-    w = np.sqrt(sc.sigma2) * complex_normal(rng, (sc.M, sc.tau_p))
-    pilots = plan.pilot_matrix[:, plan.pilot_of]  # (tau_p, K)
-    rt = np.sqrt(sc.rho * sc.tau_p)
-    p = ris_state.a * np.einsum("mn,n,nt->mt", np.conj(sample.h), ris_state.phasor, sample.v_pilot)
-    received = rt * sample.q @ np.conj(pilots).T + p + w
-    projections = received @ pilots / rt
-    return PilotObservation(projections=projections, sample=sample)
-
-
-def simulate_data_phase(realization: NetworkRealization, ris_state: RisState,
-                        sample, symbols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Received uplink data signal per AP for one symbol interval."""
-    sc = realization.scenario
-    w = np.sqrt(sc.sigma2) * complex_normal(rng, (sc.M,))
-    p = ris_state.a * np.einsum("mn,n,n->m", np.conj(sample.h), ris_state.phasor, sample.v_data)
-    return np.sqrt(sc.rho_u) * sample.q @ symbols + p + w
-
-
 # ---------------------------------------------------------------------------
 # vectorized trial blocks
 
@@ -124,44 +95,52 @@ def _sample_block(realization: NetworkRealization, ris_state: RisState, plan: Pi
     z = np.sqrt(realization.alpha_bar * area)[None, :, None] * \
         (complex_normal(_stream(master_seed, chunk, _TAG_Z), (size, K, N)) @ F.T)
     g = np.sqrt(realization.beta)[None] * complex_normal(_stream(master_seed, chunk, _TAG_G), (size, M, K))
-    q = g + a * np.einsum("tmn,n,tkn->tmk", np.conj(h), phasor, z)
+    # conj(h) * phasor, in place of h: every cascaded term is a * hp @ x.
+    hp = np.conj(h, out=h)
+    hp *= phasor
+    q = g + a * (hp @ z.transpose(0, 2, 1))
 
     n_pilots = int(np.max(plan.pilot_of)) + 1
     v_p = np.sqrt(sc.sigma2_bar) * complex_normal(_stream(master_seed, chunk, _TAG_VP), (size, n_pilots, N))
     w_p = np.sqrt(sc.sigma2) * complex_normal(_stream(master_seed, chunk, _TAG_WP), (size, M, n_pilots))
-    pbar = a * np.einsum("tmn,n,tpn->tmp", np.conj(h), phasor, v_p)
+    pbar = a * (hp @ v_p.transpose(0, 2, 1))
     rt = np.sqrt(sc.rho * sc.tau_p)
     y = q @ plan.coset_mask().T.astype(float) + (pbar[:, :, plan.pilot_of] + w_p[:, :, plan.pilot_of]) / rt
 
     v_d = np.sqrt(sc.sigma2_bar) * complex_normal(_stream(master_seed, chunk, _TAG_VD), (size, N))
-    p_data = a * np.einsum("tmn,n,tn->tm", np.conj(h), phasor, v_d)
+    # einsum, not matmul: a (B, M, N) @ (B, N, 1) batch of matrix-vector products is slower
+    p_data = a * np.einsum("tmn,tn->tm", hp, v_d)
     w_data = np.sqrt(sc.sigma2) * complex_normal(_stream(master_seed, chunk, _TAG_WD), (size, M))
     return _Block(q=q, y=y, p_data=p_data, w_data=w_data, z=z, v_data=v_d, pbar=pbar)
 
 
 class _Mean:
-    """Streaming mean with standard error, reduced in fixed block order."""
+    """Streaming mean with standard error over the trial axis, reduced in fixed block order.
+
+    `add` takes a (B, ...) block of per-trial values; the mean and standard
+    error keep the trailing shape, e.g. one (M, K) array for all links.
+    """
 
     __slots__ = ("n", "total", "total_sq")
 
     def __init__(self):
         self.n = 0
-        self.total = 0.0 + 0.0j
+        self.total = 0.0
         self.total_sq = 0.0
 
     def add(self, values: np.ndarray):
-        self.n += values.size
-        self.total += values.sum()
-        self.total_sq += float(np.sum(np.abs(values) ** 2))
+        self.n += values.shape[0]
+        self.total = self.total + values.sum(axis=0)
+        self.total_sq = self.total_sq + np.sum(np.abs(values) ** 2, axis=0)
 
     @property
-    def mean(self) -> complex:
+    def mean(self):
         return self.total / self.n
 
     @property
-    def stderr(self) -> float:
-        var = max(self.total_sq / self.n - abs(self.mean) ** 2, 0.0)
-        return float(np.sqrt(var / self.n))
+    def stderr(self):
+        var = np.maximum(self.total_sq / self.n - np.abs(self.mean) ** 2, 0.0)
+        return np.sqrt(var / self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +157,50 @@ class EmpiricalSinr:
     ui: np.ndarray          # (K,) per-interferer power, zero at k
     an: float
     no: float
-    stderr: dict
+    stderr: dict            # standard error per group; "ui" is (K,) like `ui`
     n_trials: int
     low_confidence: bool    # n_trials below the authoritative floor
+
+
+class _SinrGroups:
+    """Block accumulators of the MRC SINR expectation groups of user k.
+
+    With qhat_k = c_k * y_k and T_j = qhat_k^H q_j, the groups are
+    ds = rho_u |E T_k|^2, bu = rho_u (E|T_k|^2 - |E T_k|^2), ui_j = rho_u E|T_j|^2
+    for j != k, an = E|qhat_k^H p|^2 and no = E|qhat_k^H w|^2.
+    """
+
+    def __init__(self, c_k: np.ndarray, k: int):
+        self.c_k, self.k = c_k, k
+        self.T, self.T2 = _Mean(), _Mean()   # T_k and (K,) |T_j|^2
+        self.an, self.no = _Mean(), _Mean()
+
+    def add(self, blk: _Block):
+        qh = np.conj(self.c_k[None, :] * blk.y[:, :, self.k])   # (B, M)
+        T = np.einsum("tm,tmj->tj", qh, blk.q)                   # (B, K)
+        self.T.add(T[:, self.k])
+        self.T2.add(np.abs(T) ** 2)
+        self.an.add(np.abs(np.einsum("tm,tm->t", qh, blk.p_data)) ** 2)
+        self.no.add(np.abs(np.einsum("tm,tm->t", qh, blk.w_data)) ** 2)
+
+    def result(self, rho_u: float) -> EmpiricalSinr:
+        k, n = self.k, self.T.n
+        mean_T = complex(self.T.mean)
+        ds = rho_u * abs(mean_T) ** 2
+        bu = rho_u * (float(self.T2.mean[k]) - abs(mean_T) ** 2)
+        ui, ui_stderr = rho_u * self.T2.mean, rho_u * self.T2.stderr
+        ui[k] = ui_stderr[k] = 0.0
+        an, no = float(self.an.mean), float(self.no.mean)
+        stderr = {
+            "ds": 2.0 * rho_u * abs(mean_T) * float(self.T.stderr),
+            "bu": rho_u * float(self.T2.stderr[k]),
+            "ui": ui_stderr,
+            "an": float(self.an.stderr),
+            "no": float(self.no.stderr),
+        }
+        return EmpiricalSinr(k=k, sinr=ds / (bu + float(ui.sum()) + an + no), ds=ds, bu=bu, ui=ui,
+                             an=an, no=no, stderr=stderr, n_trials=n,
+                             low_confidence=n < MIN_AUTHORITATIVE_TRIALS)
 
 
 def empirical_sinr(realization: NetworkRealization, ris_state: RisState, plan: PilotPlan,
@@ -195,44 +215,13 @@ def empirical_sinr(realization: NetworkRealization, ris_state: RisState, plan: P
     blocks with counter-based substreams reduced in block order.
     """
     sc = realization.scenario
-    K = sc.K
     if est_stats is None:
         stats = compute_stats(realization, ris_state)
         est_stats = compute_estimation_stats(sc, stats, plan)
-    c_k = est_stats.c[:, k]
-
-    acc_T, acc_T2, acc_an, acc_no = _Mean(), _Mean(), _Mean(), _Mean()
-    acc_ui = [_Mean() for _ in range(K)]
-
+    groups = _SinrGroups(est_stats.c[:, k], k)
     for chunk, size in enumerate(_chunk_sizes(n_trials)):
-        blk = _sample_block(realization, ris_state, plan, master_seed, chunk, size)
-        qhat_k = c_k[None, :] * blk.y[:, :, k]
-        T = np.einsum("tm,tm->t", np.conj(qhat_k), blk.q[:, :, k])
-        acc_T.add(T)
-        acc_T2.add(np.abs(T) ** 2)
-        for kp in range(K):
-            if kp != k:
-                U = np.einsum("tm,tm->t", np.conj(qhat_k), blk.q[:, :, kp])
-                acc_ui[kp].add(np.abs(U) ** 2)
-        acc_an.add(np.abs(np.einsum("tm,tm->t", np.conj(qhat_k), blk.p_data)) ** 2)
-        acc_no.add(np.abs(np.einsum("tm,tm->t", np.conj(qhat_k), blk.w_data)) ** 2)
-
-    mean_T = acc_T.mean
-    ds = sc.rho_u * abs(mean_T) ** 2
-    bu = sc.rho_u * (acc_T2.mean.real - abs(mean_T) ** 2)
-    ui = np.array([sc.rho_u * acc.mean.real if j != k else 0.0 for j, acc in enumerate(acc_ui)])
-    an = acc_an.mean.real
-    no = acc_no.mean.real
-    stderr = {
-        "ds": 2.0 * sc.rho_u * abs(mean_T) * acc_T.stderr,
-        "bu": sc.rho_u * acc_T2.stderr,
-        "ui": max((sc.rho_u * acc.stderr for j, acc in enumerate(acc_ui) if j != k), default=0.0),
-        "an": acc_an.stderr,
-        "no": acc_no.stderr,
-    }
-    return EmpiricalSinr(k=k, sinr=ds / (bu + ui.sum() + an + no), ds=ds, bu=bu, ui=ui,
-                         an=an, no=no, stderr=stderr, n_trials=int(n_trials),
-                         low_confidence=n_trials < MIN_AUTHORITATIVE_TRIALS)
+        groups.add(_sample_block(realization, ris_state, plan, master_seed, chunk, size))
+    return groups.result(sc.rho_u)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +310,8 @@ class IdentityCheck:
 
 CSV_HEADER = ["identity", "empirical", "analytic", "rel_err", "stderr_rel", "n_trials", "tol", "status"]
 
-DEFAULT_TOLERANCES = {
+# Relative tolerance per identity family.
+TOLERANCES = {
     "wishart": 0.05,
     "kappa": 0.02,
     "fourth": 0.05,
@@ -364,40 +354,31 @@ def _family(name: str) -> str:
     return "sinr" if base.startswith("sinr") else base
 
 
-def _row(name: str, empirical, analytic: float, stderr: float, n_trials: int,
-         tols: dict) -> IdentityCheck:
-    tol = tols.get(_family(name), 0.05)
-    empirical = float(np.real(empirical))
-    if analytic == 0.0:
-        rel, stderr_rel = abs(empirical), stderr
-    else:
-        rel = abs(empirical - analytic) / abs(analytic)
-        stderr_rel = stderr / abs(analytic)
-    return IdentityCheck(name=name, empirical=empirical, analytic=float(analytic),
-                         rel_err=float(rel), stderr_rel=float(stderr_rel),
-                         n_trials=int(n_trials), tol=float(tol))
-
-
 def verify_moment_identities(realization: NetworkRealization, ris_state: RisState,
                              plan: PilotPlan, n_trials: int, master_seed: int,
-                             tolerances: dict | None = None,
-                             include_sinr: bool = True,
-                             sinr_user: int = 0) -> list[IdentityCheck]:
+                             include_sinr: bool = True) -> list[IdentityCheck]:
     """Run every closed-form-vs-empirical identity on one (small) instance.
 
     One row per identity and link: empirical value, closed form, relative
     error, and the standard-error scale of the estimator so a failure can be
-    told apart from an under-sampled run.
+    told apart from an under-sampled run. The SINR rows are for user 0.
     """
     sc = realization.scenario
     M, K, N = sc.M, sc.K, sc.N
-    tols = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tols.update(tolerances)
     stats = compute_stats(realization, ris_state)
     est = compute_estimation_stats(sc, stats, plan)
-    rows: list[IdentityCheck] = []
     sizes = _chunk_sizes(n_trials)
+
+    def row(name: str, empirical, analytic: float, stderr: float) -> IdentityCheck:
+        empirical = float(np.real(empirical))
+        if analytic == 0.0:
+            rel, stderr_rel = abs(empirical), stderr
+        else:
+            rel = abs(empirical - analytic) / abs(analytic)
+            stderr_rel = stderr / abs(analytic)
+        return IdentityCheck(name=name, empirical=empirical, analytic=float(analytic),
+                             rel_err=float(rel), stderr_rel=float(stderr_rel),
+                             n_trials=int(n_trials), tol=TOLERANCES[_family(name)])
 
     # Wishart identity on R_m(0) with a fixed deterministic Hermitian A.
     R0 = realization.R_m(0)
@@ -412,131 +393,96 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
         W_emp += np.einsum("t,ti,tj->ij", xa, x, np.conj(x))
     W_emp /= n_trials
     W_ana = R0 @ A @ R0 + np.trace(A @ R0) * R0
-    rows.append(IdentityCheck(
+    rows = [IdentityCheck(
         name="wishart", empirical=float(np.linalg.norm(W_emp)), analytic=float(np.linalg.norm(W_ana)),
         rel_err=float(np.linalg.norm(W_emp - W_ana) / np.linalg.norm(W_ana)),
-        stderr_rel=0.0, n_trials=int(n_trials), tol=tols["wishart"]))
+        stderr_rel=0.0, n_trials=int(n_trials), tol=TOLERANCES["wishart"])]
 
-    accs: dict[str, _Mean] = {}
+    # (M, K) per-link accumulators, and one scalar accumulator per named row.
+    kappa, fourth, gamma, err_var = _Mean(), _Mean(), _Mean(), _Mean()
+    scalar: dict[str, _Mean] = {}
 
-    def acc(name: str) -> _Mean:
-        return accs.setdefault(name, _Mean())
+    def add(name: str, values: np.ndarray):
+        scalar.setdefault(name, _Mean()).add(values)
 
-    c_u = est.c[:, sinr_user]
+    sinr = _SinrGroups(est.c[:, 0], 0)
     for chunk, size in enumerate(sizes):
         blk = _sample_block(realization, ris_state, plan, master_seed, chunk, size)
         q = blk.q
-        for m in range(M):
-            for k in range(K):
-                acc(f"kappa[{m},{k}]").add(np.abs(q[:, m, k]) ** 2)
-                acc(f"fourth[{m},{k}]").add(np.abs(q[:, m, k]) ** 4)
+        kappa.add(np.abs(q) ** 2)
+        fourth.add(np.abs(q) ** 4)
         if M > 1 and K > 1:
-            acc("cross[mk|m'k']").add(np.abs(q[:, 0, 0] * np.conj(q[:, 1, 1])) ** 2)
-            acc("cyclic").add(np.conj(q[:, 0, 0]) * q[:, 0, 1] * np.conj(q[:, 1, 1]) * q[:, 1, 0])
+            add("cross[mk|m'k']", np.abs(q[:, 0, 0] * np.conj(q[:, 1, 1])) ** 2)
+            add("cyclic", np.conj(q[:, 0, 0]) * q[:, 0, 1] * np.conj(q[:, 1, 1]) * q[:, 1, 0])
         if M > 1:
-            acc("cross[mk|m'k]").add(np.abs(q[:, 0, 0] * np.conj(q[:, 1, 0])) ** 2)
-            acc("uncorrelated").add(q[:, 0, 0] * np.conj(q[:, 1, 0]))
+            add("cross[mk|m'k]", np.abs(q[:, 0, 0] * np.conj(q[:, 1, 0])) ** 2)
+            add("uncorrelated", q[:, 0, 0] * np.conj(q[:, 1, 0]))
         if K > 1:
-            acc("cross[mk|mk']").add(np.abs(q[:, 0, 0] * np.conj(q[:, 0, 1])) ** 2)
-        acc("alpha_an").add(np.abs(np.conj(blk.pbar[:, 0, plan.pilot_of[0]]) * q[:, 0, 0]) ** 2)
-        reflected = ris_state.a ** 2 * (sc.rho_u * np.sum(np.abs(blk.z) ** 2, axis=(1, 2))
-                                        + np.sum(np.abs(blk.v_data) ** 2, axis=1))
-        acc("aris_power").add(reflected)
+            add("cross[mk|mk']", np.abs(q[:, 0, 0] * np.conj(q[:, 0, 1])) ** 2)
+        add("alpha_an", np.abs(np.conj(blk.pbar[:, 0, plan.pilot_of[0]]) * q[:, 0, 0]) ** 2)
+        add("aris_power", ris_state.a ** 2 * (sc.rho_u * np.sum(np.abs(blk.z) ** 2, axis=(1, 2))
+                                              + np.sum(np.abs(blk.v_data) ** 2, axis=1)))
 
         qhat = est.c[None] * blk.y
         err = q - qhat
-        for m in range(M):
-            for k in range(K):
-                acc(f"gamma[{m},{k}]").add(np.abs(qhat[:, m, k]) ** 2)
-                acc(f"err_var[{m},{k}]").add(np.abs(err[:, m, k]) ** 2)
-        acc("orthogonality").add(np.conj(qhat[:, 0, 0]) * err[:, 0, 0])
+        gamma.add(np.abs(qhat) ** 2)
+        err_var.add(np.abs(err) ** 2)
+        add("orthogonality", np.conj(qhat[:, 0, 0]) * err[:, 0, 0])
         if M > 1:
             o0 = np.conj(qhat[:, 0, 0]) * q[:, 0, 0] - est.gamma[0, 0]
             o1 = np.conj(qhat[:, 1, 0]) * q[:, 1, 0] - est.gamma[1, 0]
-            acc("corollary1").add(o0 * np.conj(o1))
-
+            add("corollary1", o0 * np.conj(o1))
         if include_sinr:
-            qh = c_u[None, :] * blk.y[:, :, sinr_user]
-            T = np.einsum("tm,tm->t", np.conj(qh), q[:, :, sinr_user])
-            acc("sinr_T").add(T)
-            acc("sinr_T2").add(np.abs(T) ** 2)
-            for kp in range(K):
-                if kp != sinr_user:
-                    U = np.einsum("tm,tm->t", np.conj(qh), q[:, :, kp])
-                    acc(f"sinr_ui[{kp}]").add(np.abs(U) ** 2)
-            acc("sinr_an").add(np.abs(np.einsum("tm,tm->t", np.conj(qh), blk.p_data)) ** 2)
-            acc("sinr_no").add(np.abs(np.einsum("tm,tm->t", np.conj(qh), blk.w_data)) ** 2)
+            sinr.add(blk)
 
+    kappa_mean, kappa_se = kappa.mean, kappa.stderr
+    fourth_mean, fourth_se = fourth.mean, fourth.stderr
     for m in range(M):
         for k in range(K):
-            a_ = acc(f"kappa[{m},{k}]")
-            rows.append(_row(f"kappa[{m},{k}]", a_.mean, stats.kappa[m, k], a_.stderr, n_trials, tols))
-            a_ = acc(f"fourth[{m},{k}]")
-            rows.append(_row(f"fourth[{m},{k}]", a_.mean, fourth_moment(stats, m, k), a_.stderr, n_trials, tols))
+            rows.append(row(f"kappa[{m},{k}]", kappa_mean[m, k], stats.kappa[m, k], kappa_se[m, k]))
+            rows.append(row(f"fourth[{m},{k}]", fourth_mean[m, k], fourth_moment(stats, m, k), fourth_se[m, k]))
+
+    def scalar_row(name: str, analytic: float):
+        rows.append(row(name, scalar[name].mean, analytic, scalar[name].stderr))
+
     if M > 1 and K > 1:
-        a_ = acc("cross[mk|m'k']")
-        rows.append(_row("cross[mk|m'k']", a_.mean, cross_moments(stats, 0, 1, 0, 1), a_.stderr, n_trials, tols))
-        a_ = acc("cyclic")
-        rows.append(_row("cyclic", a_.mean, cross_moment_cyclic(stats, 0, 1, 0, 1), a_.stderr, n_trials, tols))
+        scalar_row("cross[mk|m'k']", cross_moments(stats, 0, 1, 0, 1))
+        scalar_row("cyclic", cross_moment_cyclic(stats, 0, 1, 0, 1))
     if M > 1:
-        a_ = acc("cross[mk|m'k]")
-        rows.append(_row("cross[mk|m'k]", a_.mean, cross_moments(stats, 0, 1, 0, 0), a_.stderr, n_trials, tols))
-        a_ = acc("uncorrelated")
+        scalar_row("cross[mk|m'k]", cross_moments(stats, 0, 1, 0, 0))
+        acc = scalar["uncorrelated"]
         scale = float(np.sqrt(stats.kappa[0, 0] * stats.kappa[1, 0]))
-        rows.append(_row("uncorrelated", abs(a_.mean) / scale, 0.0, a_.stderr / scale, n_trials, tols))
+        rows.append(row("uncorrelated", abs(acc.mean) / scale, 0.0, acc.stderr / scale))
     if K > 1:
-        a_ = acc("cross[mk|mk']")
-        rows.append(_row("cross[mk|mk']", a_.mean, cross_moments(stats, 0, 0, 0, 1), a_.stderr, n_trials, tols))
-    a_ = acc("alpha_an")
-    rows.append(_row("alpha_an", a_.mean, stats.alpha_an[0, 0], a_.stderr, n_trials, tols))
-    a_ = acc("aris_power")
-    rows.append(_row("aris_power", a_.mean, aris_output_power(sc, realization, ris_state.a),
-                     a_.stderr, n_trials, tols))
+        scalar_row("cross[mk|mk']", cross_moments(stats, 0, 0, 0, 1))
+    scalar_row("alpha_an", stats.alpha_an[0, 0])
+    scalar_row("aris_power", aris_output_power(sc, realization, ris_state.a))
 
+    gamma_mean, gamma_se = gamma.mean, gamma.stderr
+    err_mean, err_se = err_var.mean, err_var.stderr
     for m in range(M):
         for k in range(K):
-            a_ = acc(f"gamma[{m},{k}]")
-            rows.append(_row(f"gamma[{m},{k}]", a_.mean, est.gamma[m, k], a_.stderr, n_trials, tols))
-            a_ = acc(f"err_var[{m},{k}]")
-            rows.append(_row(f"err_var[{m},{k}]", a_.mean, stats.kappa[m, k] - est.gamma[m, k],
-                             a_.stderr, n_trials, tols))
-            emp_nmse = accs[f"err_var[{m},{k}]"].mean.real / accs[f"kappa[{m},{k}]"].mean.real
-            rows.append(_row(f"nmse[{m},{k}]", emp_nmse, est.nmse[m, k], 0.0, n_trials, tols))
-    a_ = acc("orthogonality")
+            rows.append(row(f"gamma[{m},{k}]", gamma_mean[m, k], est.gamma[m, k], gamma_se[m, k]))
+            rows.append(row(f"err_var[{m},{k}]", err_mean[m, k], stats.kappa[m, k] - est.gamma[m, k],
+                            err_se[m, k]))
+            rows.append(row(f"nmse[{m},{k}]", err_mean[m, k] / kappa_mean[m, k], est.nmse[m, k], 0.0))
+    acc = scalar["orthogonality"]
     scale = float(np.sqrt(est.gamma[0, 0] * (stats.kappa[0, 0] - est.gamma[0, 0])))
-    rows.append(_row("orthogonality", abs(a_.mean) / scale, 0.0, a_.stderr / scale, n_trials, tols))
+    rows.append(row("orthogonality", abs(acc.mean) / scale, 0.0, acc.stderr / scale))
     if M > 1:
-        a_ = acc("corollary1")
         coset = plan.coset(0)
-        ana = (est.c[0, 0] * est.c[1, 0] * stats.t2
-               * stats.xi_scale[0, 0] * float(stats.xi_scale[1, coset].sum()))
-        rows.append(_row("corollary1", a_.mean, ana, a_.stderr, n_trials, tols))
+        scalar_row("corollary1", (est.c[0, 0] * est.c[1, 0] * stats.t2
+                                  * stats.xi_scale[0, 0] * float(stats.xi_scale[1, coset].sum())))
 
     if include_sinr:
-        br = sinr_closed_form(sc, stats, est, plan, sinr_user)
-        mean_T = accs["sinr_T"].mean
-        ds_emp = sc.rho_u * abs(mean_T) ** 2
-        rows.append(_row("sinr_ds", ds_emp, br.ds,
-                         2 * sc.rho_u * abs(mean_T) * accs["sinr_T"].stderr, n_trials, tols))
-        bu_emp = sc.rho_u * (accs["sinr_T2"].mean.real - abs(mean_T) ** 2)
-        rows.append(_row("sinr_bu", bu_emp, br.bu, sc.rho_u * accs["sinr_T2"].stderr, n_trials, tols))
-        ui_emp = 0.0
-        for kp in range(K):
-            if kp != sinr_user:
-                a_ = accs[f"sinr_ui[{kp}]"]
-                rows.append(_row(f"sinr_ui[{kp}]", sc.rho_u * a_.mean.real, br.ui[kp],
-                                 sc.rho_u * a_.stderr, n_trials, tols))
-                ui_emp += sc.rho_u * a_.mean.real
-        an_emp = accs["sinr_an"].mean.real
-        no_emp = accs["sinr_no"].mean.real
-        rows.append(_row("sinr_an_exact", an_emp, exact_active_noise_power(stats, est, plan, sinr_user),
-                         accs["sinr_an"].stderr, n_trials, tols))
-        rows.append(_row("sinr_no_exact", no_emp, exact_ap_noise_power(sc, est, sinr_user),
-                         accs["sinr_no"].stderr, n_trials, tols))
-        sinr_emp = ds_emp / (bu_emp + ui_emp + an_emp + no_emp)
-        rows.append(_row("sinr_total", sinr_emp, br.sinr, 0.0, n_trials, tols))
+        br = sinr_closed_form(sc, stats, est, plan, 0)
+        emp = sinr.result(sc.rho_u)
+        rows.append(row("sinr_ds", emp.ds, br.ds, emp.stderr["ds"]))
+        rows.append(row("sinr_bu", emp.bu, br.bu, emp.stderr["bu"]))
+        rows.extend(row(f"sinr_ui[{kp}]", emp.ui[kp], br.ui[kp], emp.stderr["ui"][kp])
+                    for kp in range(1, K))
+        rows.append(row("sinr_an_exact", emp.an, exact_active_noise_power(stats, est, plan, 0),
+                        emp.stderr["an"]))
+        rows.append(row("sinr_no_exact", emp.no, exact_ap_noise_power(sc, est, 0), emp.stderr["no"]))
+        rows.append(row("sinr_total", emp.sinr, br.sinr, 0.0))
     return rows
-
-
-def report_to_csv_rows(rows: list[IdentityCheck]) -> list[list[str]]:
-    return [list(CSV_HEADER)] + [r.csv_row() for r in rows]

@@ -85,11 +85,3 @@ def aris_power_consumption(scenario: Scenario, realization: NetworkRealization, 
     """
     return (scenario.N * (scenario.P_c + scenario.P_dc)
             + aris_output_power(scenario, realization, a) / scenario.xi)
-
-
-def equal_phase_state(scenario: Scenario, a: float, phase: float = 0.0) -> RisState:
-    return RisState(phases=np.full(scenario.N, phase), a=a)
-
-
-def random_phase_state(scenario: Scenario, a: float, rng: np.random.Generator) -> RisState:
-    return RisState(phases=rng.uniform(0.0, 2.0 * np.pi, scenario.N), a=a)

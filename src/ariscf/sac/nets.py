@@ -82,10 +82,6 @@ class DenseNet:
         gw, gb = grads
         return np.concatenate([g.ravel() for g in gw + gb])
 
-    def copy_from(self, other: "DenseNet") -> None:
-        for dst, src in zip(self.weights + self.biases, other.weights + other.biases):
-            dst[...] = src
-
     def clone(self) -> "DenseNet":
         dup = object.__new__(DenseNet)
         dup.weights = [w.copy() for w in self.weights]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import yaml
@@ -103,6 +103,10 @@ class Scenario:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
+# Integer-valued fields; every other numeric field is a float.
+INT_FIELDS = frozenset(f.name for f in fields(Scenario) if f.type == "int")
+
+
 def load_scenario(path: str) -> Scenario:
     """Load a Scenario from a flat key-value YAML file.
 
@@ -120,7 +124,6 @@ def load_scenario(path: str) -> Scenario:
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    int_fields = {f.name for f in fields(Scenario) if f.type == "int"}
     known = {f.name for f in fields(Scenario)}
     kwargs = {}
     for key, value in raw.items():
@@ -128,7 +131,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
             kwargs["wavelength"] = SPEED_OF_LIGHT / float(value)
         elif key.endswith("_dbm") and key[:-4] in POWER_FIELDS:
             kwargs[key[:-4]] = dbm_to_watt(float(value))
-        elif key in int_fields:
+        elif key in INT_FIELDS:
             kwargs[key] = int(value)
         elif key == "grid_indexing":
             kwargs[key] = str(value)
@@ -138,11 +141,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
         else:
             raise ValueError(f"unknown config key: {key!r}")
     return Scenario(**kwargs)
-
-
-def with_params(scenario: Scenario, **overrides) -> Scenario:
-    """Return a copy of `scenario` with the given fields replaced."""
-    return replace(scenario, **overrides)
 
 
 def element_positions(N_H: int, N_V: int, d_H: float, d_V: float,

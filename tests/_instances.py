@@ -1,7 +1,10 @@
-"""Shared test instances with hand-controlled large-scale gains."""
+"""Shared test instances with hand-controlled large-scale gains, and oracle block draws."""
+
+from dataclasses import fields
 
 import numpy as np
 
+from ariscf import oracle
 from ariscf.scenario import NetworkRealization, Scenario, build_correlation_matrix, psd_factor
 
 
@@ -51,3 +54,12 @@ def moment_instance(tau_p: int = 1, phases_seed: int | None = None):
     sc, rl, phases = cascade_instance(tau_p=tau_p, a=4.0, rho_u=5.0,
                                       beta_scale=5e-4, phases_seed=phases_seed)
     return sc, rl, phases
+
+
+def draw_trials(realization: NetworkRealization, ris_state, plan, n_trials: int,
+                master_seed: int):
+    """The oracle's block draws for `n_trials` trials, joined along the trial axis."""
+    blocks = [oracle._sample_block(realization, ris_state, plan, master_seed, chunk, size)
+              for chunk, size in enumerate(oracle._chunk_sizes(n_trials))]
+    return oracle._Block(**{f.name: np.concatenate([getattr(b, f.name) for b in blocks])
+                            for f in fields(oracle._Block)})

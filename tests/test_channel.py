@@ -1,9 +1,12 @@
-"""Fading sampling and the analytic channel moments."""
+"""Oracle fading draws and the analytic channel moments."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ariscf import oracle
 from ariscf.channel import (
     active_noise_moment_main_text,
     complex_normal,
@@ -11,51 +14,72 @@ from ariscf.channel import (
     cross_moment_cyclic,
     cross_moments,
     fourth_moment,
-    sample_channels,
-    sample_correlated_vector,
 )
+from ariscf.estimation import assign_pilots
 from ariscf.ris import RisState
+from ariscf.scenario import psd_factor
 
-from _instances import cascade_instance
+from _instances import cascade_instance, draw_trials
+
+
+def _regenerate_h_g(rl, master_seed: int, chunk: int, size: int):
+    """h and g of one oracle block, redrawn from their own substreams."""
+    sc = rl.scenario
+    h_base = complex_normal(oracle._stream(master_seed, chunk, oracle._TAG_H), (size, sc.M, sc.N))
+    h = np.sqrt(rl.alpha * sc.element_area)[None, :, None] * (h_base @ rl.R_factor.T)
+    g_base = complex_normal(oracle._stream(master_seed, chunk, oracle._TAG_G), (size, sc.M, sc.K))
+    return h, np.sqrt(rl.beta)[None] * g_base
 
 
 class TestSampling:
     def test_zero_covariance_gives_zero(self):
-        v = sample_correlated_vector(np.zeros((4, 4)), np.random.default_rng(0))
-        assert_allclose(v, 0.0)
+        # R = 0: the RIS-user channels z_k ~ CN(0, alphabar_k dH dV R) vanish
+        sc, rl, phases = cascade_instance()
+        zero = np.zeros((sc.N, sc.N))
+        rl0 = replace(rl, R=zero, R_factor=psd_factor(zero))
+        blk = oracle._sample_block(rl0, RisState(phases=phases, a=2.0), assign_pilots(2, 1), 0, 0, 16)
+        assert_allclose(blk.z, 0.0)
 
     def test_identity_covariance_statistics(self):
-        rng = np.random.default_rng(1)
-        x = sample_correlated_vector(np.eye(4), rng, size=100_000)
+        # R = I and alphabar_k dH dV = 1: every z_k is CN(0, I)
+        sc, rl, phases = cascade_instance()
+        rl_eye = replace(rl, alpha_bar=np.full(sc.K, 1.0 / sc.element_area),
+                         R=np.eye(sc.N), R_factor=np.eye(sc.N))
+        blk = draw_trials(rl_eye, RisState(phases=phases, a=2.0), assign_pilots(2, 1),
+                          100_000, master_seed=1)
+        x = blk.z[:, 0]
         cov = x.T.conj() @ x / x.shape[0]
-        assert np.linalg.norm(cov - np.eye(4)) / np.linalg.norm(np.eye(4)) < 0.05
+        assert np.linalg.norm(cov - np.eye(sc.N)) / np.linalg.norm(np.eye(sc.N)) < 0.05
 
     def test_scaled_covariance_matches_scaled_samples(self):
-        cov = np.array([[1.0, 0.4], [0.4, 1.0]])
-        x1 = sample_correlated_vector(cov, np.random.default_rng(7), size=100)
-        x2 = sample_correlated_vector(4.0 * cov, np.random.default_rng(7), size=100)
+        # four times the covariance at the same seed doubles every draw
+        sc, rl, phases = cascade_instance()
+        state, plan = RisState(phases=phases, a=2.0), assign_pilots(2, 1)
+        x1 = oracle._sample_block(rl, state, plan, 7, 0, 100).z
+        x2 = oracle._sample_block(replace(rl, alpha_bar=4.0 * rl.alpha_bar), state, plan, 7, 0, 100).z
         assert_allclose(2.0 * x1, x2, rtol=1e-12)
 
     def test_aggregated_channel_construction(self):
         sc, rl, phases = cascade_instance()
         state = RisState(phases=phases, a=1.5)
-        sample = sample_channels(rl, state, np.random.default_rng(0))
+        blk = oracle._sample_block(rl, state, assign_pilots(2, 1), 0, 0, 8)
+        h, g = _regenerate_h_g(rl, 0, 0, 8)
         # elementwise: q[m,k] = g[m,k] + h_m^H Theta z_k
-        q00 = sample.g[0, 0] + np.conj(sample.h[0]) @ state.theta @ sample.z[0]
-        assert sample.q[0, 0] == pytest.approx(q00)
-        assert_allclose(sample.q, sample.g + np.einsum("mn,nn,kn->mk", np.conj(sample.h), state.theta, sample.z))
+        q00 = g[0, 0, 0] + np.conj(h[0, 0]) @ state.theta @ blk.z[0, 0]
+        assert blk.q[0, 0, 0] == pytest.approx(q00)
+        assert_allclose(blk.q, g + np.einsum("tmn,nn,tkn->tmk", np.conj(h), state.theta, blk.z))
 
     def test_passive_off_state_reduces_to_direct(self):
         sc, rl, phases = cascade_instance(a=0.0)
-        sample = sample_channels(rl, RisState(phases=phases, a=0.0), np.random.default_rng(5))
-        assert_allclose(sample.q, sample.g)
+        blk = oracle._sample_block(rl, RisState(phases=phases, a=0.0), assign_pilots(2, 1), 5, 0, 8)
+        _, g = _regenerate_h_g(rl, 5, 0, 8)
+        assert_allclose(blk.q, g)
 
     def test_zero_mean_and_power(self):
         sc, rl, phases = cascade_instance()
         state = RisState(phases=phases, a=2.0)
         stats = compute_stats(rl, state)
-        rng = np.random.default_rng(11)
-        q = np.stack([sample_channels(rl, state, rng).q for _ in range(4000)])
+        q = oracle._sample_block(rl, state, assign_pilots(2, 1), 11, 0, 4000).q
         power = np.mean(np.abs(q) ** 2, axis=0)
         assert np.abs(q.mean(axis=0)).max() / np.sqrt(power.min()) < 4 / np.sqrt(4000)
         assert_allclose(power, stats.kappa, rtol=0.08)

@@ -212,7 +212,10 @@ class TestTrain:
                        "--episodes", "1", "--steps", "200", "--lr", "1e24",
                        "--out", str(out))
         assert code == 3
-        assert (tmp_path / "curve.csv.diverged.npz").exists()
+        diag = np.load(tmp_path / "curve.csv.diverged.npz")
+        assert {"policy", "q1", "q2", "value"} <= set(diag.files)
+        for net in ("policy", "q1", "q2", "value"):
+            assert not np.isfinite(diag[f"losses_{net}"])
 
 
 class TestEntryPoint:

@@ -5,18 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ariscf.channel import compute_stats
-from ariscf.estimation import (
-    assign_pilots,
-    compute_estimation_stats,
-    estimate_channels,
-    lmmse_coefficient,
-    nmse,
-)
-from ariscf.oracle import simulate_pilot_phase
+from ariscf import oracle
+from ariscf.estimation import assign_pilots, compute_estimation_stats
 from ariscf.ris import RisState
 from ariscf.scenario import Scenario
 
-from _instances import cascade_instance, synthetic_realization
+from _instances import cascade_instance, draw_trials, synthetic_realization
 
 
 class TestPilotPlan:
@@ -35,12 +29,6 @@ class TestPilotPlan:
         seen = np.concatenate([plan.coset(p) for p in range(3)])
         assert sorted(seen) == list(range(7))
 
-    @pytest.mark.parametrize("basis", ["canonical", "dft"])
-    def test_pilot_orthonormality(self, basis):
-        plan = assign_pilots(5, 4, basis=basis)
-        gram = np.conj(plan.pilot_matrix).T @ plan.pilot_matrix
-        assert_allclose(gram, np.eye(4), atol=1e-12)
-
 
 class TestLmmseCoefficient:
     def test_equal_signal_and_noise_gives_half(self):
@@ -51,8 +39,9 @@ class TestLmmseCoefficient:
                                    alpha=np.array([1e-9]), alpha_bar=np.array([1e-9]))
         stats = compute_stats(rl, RisState(phases=np.zeros(1), a=0.0))
         plan = assign_pilots(1, 1)
-        assert lmmse_coefficient(sc, stats, plan, 0, 0) == pytest.approx(0.5, rel=1e-12)
-        assert nmse(compute_estimation_stats(sc, stats, plan), 0, 0) == pytest.approx(0.5)
+        est = compute_estimation_stats(sc, stats, plan)
+        assert est.c[0, 0] == pytest.approx(0.5, rel=1e-12)
+        assert est.nmse[0, 0] == pytest.approx(0.5)
 
     def test_high_power_limits(self):
         sc, rl, phases = cascade_instance(tau_p=1)
@@ -127,6 +116,8 @@ class TestLmmseCoefficient:
 
 
 class TestEstimateChannels:
+    """LMMSE estimates qhat = c * y and errors q - qhat on the oracle's block draws."""
+
     def test_near_noiseless_recovery(self):
         # strong pilots, no sharing: qhat -> q up to the c < 1 shrinkage
         sc, rl, _ = cascade_instance(tau_p=2, rho=1e4)
@@ -134,10 +125,15 @@ class TestEstimateChannels:
         stats = compute_stats(rl, state)
         plan = assign_pilots(2, 2)
         est = compute_estimation_stats(sc, stats, plan)
-        obs = simulate_pilot_phase(rl, state, plan, np.random.default_rng(0))
-        q_hat, err = estimate_channels(obs, est)
-        assert np.abs(err).max() / np.abs(obs.sample.q).min() < 1e-2
-        assert_allclose(q_hat, est.c * obs.projections, rtol=1e-15)
+        blk = oracle._sample_block(rl, state, plan, 0, 0, 1)
+        q, q_hat = blk.q[0], est.c * blk.y[0]
+        assert np.abs(q - q_hat).max() / np.abs(q).min() < 1e-2
+        # the identity suite's estimates are the same c * y
+        rows = {r.name: r.empirical for r in oracle.verify_moment_identities(
+            rl, state, plan, oracle.CHUNK_TRIALS, master_seed=0, include_sinr=False)}
+        y = oracle._sample_block(rl, state, plan, 0, 0, oracle.CHUNK_TRIALS).y
+        gamma_rows = [[rows[f"gamma[{m},{k}]"] for k in range(sc.K)] for m in range(sc.M)]
+        assert_allclose(gamma_rows, np.mean(np.abs(est.c * y) ** 2, axis=0), rtol=1e-12)
 
     def test_estimate_statistics_match(self):
         sc, rl, phases = cascade_instance(tau_p=1)
@@ -145,28 +141,12 @@ class TestEstimateChannels:
         stats = compute_stats(rl, state)
         plan = assign_pilots(2, 1)
         est = compute_estimation_stats(sc, stats, plan)
-        rng = np.random.default_rng(4)
         n = 6000
-        qh = np.empty((n, 2, 2), dtype=complex)
-        ee = np.empty((n, 2, 2), dtype=complex)
-        for t in range(n):
-            obs = simulate_pilot_phase(rl, state, plan, rng)
-            qh[t], ee[t] = estimate_channels(obs, est)
+        blk = draw_trials(rl, state, plan, n, master_seed=4)
+        qh = est.c * blk.y
+        ee = blk.q - qh
         assert_allclose(np.mean(np.abs(qh) ** 2, axis=0), est.gamma, rtol=0.08)
         assert_allclose(np.mean(np.abs(ee) ** 2, axis=0), stats.kappa - est.gamma, rtol=0.08)
         corr = np.abs(np.mean(np.conj(qh[:, 0, 0]) * ee[:, 0, 0]))
         corr /= np.sqrt(np.mean(np.abs(qh[:, 0, 0]) ** 2) * np.mean(np.abs(ee[:, 0, 0]) ** 2))
         assert corr < 4 / np.sqrt(n)
-
-    def test_dft_basis_equivalent_statistics(self):
-        sc, rl, phases = cascade_instance(tau_p=1)
-        state = RisState(phases=phases, a=2.0)
-        stats = compute_stats(rl, state)
-        for basis in ("canonical", "dft"):
-            plan = assign_pilots(2, 1, basis=basis)
-            est = compute_estimation_stats(sc, stats, plan)
-            obs = simulate_pilot_phase(rl, state, plan, np.random.default_rng(9))
-            # shared pilot: projection contains the coset sum for either basis
-            coset_sum = obs.sample.q.sum(axis=1)
-            noise = obs.projections[:, 0] - coset_sum
-            assert np.abs(noise).max() < np.abs(coset_sum).max() * 0.3

@@ -1,38 +1,39 @@
-"""Monte Carlo oracle: determinism, literal-equation paths, identity suite."""
+"""Monte Carlo oracle: block draws of both phases, determinism, identity suite."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from ariscf import oracle
-from ariscf.channel import compute_stats, sample_channels
+from ariscf.channel import compute_stats
 from ariscf.estimation import assign_pilots, compute_estimation_stats
 from ariscf.perf import sinr_closed_form
 from ariscf.ris import RisState
 from ariscf.scenario import Scenario, sample_layout
 
-from _instances import cascade_instance, moment_instance, synthetic_realization
+from _instances import cascade_instance, draw_trials, moment_instance, synthetic_realization
 
 
 class TestLiteralPhases:
+    """The pilot and data phases of the oracle's block draws against the signal model."""
+
     def test_pilot_projection_noiseless_identity(self):
         # no noise, single user: projection reproduces the aggregated channel
         sc = Scenario(M=2, K=1, N_H=2, N_V=2, tau_p=1, sigma2=0.0, sigma2_bar=0.0)
         rl = sample_layout(sc, 2)
         state = RisState(phases=np.zeros(sc.N), a=0.0)
         plan = assign_pilots(1, 1)
-        obs = oracle.simulate_pilot_phase(rl, state, plan, np.random.default_rng(0))
-        assert_allclose(obs.projections, obs.sample.q, rtol=1e-12)
+        blk = oracle._sample_block(rl, state, plan, 0, 0, 16)
+        assert_allclose(blk.y, blk.q, rtol=1e-12)
 
     def test_projection_equals_coset_sum_plus_noise_terms(self):
         sc, rl, phases = cascade_instance(tau_p=1)
         state = RisState(phases=phases, a=2.0)
         plan = assign_pilots(2, 1)
-        rng = np.random.default_rng(1)
-        obs = oracle.simulate_pilot_phase(rl, state, plan, rng)
+        blk = oracle._sample_block(rl, state, plan, 1, 0, 16)
         # orthonormal pilots: same-coset channels enter exactly once
-        residual = obs.projections[:, 0] - obs.sample.q.sum(axis=1)
-        residual2 = obs.projections[:, 1] - obs.sample.q.sum(axis=1)
+        residual = blk.y[:, :, 0] - blk.q.sum(axis=2)
+        residual2 = blk.y[:, :, 1] - blk.q.sum(axis=2)
         # both users share the one pilot, so both projections see the same coset sum
         assert_allclose(residual, residual2, rtol=1e-12)
 
@@ -43,17 +44,17 @@ class TestLiteralPhases:
         sc_noiseless = Scenario(M=2, K=2, N_H=2, N_V=2, tau_p=2, rho=sc.rho,
                                 rho_u=sc.rho_u, sigma2=0.0, sigma2_bar=0.0, a_max=sc.a_max)
         rl2 = synthetic_realization(sc_noiseless, rl.beta, rl.alpha, rl.alpha_bar)
-        obs = oracle.simulate_pilot_phase(rl2, state, plan, np.random.default_rng(3))
-        assert_allclose(obs.projections, obs.sample.q, rtol=1e-10)
+        blk = oracle._sample_block(rl2, state, plan, 3, 0, 16)
+        assert_allclose(blk.y, blk.q, rtol=1e-10)
 
     def test_data_phase_noise_off(self):
+        # received data signal sqrt(rho_u) q x + p + w with x = 1 and both noises off
         sc = Scenario(M=2, K=1, N_H=2, N_V=2, tau_p=1, sigma2=0.0, sigma2_bar=0.0)
         rl = sample_layout(sc, 4)
         state = RisState(phases=np.zeros(sc.N), a=1.0)
-        rng = np.random.default_rng(0)
-        sample = sample_channels(rl, state, rng)
-        y = oracle.simulate_data_phase(rl, state, sample, np.array([1.0 + 0j]), rng)
-        assert_allclose(y, np.sqrt(sc.rho_u) * sample.q[:, 0], rtol=1e-12)
+        blk = oracle._sample_block(rl, state, assign_pilots(1, 1), 0, 0, 16)
+        y = np.sqrt(sc.rho_u) * blk.q[:, :, 0] + blk.p_data + blk.w_data
+        assert_allclose(y, np.sqrt(sc.rho_u) * blk.q[:, :, 0], rtol=1e-12)
 
     def test_pilot_projection_power_matches_lmmse_denominator(self):
         # E{|y^(p)|^2} is the LMMSE denominator scaled by 1/(rho tau_p)
@@ -62,28 +63,19 @@ class TestLiteralPhases:
         plan = assign_pilots(2, 1)
         stats = compute_stats(rl, state)
         est = compute_estimation_stats(sc, stats, plan)
-        rng = np.random.default_rng(6)
-        n = 40_000
-        power = np.zeros((sc.M, sc.K))
-        for _ in range(n):
-            obs = oracle.simulate_pilot_phase(rl, state, plan, rng)
-            power += np.abs(obs.projections) ** 2
-        power /= n
+        y = draw_trials(rl, state, plan, 40_000, master_seed=6).y
+        power = np.mean(np.abs(y) ** 2, axis=0)
         expected = stats.kappa / est.c  # kappa_mk / c_mk = denominator / (rho tau_p)
         assert_allclose(power, expected, rtol=0.02)
 
     def test_data_phase_power_budget(self):
+        # unit-power independent symbols: E|y_m|^2 = rho_u sum_k E|q|^2 + E|p_m|^2 + E|w_m|^2
         sc, rl, phases = cascade_instance(tau_p=1)
         state = RisState(phases=phases, a=2.0)
         stats = compute_stats(rl, state)
-        rng = np.random.default_rng(8)
-        n = 20_000
-        acc = np.zeros(sc.M)
-        for _ in range(n):
-            sample = sample_channels(rl, state, rng)
-            y = oracle.simulate_data_phase(rl, state, sample, oracle.random_symbols(sc.K, rng), rng)
-            acc += np.abs(y) ** 2
-        acc /= n
+        blk = draw_trials(rl, state, assign_pilots(2, 1), 20_000, master_seed=8)
+        acc = (np.mean(np.abs(blk.p_data) ** 2, axis=0) + np.mean(np.abs(blk.w_data) ** 2, axis=0)
+               + sc.rho_u * np.mean(np.abs(blk.q) ** 2, axis=0).sum(axis=1))
         p_ris = sc.sigma2_bar * 4.0 * rl.alpha * sc.element_area * sc.N  # sigma2_bar a^2 tr(R_m)
         expected = sc.rho_u * stats.kappa.sum(axis=1) + p_ris + sc.sigma2
         assert_allclose(acc, expected, rtol=0.03)
@@ -120,6 +112,23 @@ class TestEmpiricalSinr:
         r = oracle.empirical_sinr(rl, state, plan, 0, 150_000, master_seed=1)
         assert r.sinr == pytest.approx(br.sinr, rel=0.05)
         assert r.ds == pytest.approx(br.ds, rel=0.03)
+
+    def test_same_accumulation_as_identity_suite(self):
+        # one SINR-group accumulation serves both the sinr_* rows and empirical_sinr
+        sc = Scenario(M=3, K=4, N_H=2, N_V=2, tau_p=2)
+        rl = sample_layout(sc, 0)
+        state = RisState(phases=np.random.default_rng(0).uniform(0, 2 * np.pi, sc.N), a=2.0)
+        plan = assign_pilots(sc.K, sc.tau_p)
+        n = 2 * oracle.CHUNK_TRIALS + 808
+        rows = {r.name: r.empirical
+                for r in oracle.verify_moment_identities(rl, state, plan, n, master_seed=9)}
+        r = oracle.empirical_sinr(rl, state, plan, 0, n, master_seed=9)
+        assert rows["sinr_ds"] == r.ds
+        assert rows["sinr_bu"] == r.bu
+        assert [rows[f"sinr_ui[{kp}]"] for kp in range(1, sc.K)] == list(r.ui[1:])
+        assert rows["sinr_an_exact"] == r.an
+        assert rows["sinr_no_exact"] == r.no
+        assert rows["sinr_total"] == r.sinr
 
     def test_stderr_scales_with_trials(self):
         sc, rl, phases = cascade_instance(tau_p=1)
@@ -190,9 +199,10 @@ class TestIdentitySuite:
         sc, rl, phases = cascade_instance(tau_p=1)
         state = RisState(phases=phases, a=2.0)
         rows = oracle.verify_moment_identities(rl, state, assign_pilots(2, 1), 8192, master_seed=0)
-        csv_rows = oracle.report_to_csv_rows(rows)
-        assert csv_rows[0] == oracle.CSV_HEADER
+        csv_rows = [r.csv_row() for r in rows]
         assert all(len(r) == len(oracle.CSV_HEADER) for r in csv_rows)
+        assert [r[0] for r in csv_rows] == [r.name for r in rows]
+        assert [r[-1] for r in csv_rows] == [r.status for r in rows]
 
     def test_coverage_registry(self):
         # every exported closed-form quantity has exactly one empirical
