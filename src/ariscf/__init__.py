@@ -22,10 +22,7 @@ from .perf import (
     SinrBreakdown,
     energy_efficiency,
     evaluate_phases,
-    per_user_se,
-    se_per_user,
     sinr_closed_form,
-    sum_se,
 )
 
 __version__ = "0.1.0"

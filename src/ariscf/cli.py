@@ -13,8 +13,7 @@ import numpy as np
 import yaml
 
 from . import oracle
-from .estimation import assign_pilots, compute_estimation_stats
-from .channel import compute_stats
+from .estimation import assign_pilots
 from .perf import energy_efficiency, evaluate_phases
 from .ris import BudgetExhaustedWarning, RisState, amplitude_gain
 from .sac.agent import SacConfig, TrainingDiverged, save_checkpoint, load_checkpoint, train
@@ -31,9 +30,9 @@ class UsageError(Exception):
     pass
 
 
-def _load_or_default(config_path: str | None, defaults: dict | None = None) -> Scenario:
+def _load_or_default(config_path: str | None) -> Scenario:
     if config_path is None:
-        return Scenario(**(defaults or {}))
+        return Scenario()
     try:
         return load_scenario(config_path)
     except (OSError, ValueError, KeyError, TypeError, yaml.YAMLError) as exc:
@@ -61,6 +60,8 @@ def _fmt(x) -> str:
 # validate
 
 def cmd_validate(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
     if args.config is None:
         # built-in synthetic benchmark: conditioning guaranteed by construction
         realization, state, plan = oracle.benchmark_instance()
@@ -112,7 +113,11 @@ def _resolve_phases(spec: str, N: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x9155)))
         return rng.uniform(0.0, 2.0 * np.pi, N)
     if spec.startswith("trained:"):
-        ckpt = load_checkpoint(spec.split(":", 1)[1])
+        path = spec.split(":", 1)[1]
+        try:
+            ckpt = load_checkpoint(path)
+        except (OSError, ValueError, KeyError) as exc:
+            raise UsageError(f"cannot load checkpoint {path!r}: {exc}") from exc
         phases = ckpt["best_phases"]
         if phases.size != N:
             raise UsageError(f"checkpoint phases have N={phases.size}, scenario needs N={N}")
@@ -131,9 +136,8 @@ def _sweep_point(payload):
         exhausted = any(issubclass(w.category, BudgetExhaustedWarning) for w in caught)
     phases = _resolve_phases(phases_spec, sc.N, seed)
     plan = assign_pilots(sc.K, sc.tau_p)
-    se_total, _ = evaluate_phases(sc, realization, plan, phases, a, prelog)
-    stats = compute_stats(realization, RisState(phases=phases, a=a))
-    est = compute_estimation_stats(sc, stats, plan)
+    se, est = evaluate_phases(sc, realization, plan, phases, a, prelog)
+    se_total = float(se.sum())
     ee = energy_efficiency(sc, realization, se_total, a)
     return [_fmt(value) if param not in INT_FIELDS else str(value), str(seed),
             _fmt(se_total), _fmt(float(est.nmse.mean())), _fmt(a), _fmt(ee),
@@ -152,7 +156,10 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"bad --values: {exc}") from exc
     if not values:
         raise UsageError("--values must be a non-empty comma list")
-    seeds = [int(s) for s in args.seeds.split(",") if s]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s]
+    except ValueError as exc:
+        raise UsageError(f"bad --seeds: {exc}") from exc
     if not seeds:
         raise UsageError("--seeds must be a non-empty comma list")
 
@@ -189,7 +196,7 @@ def cmd_train(args) -> int:
     env = RisEnv(scenario, realization, plan, a, prelog=args.prelog)
 
     comments = [f"config_sha256={scenario.config_hash()}", f"master_seed={args.seed}"]
-    baseline = env.sum_se_of(np.zeros(scenario.N))
+    baseline = env.equal_phase_se
     if args.episodes == 0:
         _write_csv(args.out, comments + [f"baseline_equal_sum_se={_fmt(baseline)}"],
                    ["episode", "cumulative_reward"], [])
@@ -205,7 +212,10 @@ def cmd_train(args) -> int:
         overrides["lr"] = args.lr
     if args.optimizer is not None:
         overrides["optimizer"] = args.optimizer
-    config = replace(SacConfig(), **overrides)
+    try:
+        config = replace(SacConfig(), **overrides)
+    except ValueError as exc:
+        raise UsageError(f"bad training options: {exc}") from exc
 
     try:
         result = train(env, config, args.seed)

@@ -47,7 +47,7 @@ def benchmark_instance():
     geometry sampled from a config cannot guarantee that conditioning.
     """
     from .estimation import assign_pilots
-    from .scenario import NetworkRealization, Scenario, build_correlation_matrix, psd_factor
+    from .scenario import NetworkRealization, Scenario, build_correlation_matrix
 
     sc = Scenario(M=2, K=2, N_H=2, N_V=2, tau_p=1, rho=0.05, rho_u=5.0,
                   sigma2=1e-11, sigma2_bar=1e-11, a_max=4.0)
@@ -61,7 +61,6 @@ def benchmark_instance():
         alpha=np.array([3e-6, 2e-6]),
         alpha_bar=np.array([4e-4, 3e-4]) / sc.element_area,
         R=R,
-        R_factor=psd_factor(R),
     )
     state = RisState(phases=np.zeros(sc.N), a=4.0)
     return realization, state, assign_pilots(sc.K, sc.tau_p)
@@ -204,8 +203,7 @@ class _SinrGroups:
 
 
 def empirical_sinr(realization: NetworkRealization, ris_state: RisState, plan: PilotPlan,
-                   k: int, n_trials: int, master_seed: int,
-                   est_stats: EstimationStats | None = None) -> EmpiricalSinr:
+                   k: int, n_trials: int, master_seed: int) -> EmpiricalSinr:
     """Monte Carlo estimate of the MRC uplink SINR of user k.
 
     Estimates the desired-signal mean, the variance-style beamforming
@@ -215,9 +213,7 @@ def empirical_sinr(realization: NetworkRealization, ris_state: RisState, plan: P
     blocks with counter-based substreams reduced in block order.
     """
     sc = realization.scenario
-    if est_stats is None:
-        stats = compute_stats(realization, ris_state)
-        est_stats = compute_estimation_stats(sc, stats, plan)
+    est_stats = compute_estimation_stats(sc, compute_stats(realization, ris_state), plan)
     groups = _SinrGroups(est_stats.c[:, k], k)
     for chunk, size in enumerate(_chunk_sizes(n_trials)):
         groups.add(_sample_block(realization, ris_state, plan, master_seed, chunk, size))
@@ -355,8 +351,7 @@ def _family(name: str) -> str:
 
 
 def verify_moment_identities(realization: NetworkRealization, ris_state: RisState,
-                             plan: PilotPlan, n_trials: int, master_seed: int,
-                             include_sinr: bool = True) -> list[IdentityCheck]:
+                             plan: PilotPlan, n_trials: int, master_seed: int) -> list[IdentityCheck]:
     """Run every closed-form-vs-empirical identity on one (small) instance.
 
     One row per identity and link: empirical value, closed form, relative
@@ -432,8 +427,7 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
             o0 = np.conj(qhat[:, 0, 0]) * q[:, 0, 0] - est.gamma[0, 0]
             o1 = np.conj(qhat[:, 1, 0]) * q[:, 1, 0] - est.gamma[1, 0]
             add("corollary1", o0 * np.conj(o1))
-        if include_sinr:
-            sinr.add(blk)
+        sinr.add(blk)
 
     kappa_mean, kappa_se = kappa.mean, kappa.stderr
     fourth_mean, fourth_se = fourth.mean, fourth.stderr
@@ -474,15 +468,14 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
         scalar_row("corollary1", (est.c[0, 0] * est.c[1, 0] * stats.t2
                                   * stats.xi_scale[0, 0] * float(stats.xi_scale[1, coset].sum())))
 
-    if include_sinr:
-        br = sinr_closed_form(sc, stats, est, plan, 0)
-        emp = sinr.result(sc.rho_u)
-        rows.append(row("sinr_ds", emp.ds, br.ds, emp.stderr["ds"]))
-        rows.append(row("sinr_bu", emp.bu, br.bu, emp.stderr["bu"]))
-        rows.extend(row(f"sinr_ui[{kp}]", emp.ui[kp], br.ui[kp], emp.stderr["ui"][kp])
-                    for kp in range(1, K))
-        rows.append(row("sinr_an_exact", emp.an, exact_active_noise_power(stats, est, plan, 0),
-                        emp.stderr["an"]))
-        rows.append(row("sinr_no_exact", emp.no, exact_ap_noise_power(sc, est, 0), emp.stderr["no"]))
-        rows.append(row("sinr_total", emp.sinr, br.sinr, 0.0))
+    br = sinr_closed_form(sc, stats, est, plan, 0)
+    emp = sinr.result(sc.rho_u)
+    rows.append(row("sinr_ds", emp.ds, br.ds, emp.stderr["ds"]))
+    rows.append(row("sinr_bu", emp.bu, br.bu, emp.stderr["bu"]))
+    rows.extend(row(f"sinr_ui[{kp}]", emp.ui[kp], br.ui[kp], emp.stderr["ui"][kp])
+                for kp in range(1, K))
+    rows.append(row("sinr_an_exact", emp.an, exact_active_noise_power(stats, est, plan, 0),
+                    emp.stderr["an"]))
+    rows.append(row("sinr_no_exact", emp.no, exact_ap_noise_power(sc, est, 0), emp.stderr["no"]))
+    rows.append(row("sinr_total", emp.sinr, br.sinr, 0.0))
     return rows

@@ -1,4 +1,4 @@
-"""Closed-form uplink SINR/SE per user, sum SE, and energy efficiency."""
+"""Closed-form uplink SINR and SE per user, and energy efficiency."""
 
 from __future__ import annotations
 
@@ -118,34 +118,20 @@ def sinr_closed_form(scenario: Scenario, stats: SecondOrderStats,
                          ds=i1 ** 2, bu=bu, ui=ui, an=an, no=no)
 
 
-def se_per_user(gamma_k: float, prelog_enabled: bool = False,
-                tau_p: int | None = None, tau_c: int | None = None) -> float:
-    """Spectral efficiency log2(1 + SINR), with an optional (1 - tau_p/tau_c) prelog."""
-    se = float(np.log2(1.0 + gamma_k))
-    if prelog_enabled:
-        se *= 1.0 - tau_p / tau_c
-    return se
-
-
-def per_user_se(scenario: Scenario, stats: SecondOrderStats, est_stats: EstimationStats,
-                plan: PilotPlan, prelog: bool = False) -> np.ndarray:
-    sinrs = [sinr_closed_form(scenario, stats, est_stats, plan, k).sinr
-             for k in range(stats.K)]
-    return np.array([se_per_user(g, prelog, scenario.tau_p, scenario.tau_c) for g in sinrs])
-
-
-def sum_se(scenario: Scenario, stats: SecondOrderStats, est_stats: EstimationStats,
-           plan: PilotPlan, prelog: bool = False) -> float:
-    return float(per_user_se(scenario, stats, est_stats, plan, prelog).sum())
-
-
 def evaluate_phases(scenario: Scenario, realization: NetworkRealization, plan: PilotPlan,
                     phases: np.ndarray, a: float, prelog: bool = False):
-    """Closed-form (sum SE, per-user SE) for one RIS phase configuration."""
+    """Closed-form per-user SE (K,) and the LMMSE statistics for one RIS phase vector.
+
+    SE_k = log2(1 + SINR_k), times the (1 - tau_p/tau_c) prelog when `prelog`.
+    """
     stats = compute_stats(realization, RisState(phases=phases, a=a))
     est = compute_estimation_stats(scenario, stats, plan)
-    se = per_user_se(scenario, stats, est, plan, prelog)
-    return float(se.sum()), se
+    sinr = np.array([sinr_closed_form(scenario, stats, est, plan, k).sinr
+                     for k in range(stats.K)])
+    se = np.log2(1.0 + sinr)
+    if prelog:
+        se *= 1.0 - scenario.tau_p / scenario.tau_c
+    return se, est
 
 
 def energy_efficiency(scenario: Scenario, realization: NetworkRealization,

@@ -232,7 +232,6 @@ class TrainResult:
     best_phases: np.ndarray
     best_sum_se: float
     agent: SacAgent
-    baseline_equal_se: float
     config: SacConfig
     master_seed: int
 
@@ -257,15 +256,14 @@ def train(env: RisEnv, config: SacConfig, master_seed: int) -> TrainResult:
     buffer = ReplayBuffer(config.buffer_capacity, env.obs_dim, env.act_dim)
     inv_temp = 1.0 / config.entropy_coeff
 
-    baseline_equal = env.sum_se_of(np.zeros(env.act_dim))
     best_se = -np.inf
     best_phases = np.zeros(env.act_dim)
     curve = []
 
     for _ in range(config.episodes):
-        obs = env.reset(rng_env)
-        if env.sum_se_of(env.phases) > best_se:
-            best_se = env.sum_se_of(env.phases)
+        obs, reset_se = env.reset(rng_env)
+        if reset_se > best_se:
+            best_se = reset_se
             best_phases = env.phases.copy()
         total = 0.0
         for _ in range(config.episode_len):
@@ -281,8 +279,7 @@ def train(env: RisEnv, config: SacConfig, master_seed: int) -> TrainResult:
                 agent.update(buffer.sample(config.batch, rng_batch), rng_update)
         curve.append(total)
     return TrainResult(episode_rewards=curve, best_phases=best_phases, best_sum_se=float(best_se),
-                       agent=agent, baseline_equal_se=float(baseline_equal),
-                       config=config, master_seed=int(master_seed))
+                       agent=agent, config=config, master_seed=int(master_seed))
 
 
 # ---------------- checkpointing ----------------

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..estimation import PilotPlan, compute_estimation_stats
-from ..channel import compute_stats
-from ..perf import per_user_se
-from ..ris import RisState
+from ..estimation import PilotPlan
+from ..perf import evaluate_phases
 from ..scenario import NetworkRealization, Scenario
 
 
@@ -22,7 +20,8 @@ class RisEnv:
     Observation is [phases (N) || flattened estimate variances (M*K)], the
     variances scaled by their equal-phase values so the network sees O(1)
     inputs; the reward is the closed-form sum SE recomputed from the phases
-    alone, never from the observation vector.
+    alone, never from the observation vector. `equal_phase_se` is the sum SE
+    at all-zero phases, the reference the variances are scaled by.
     """
 
     def __init__(self, scenario: Scenario, realization: NetworkRealization,
@@ -35,32 +34,26 @@ class RisEnv:
         self.obs_dim = scenario.N + scenario.M * scenario.K
         self.act_dim = scenario.N
         self.phases = np.zeros(scenario.N)
-        ref = self._gamma(np.zeros(scenario.N))
+        self.equal_phase_se, ref = self._evaluate(self.phases)
         self._gamma_ref = np.where(ref > 0, ref, 1.0)
 
-    def _gamma(self, phases: np.ndarray) -> np.ndarray:
-        stats = compute_stats(self.realization, RisState(phases=phases, a=self.a))
-        return compute_estimation_stats(self.scenario, stats, self.plan).gamma
-
     def _evaluate(self, phases: np.ndarray):
-        stats = compute_stats(self.realization, RisState(phases=phases, a=self.a))
-        est = compute_estimation_stats(self.scenario, stats, self.plan)
-        se = per_user_se(self.scenario, stats, est, self.plan, self.prelog)
+        """(sum SE, estimate variances (M, K)) at the given phases."""
+        se, est = evaluate_phases(self.scenario, self.realization, self.plan, phases,
+                                  self.a, self.prelog)
         return float(se.sum()), est.gamma
 
     def _observe(self, gamma: np.ndarray) -> np.ndarray:
         return np.concatenate([self.phases, (gamma / self._gamma_ref).ravel()])
 
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
+    def reset(self, rng: np.random.Generator):
+        """Draw uniform random phases; returns (obs, sum SE at those phases)."""
         self.phases = rng.uniform(0.0, 2.0 * np.pi, self.scenario.N)
-        _, gamma = self._evaluate(self.phases)
-        return self._observe(gamma)
+        sum_se, gamma = self._evaluate(self.phases)
+        return self._observe(gamma), sum_se
 
     def step(self, action_squashed: np.ndarray):
         """Apply the squashed action as the new phase vector; returns (obs, reward)."""
         self.phases = action_to_phases(action_squashed)
         reward, gamma = self._evaluate(self.phases)
         return self._observe(gamma), reward
-
-    def sum_se_of(self, phases: np.ndarray) -> float:
-        return self._evaluate(np.mod(phases, 2.0 * np.pi))[0]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 import yaml
@@ -201,7 +202,11 @@ class NetworkRealization:
     alpha: np.ndarray             # (M,)   AP-RIS gains
     alpha_bar: np.ndarray         # (K,)   RIS-user gains
     R: np.ndarray                 # (N, N) base correlation matrix
-    R_factor: np.ndarray          # (N, N) PSD-repaired factor of R
+
+    @cached_property
+    def R_factor(self) -> np.ndarray:
+        """(N, N) PSD-repaired factor of R; only the Monte Carlo oracle samples from it."""
+        return psd_factor(self.R)
 
     def R_m(self, m: int) -> np.ndarray:
         return self.alpha[m] * self.scenario.element_area * self.R
@@ -246,5 +251,4 @@ def sample_layout(scenario: Scenario, rng_seed: int) -> NetworkRealization:
         alpha=alpha,
         alpha_bar=alpha_bar,
         R=R,
-        R_factor=psd_factor(R),
     )

@@ -1,11 +1,13 @@
-"""Shared test instances with hand-controlled large-scale gains, and oracle block draws."""
+"""Shared test instances with hand-controlled large-scale gains, oracle block
+draws, and a call counter for package functions."""
 
+import sys
 from dataclasses import fields
 
 import numpy as np
 
 from ariscf import oracle
-from ariscf.scenario import NetworkRealization, Scenario, build_correlation_matrix, psd_factor
+from ariscf.scenario import NetworkRealization, Scenario, build_correlation_matrix
 
 
 def synthetic_realization(scenario: Scenario, beta: np.ndarray, alpha: np.ndarray,
@@ -22,7 +24,6 @@ def synthetic_realization(scenario: Scenario, beta: np.ndarray, alpha: np.ndarra
         alpha=np.asarray(alpha, dtype=float),
         alpha_bar=np.asarray(alpha_bar, dtype=float),
         R=R,
-        R_factor=psd_factor(R),
     )
 
 
@@ -63,3 +64,19 @@ def draw_trials(realization: NetworkRealization, ris_state, plan, n_trials: int,
               for chunk, size in enumerate(oracle._chunk_sizes(n_trials))]
     return oracle._Block(**{f.name: np.concatenate([getattr(b, f.name) for b in blocks])
                             for f in fields(oracle._Block)})
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap `module.name` in every ariscf module that binds it; the returned
+    list gets the positional arguments of each call."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("ariscf") and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls

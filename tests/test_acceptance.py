@@ -64,8 +64,7 @@ def test_criterion_2_lmmse_closed_forms():
     estimate-error correlation below 0.01."""
     sc, rl, phases = cascade_instance(tau_p=1)
     rows = oracle.verify_moment_identities(rl, RisState(phases=phases, a=2.0),
-                                           assign_pilots(2, 1), 100_000, master_seed=7,
-                                           include_sinr=False)
+                                           assign_pilots(2, 1), 100_000, master_seed=7)
     families = ("gamma", "err_var", "nmse")
     checked = [r for r in rows if r.name.split("[")[0] in families]
     orth = [r for r in rows if r.name == "orthogonality"]
@@ -191,7 +190,7 @@ def test_criterion_7_sum_se_unimodal_in_n():
         if a_unc >= sc.a_max:
             switch_candidates.append(n)
         se, _ = evaluate_phases(sc, rl, assign_pilots(3, 3), np.zeros(sc.N), a)
-        ses.append(se)
+        ses.append(se.sum())
     signs = np.sign(np.diff(ses))
     single_change = int(np.sum(np.diff(signs) != 0)) == 1 and signs[0] > 0 and signs[-1] < 0
     peak = Ns[int(np.argmax(ses))]
@@ -231,7 +230,7 @@ def test_criterion_9_sac_optimization_quality():
     rl1 = sample_layout(sc1, 3)
     a1 = amplitude_gain(sc1, rl1.alpha_bar)
     plan1 = assign_pilots(1, 1)
-    grid = [evaluate_phases(sc1, rl1, plan1, np.array([p]), a1)[0]
+    grid = [evaluate_phases(sc1, rl1, plan1, np.array([p]), a1)[0].sum()
             for p in np.linspace(0, 2 * np.pi, 360, endpoint=False)]
     env1 = RisEnv(sc1, rl1, plan1, a1)
     res1 = train(env1, SacConfig(episodes=8, episode_len=50, batch=16, buffer_capacity=2000),
@@ -244,9 +243,9 @@ def test_criterion_9_sac_optimization_quality():
     a = amplitude_gain(sc, rl.alpha_bar)
     plan = assign_pilots(sc.K, sc.tau_p)
     rng = np.random.default_rng(2024)
-    best_random = max(evaluate_phases(sc, rl, plan, rng.uniform(0, 2 * np.pi, sc.N), a)[0]
+    best_random = max(evaluate_phases(sc, rl, plan, rng.uniform(0, 2 * np.pi, sc.N), a)[0].sum()
                       for _ in range(100))
-    equal_se, _ = evaluate_phases(sc, rl, plan, np.zeros(sc.N), a)
+    equal_se = evaluate_phases(sc, rl, plan, np.zeros(sc.N), a)[0].sum()
     env = RisEnv(sc, rl, plan, a)
     res = train(env, SacConfig(episodes=120, episode_len=100), master_seed=7)
     curve = np.array(res.episode_rewards)

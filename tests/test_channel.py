@@ -17,7 +17,6 @@ from ariscf.channel import (
 )
 from ariscf.estimation import assign_pilots
 from ariscf.ris import RisState
-from ariscf.scenario import psd_factor
 
 from _instances import cascade_instance, draw_trials
 
@@ -36,7 +35,7 @@ class TestSampling:
         # R = 0: the RIS-user channels z_k ~ CN(0, alphabar_k dH dV R) vanish
         sc, rl, phases = cascade_instance()
         zero = np.zeros((sc.N, sc.N))
-        rl0 = replace(rl, R=zero, R_factor=psd_factor(zero))
+        rl0 = replace(rl, R=zero)
         blk = oracle._sample_block(rl0, RisState(phases=phases, a=2.0), assign_pilots(2, 1), 0, 0, 16)
         assert_allclose(blk.z, 0.0)
 
@@ -44,7 +43,7 @@ class TestSampling:
         # R = I and alphabar_k dH dV = 1: every z_k is CN(0, I)
         sc, rl, phases = cascade_instance()
         rl_eye = replace(rl, alpha_bar=np.full(sc.K, 1.0 / sc.element_area),
-                         R=np.eye(sc.N), R_factor=np.eye(sc.N))
+                         R=np.eye(sc.N))
         blk = draw_trials(rl_eye, RisState(phases=phases, a=2.0), assign_pilots(2, 1),
                           100_000, master_seed=1)
         x = blk.z[:, 0]
@@ -112,7 +111,7 @@ class TestSecondOrderStats:
     def test_identity_like_correlation_trace(self):
         # Psi = I and R = I make tr(Xi) = a^2 alpha_m alphabar_k (dH dV)^2 N
         sc, rl, _ = cascade_instance()
-        rl_eye = rl.__class__(**{**rl.__dict__, "R": np.eye(sc.N), "R_factor": np.eye(sc.N)})
+        rl_eye = replace(rl, R=np.eye(sc.N))
         stats = compute_stats(rl_eye, RisState(phases=np.zeros(sc.N), a=2.0))
         expected = 4.0 * rl.alpha[0] * rl.alpha_bar[1] * sc.element_area ** 2 * sc.N
         assert stats.tr_xi(0, 1) == pytest.approx(expected, rel=1e-12)

@@ -7,9 +7,13 @@ import sys
 import numpy as np
 import pytest
 
+from ariscf import channel, scenario
 from ariscf.cli import main
 
+from _instances import count_calls
+
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
 def run_cli(*argv):
@@ -218,12 +222,53 @@ class TestTrain:
             assert not np.isfinite(diag[f"losses_{net}"])
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--config", "{small}", "--param", "rho", "--values", "0.1", "--seeds", "x"],
+        ["sweep", "--config", "{small}", "--param", "rho", "--values", "0.1",
+         "--phases", "trained:{missing}"],
+        ["validate", "--trials", "0"],
+        ["validate", "--trials", "-5"],
+        ["train", "--config", "{train}", "--steps", "0"],
+        ["train", "--config", "{train}", "--episodes", "-1"],
+        ["train", "--config", "{train}", "--lr", "-1"],
+    ], ids=["seeds-x", "trained-missing", "trials-0", "trials-negative", "steps-0",
+            "episodes-negative", "lr-negative"])
+    def test_bad_input_exits_usage(self, argv, tmp_path, small_config, train_config, capsys):
+        paths = {"small": small_config, "train": train_config,
+                 "missing": str(tmp_path / "missing.npz")}
+        out = tmp_path / "out.csv"
+        code = run_cli(*(arg.format(**paths) for arg in argv), "--out", str(out))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not out.exists()
+
+
+class TestEvaluationCost:
+    def test_sweep_point_computes_stats_once(self, monkeypatch, small_config):
+        stats_calls = count_calls(monkeypatch, channel, "compute_stats")
+        factor_calls = count_calls(monkeypatch, scenario, "psd_factor")
+        assert run_cli("sweep", "--config", small_config, "--param", "rho",
+                       "--values", "0.1,0.2", "--seeds", "0,1") == 0
+        assert len(stats_calls) == 4
+        assert factor_calls == []
+
+    def test_train_never_factors_r(self, monkeypatch, tmp_path, train_config):
+        factor_calls = count_calls(monkeypatch, scenario, "psd_factor")
+        assert run_cli("train", "--config", train_config, "--episodes", "1", "--steps", "5",
+                       "--out", str(tmp_path / "curve.csv")) == 0
+        assert factor_calls == []
+
+
 class TestEntryPoint:
     def test_module_invocation(self, small_config):
+        # the subprocess does not see pytest's pythonpath setting
+        pythonpath = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "ariscf.cli", "sweep", "--config", small_config,
              "--param", "rho", "--values", "0.1", "--seeds", "0"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath})
         assert proc.returncode == 0
         assert "param_value,seed" in proc.stdout
 

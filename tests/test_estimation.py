@@ -130,7 +130,7 @@ class TestEstimateChannels:
         assert np.abs(q - q_hat).max() / np.abs(q).min() < 1e-2
         # the identity suite's estimates are the same c * y
         rows = {r.name: r.empirical for r in oracle.verify_moment_identities(
-            rl, state, plan, oracle.CHUNK_TRIALS, master_seed=0, include_sinr=False)}
+            rl, state, plan, oracle.CHUNK_TRIALS, master_seed=0)}
         y = oracle._sample_block(rl, state, plan, 0, 0, oracle.CHUNK_TRIALS).y
         gamma_rows = [[rows[f"gamma[{m},{k}]"] for k in range(sc.K)] for m in range(sc.M)]
         assert_allclose(gamma_rows, np.mean(np.abs(est.c * y) ** 2, axis=0), rtol=1e-12)

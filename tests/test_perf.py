@@ -1,17 +1,15 @@
 """Closed-form SINR/SE/EE behavior."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
+
+from ariscf import perf
 from ariscf.channel import compute_stats
 from ariscf.estimation import assign_pilots, compute_estimation_stats
-from ariscf.perf import (
-    I2_TERM_NAMES,
-    energy_efficiency,
-    evaluate_phases,
-    se_per_user,
-    sinr_closed_form,
-    sum_se,
-)
+from ariscf.perf import I2_TERM_NAMES, energy_efficiency, evaluate_phases, sinr_closed_form
 from ariscf.ris import RisState, aris_power_consumption
 from ariscf.scenario import Scenario, sample_layout
 
@@ -148,13 +146,25 @@ class TestLiteralAssembly:
 
 
 class TestSpectralEfficiency:
-    def test_log2_values(self):
-        assert se_per_user(1.0) == pytest.approx(1.0)
-        assert se_per_user(3.0) == pytest.approx(2.0)
-        assert se_per_user(0.0) == 0.0
+    @staticmethod
+    def se_at_sinrs(monkeypatch, sinrs, prelog=False, **scenario_kw):
+        """evaluate_phases with user k's closed-form SINR replaced by sinrs[k]."""
+        sc = Scenario(**{"M": 2, "K": len(sinrs), "N_H": 2, "N_V": 2, "tau_p": 1, **scenario_kw})
+        monkeypatch.setattr(perf, "sinr_closed_form",
+                            lambda scenario, stats, est, plan, k: SimpleNamespace(sinr=sinrs[k]))
+        se, _ = evaluate_phases(sc, sample_layout(sc, 0), assign_pilots(sc.K, sc.tau_p),
+                                np.zeros(sc.N), 1.0, prelog)
+        return se
 
-    def test_prelog_factor(self):
-        assert se_per_user(3.0, prelog_enabled=True, tau_p=50, tau_c=200) == pytest.approx(1.5)
+    def test_log2_values(self, monkeypatch):
+        se = self.se_at_sinrs(monkeypatch, [1.0, 3.0, 0.0])
+        assert se[0] == pytest.approx(1.0)
+        assert se[1] == pytest.approx(2.0)
+        assert se[2] == 0.0
+
+    def test_prelog_factor(self, monkeypatch):
+        se = self.se_at_sinrs(monkeypatch, [3.0], prelog=True, tau_p=50, tau_c=200)
+        assert se[0] == pytest.approx(1.5)
 
     def test_sum_se_single_user(self):
         sc = Scenario(M=2, K=1, N_H=2, N_V=2, tau_p=1)
@@ -163,16 +173,34 @@ class TestSpectralEfficiency:
         stats = compute_stats(rl, state)
         plan = assign_pilots(1, 1)
         est = compute_estimation_stats(sc, stats, plan)
-        assert sum_se(sc, stats, est, plan) == pytest.approx(
-            se_per_user(sinr_closed_form(sc, stats, est, plan, 0).sinr))
+        se, _ = evaluate_phases(sc, rl, plan, state.phases, state.a)
+        assert se.sum() == pytest.approx(
+            np.log2(1.0 + sinr_closed_form(sc, stats, est, plan, 0).sinr))
+
+    @pytest.mark.parametrize("prelog", [False, True])
+    def test_per_user_se_is_log2_of_closed_form_sinr(self, prelog):
+        sc = Scenario(M=3, K=4, N_H=2, N_V=2, tau_p=2, tau_c=50)
+        rl = sample_layout(sc, 5)
+        plan = assign_pilots(sc.K, sc.tau_p)
+        state = RisState(phases=np.random.default_rng(0).uniform(0, 2 * np.pi, sc.N), a=1.5)
+        stats = compute_stats(rl, state)
+        est_ref = compute_estimation_stats(sc, stats, plan)
+        se, est = evaluate_phases(sc, rl, plan, state.phases, state.a, prelog)
+        assert_allclose(est.gamma, est_ref.gamma, rtol=0)
+        assert_allclose(est.nmse, est_ref.nmse, rtol=0)
+        factor = 1.0 - sc.tau_p / sc.tau_c if prelog else 1.0
+        expected = [factor * np.log2(1.0 + sinr_closed_form(sc, stats, est_ref, plan, k).sinr)
+                    for k in range(sc.K)]
+        assert se.shape == (sc.K,)
+        assert_allclose(se, expected, rtol=1e-12)
 
     def test_user_permutation_symmetry(self):
         sc, rl, phases = cascade_instance(tau_p=2)
-        total1, _ = evaluate_phases(sc, rl, assign_pilots(2, 2), phases, 2.0)
+        se1, _ = evaluate_phases(sc, rl, assign_pilots(2, 2), phases, 2.0)
         perm = np.array([1, 0])
         rl2 = synthetic_realization(sc, rl.beta[:, perm], rl.alpha, rl.alpha_bar[perm])
-        total2, _ = evaluate_phases(sc, rl2, assign_pilots(2, 2), phases, 2.0)
-        assert total1 == pytest.approx(total2, rel=1e-12)
+        se2, _ = evaluate_phases(sc, rl2, assign_pilots(2, 2), phases, 2.0)
+        assert se1.sum() == pytest.approx(se2.sum(), rel=1e-12)
 
 
 class TestEnergyEfficiency:

@@ -1,5 +1,7 @@
 """Geometry, large-scale gains, and the RIS spatial correlation matrix."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -119,6 +121,16 @@ class TestLayout:
         area = sc.element_area
         assert_allclose(rl.R_m(1), rl.alpha[1] * area * rl.R)
         assert_allclose(rl.R_bar_k(0), rl.alpha_bar[0] * area * rl.R)
+
+    def test_r_factor_follows_r(self):
+        sc = Scenario(M=2, K=2, N_H=3, N_V=3)
+        rl = sample_layout(sc, 1)
+        F = rl.R_factor
+        assert_allclose(F @ F.conj().T, rl.R, atol=1e-9)
+        # a copy with another R gets that R's factor, not the cached one
+        X = build_correlation_matrix(3, 3, LAM / 2, LAM / 3, LAM)
+        F = replace(rl, R=X).R_factor
+        assert_allclose(F @ F.conj().T, X, atol=1e-9)
 
 
 class TestScenarioConfig:

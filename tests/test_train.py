@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ariscf import channel
 from ariscf.estimation import assign_pilots
 from ariscf.perf import evaluate_phases
 from ariscf.ris import amplitude_gain
 from ariscf.sac.agent import SacConfig, TrainingDiverged, load_checkpoint, save_checkpoint, train
 from ariscf.sac.env import RisEnv
 from ariscf.scenario import Scenario, sample_layout
+
+from _instances import count_calls
 
 
 def small_env(seed=123, **scenario_kw):
@@ -25,7 +28,7 @@ def small_env(seed=123, **scenario_kw):
 class TestEnv:
     def test_observation_shape_and_scaling(self):
         sc, rl, plan, a, env = small_env()
-        obs = env.reset(np.random.default_rng(0))
+        obs, _ = env.reset(np.random.default_rng(0))
         assert obs.shape == (sc.N + sc.M * sc.K,)
         # scaled estimate variances are O(1)
         assert 0.01 < np.abs(obs[sc.N:]).max() < 100
@@ -35,14 +38,14 @@ class TestEnv:
         env.reset(np.random.default_rng(0))
         action = np.random.default_rng(1).uniform(-1, 1, sc.N)
         _, reward = env.step(action)
-        direct, _ = evaluate_phases(sc, rl, plan, env.phases, a)
-        assert reward == pytest.approx(direct, rel=1e-12)
+        se, _ = evaluate_phases(sc, rl, plan, env.phases, a)
+        assert reward == pytest.approx(se.sum(), rel=1e-12)
 
     def test_reset_randomizes(self):
         *_, env = small_env()
         rng = np.random.default_rng(0)
-        p1 = env.reset(rng)[: env.scenario.N]
-        p2 = env.reset(rng)[: env.scenario.N]
+        p1 = env.reset(rng)[0][: env.scenario.N]
+        p2 = env.reset(rng)[0][: env.scenario.N]
         assert not np.allclose(p1, p2)
 
 
@@ -58,12 +61,20 @@ class TestTraining:
         r3 = train(small_env()[-1], cfg, master_seed=6)
         assert r3.episode_rewards != r1.episode_rewards
 
+    def test_episode_evaluates_each_phase_vector_once(self, monkeypatch):
+        *_, env = small_env()
+        stats_calls = count_calls(monkeypatch, channel, "compute_stats")
+        cfg = SacConfig(episodes=1, episode_len=20, batch=8, buffer_capacity=100)
+        train(env, cfg, master_seed=0)
+        # the reset phases plus one new vector per step
+        assert len(stats_calls) == cfg.episode_len + 1
+
     def test_best_tracking_consistent(self):
         sc, rl, plan, a, env = small_env()
         cfg = SacConfig(episodes=3, episode_len=30, batch=16, buffer_capacity=500)
         res = train(env, cfg, master_seed=1)
-        direct, _ = evaluate_phases(sc, rl, plan, res.best_phases, a)
-        assert res.best_sum_se == pytest.approx(direct, rel=1e-12)
+        se, _ = evaluate_phases(sc, rl, plan, res.best_phases, a)
+        assert res.best_sum_se == pytest.approx(se.sum(), rel=1e-12)
         assert res.best_sum_se >= max(res.episode_rewards) / cfg.episode_len - 1e-12
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
