@@ -56,6 +56,19 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _instance(scenario: Scenario, seed: int):
+    """Layout, amplitude gain and pilot plan for one seed.
+
+    The gain is 0.0 exactly when the power budget is exhausted; callers read
+    that value, so the budget warning is silenced here.
+    """
+    realization = sample_layout(scenario, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BudgetExhaustedWarning)
+        a = amplitude_gain(scenario, realization.alpha_bar)
+    return realization, a, assign_pilots(scenario.K, scenario.tau_p)
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -68,11 +81,7 @@ def cmd_validate(args) -> int:
         scenario = realization.scenario
     else:
         scenario = _load_or_default(args.config)
-        realization = sample_layout(scenario, args.seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BudgetExhaustedWarning)
-            a = amplitude_gain(scenario, realization.alpha_bar)
-        plan = assign_pilots(scenario.K, scenario.tau_p)
+        realization, a, plan = _instance(scenario, args.seed)
         state = RisState(phases=np.zeros(scenario.N), a=a)
 
     rows = oracle.verify_moment_identities(realization, state, plan,
@@ -106,42 +115,42 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-def _resolve_phases(spec: str, N: int, seed: int) -> np.ndarray:
-    if spec == "equal":
-        return np.zeros(N)
-    if spec == "random":
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x9155)))
-        return rng.uniform(0.0, 2.0 * np.pi, N)
+def _load_phases(spec: str):
+    """Parse --phases once per sweep: "equal", "random", or the trained phase vector."""
+    if spec in ("equal", "random"):
+        return spec
     if spec.startswith("trained:"):
         path = spec.split(":", 1)[1]
         try:
-            ckpt = load_checkpoint(path)
+            return load_checkpoint(path)["best_phases"]
         except (OSError, ValueError, KeyError) as exc:
             raise UsageError(f"cannot load checkpoint {path!r}: {exc}") from exc
-        phases = ckpt["best_phases"]
-        if phases.size != N:
-            raise UsageError(f"checkpoint phases have N={phases.size}, scenario needs N={N}")
-        return phases
     raise UsageError(f"--phases must be equal, random, or trained:<path>, got {spec!r}")
 
 
+def _point_phases(phases, N: int, seed: int) -> np.ndarray:
+    """The phase vector of one sweep point from what `_load_phases` returned."""
+    if isinstance(phases, np.ndarray):
+        if phases.size != N:
+            raise UsageError(f"checkpoint phases have N={phases.size}, scenario needs N={N}")
+        return phases
+    if phases == "equal":
+        return np.zeros(N)
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x9155)))
+    return rng.uniform(0.0, 2.0 * np.pi, N)
+
+
 def _sweep_point(payload):
-    scenario, param, value, seed, phases_spec, prelog = payload
+    scenario, param, value, seed, phases, prelog = payload
     sc = replace(scenario, **{param: value})
-    realization = sample_layout(sc, seed)
-    exhausted = False
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", BudgetExhaustedWarning)
-        a = amplitude_gain(sc, realization.alpha_bar)
-        exhausted = any(issubclass(w.category, BudgetExhaustedWarning) for w in caught)
-    phases = _resolve_phases(phases_spec, sc.N, seed)
-    plan = assign_pilots(sc.K, sc.tau_p)
+    realization, a, plan = _instance(sc, seed)
+    phases = _point_phases(phases, sc.N, seed)
     se, est = evaluate_phases(sc, realization, plan, phases, a, prelog)
     se_total = float(se.sum())
     ee = energy_efficiency(sc, realization, se_total, a)
     return [_fmt(value) if param not in INT_FIELDS else str(value), str(seed),
             _fmt(se_total), _fmt(float(est.nmse.mean())), _fmt(a), _fmt(ee),
-            "0" if exhausted else "1"]
+            "1" if a != 0.0 else "0"]
 
 
 def cmd_sweep(args) -> int:
@@ -163,7 +172,8 @@ def cmd_sweep(args) -> int:
     if not seeds:
         raise UsageError("--seeds must be a non-empty comma list")
 
-    payloads = [(scenario, args.param, value, seed, args.phases, args.prelog)
+    phases = _load_phases(args.phases)
+    payloads = [(scenario, args.param, value, seed, phases, args.prelog)
                 for value in values for seed in seeds]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -188,11 +198,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_train(args) -> int:
     scenario = _load_or_default(args.config)
-    realization = sample_layout(scenario, args.seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BudgetExhaustedWarning)
-        a = amplitude_gain(scenario, realization.alpha_bar)
-    plan = assign_pilots(scenario.K, scenario.tau_p)
+    realization, a, plan = _instance(scenario, args.seed)
     env = RisEnv(scenario, realization, plan, a, prelog=args.prelog)
 
     comments = [f"config_sha256={scenario.config_hash()}", f"master_seed={args.seed}"]
@@ -221,13 +227,7 @@ def cmd_train(args) -> int:
         result = train(env, config, args.seed)
     except TrainingDiverged as exc:
         diag_path = (args.out or "training") + ".diverged.npz"
-        arrays = {}
-        for key, value in exc.snapshot.items():
-            if isinstance(value, dict):   # e.g. the losses: one array per entry
-                arrays.update({f"{key}_{k}": np.asarray(v) for k, v in value.items()})
-            else:
-                arrays[key] = np.asarray(value)
-        np.savez(diag_path, **arrays)
+        np.savez(diag_path, **exc.snapshot)
         print(f"training diverged: {exc}; diagnostics at {diag_path}", file=sys.stderr)
         return EXIT_DIVERGED
 

@@ -27,10 +27,6 @@ class RisState:
             raise ValueError("amplitude gain must be >= 0")
 
     @property
-    def N(self) -> int:
-        return self.phases.size
-
-    @property
     def phasor(self) -> np.ndarray:
         """Unit-modulus reflection coefficients exp(j * phases)."""
         return np.exp(1j * self.phases)

@@ -17,7 +17,11 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when any loss goes non-finite; carries a diagnostic snapshot."""
+    """Raised when any loss goes non-finite.
+
+    `snapshot` maps names to arrays, ready for `np.savez`: one `losses_<net>`
+    scalar per loss, then each network's flat parameter vector under its name.
+    """
 
     def __init__(self, message: str, snapshot: dict):
         super().__init__(message)
@@ -142,8 +146,8 @@ class SacAgent:
     def value_loss_and_grads(self, obs: np.ndarray, eps_hat: np.ndarray):
         """L = 1/2 mean (V(s) - [minQ(s, a~) - log pi(a~|s)])^2 with a~ resampled."""
         action, log_prob, _ = self.policy_sample(obs, eps_hat)
-        q_min, _ = self.min_q_and_action_grad(obs, action)
-        target = q_min - log_prob
+        q1, q2, _, _ = self.q_values(obs, action)
+        target = np.minimum(q1, q2) - log_prob
         v, cache = self.value.forward(obs)
         delta = v[:, 0] - target
         loss = 0.5 * float(np.mean(delta ** 2))
@@ -200,28 +204,22 @@ class SacAgent:
 
         losses = {"value": v_loss, "q1": q1_loss, "q2": q2_loss, "policy": p_loss}
         if not all(np.isfinite(list(losses.values()))):
-            raise TrainingDiverged(f"non-finite loss: {losses}",
-                                   snapshot={"losses": losses,
-                                             "policy": self.policy.get_flat(),
-                                             "value": self.value.get_flat(),
-                                             "q1": self.q1.get_flat(),
-                                             "q2": self.q2.get_flat()})
+            snapshot = {f"losses_{net}": np.asarray(loss) for net, loss in losses.items()}
+            snapshot.update(policy=self.policy.get_flat(), value=self.value.get_flat(),
+                            q1=self.q1.get_flat(), q2=self.q2.get_flat())
+            raise TrainingDiverged(f"non-finite loss: {losses}", snapshot)
         self.opt_value.step(v_grads)
         self.opt_q1.step(q1_grads)
         self.opt_q2.step(q2_grads)
         self.opt_policy.step(p_grads)
-        self.polyak_update()
-        return losses
-
-    def polyak_update(self) -> None:
         polyak_update(self.value_target, self.value, self.config.polyak)
+        return losses
 
 
 def polyak_update(target: DenseNet, online: DenseNet, tau_bar: float) -> None:
     """target <- tau_bar * online + (1 - tau_bar) * target, elementwise."""
-    for pt, po in zip(target.weights + target.biases, online.weights + online.biases):
-        pt *= 1.0 - tau_bar
-        pt += tau_bar * po
+    target.params *= 1.0 - tau_bar
+    target.params += tau_bar * online.params
 
 
 # ---------------- training loop ----------------

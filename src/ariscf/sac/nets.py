@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import math
+
 import numpy as np
 
 
@@ -12,29 +15,33 @@ def relu(x):
 class DenseNet:
     """input -> hidden -> hidden -> output with rectifier hidden layers.
 
-    Parameters live in `weights` / `biases` (out_features x in_features
-    convention). `forward` returns an activation cache that `backward`
-    consumes; per-sample input gradients come back alongside the parameter
-    gradients so losses can differentiate through network inputs (needed for
-    the policy update through the Q action input).
+    All parameters live in one float64 vector `params`, laid out as
+    (w0, w1, w2, b0, b1, b2); `weights` and `biases` are reshaped views into
+    it (out_features x in_features convention), so optimizers and target
+    updates act on `params` alone. `forward` returns an activation cache that
+    `backward` consumes; per-sample input gradients come back alongside the
+    parameter gradient so losses can differentiate through network inputs
+    (needed for the policy update through the Q action input).
     """
 
     def __init__(self, in_dim: int, out_dim: int, hidden: int, rng: np.random.Generator):
         dims = [in_dim, hidden, hidden, out_dim]
-        self.weights = []
-        self.biases = []
-        for d_in, d_out in zip(dims[:-1], dims[1:]):
-            bound = np.sqrt(2.0 / d_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(d_out, d_in)))
-            self.biases.append(np.zeros(d_out))
+        self._shapes = [(d_out, d_in) for d_in, d_out in zip(dims[:-1], dims[1:])]
+        self._shapes += [(d_out,) for d_out in dims[1:]]
+        self._bind(np.zeros(sum(math.prod(s) for s in self._shapes)))
+        for w in self.weights:
+            bound = np.sqrt(2.0 / w.shape[1])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
 
-    @property
-    def in_dim(self) -> int:
-        return self.weights[0].shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].shape[0]
+    def _bind(self, params: np.ndarray) -> None:
+        """Adopt `params` and cut the per-layer views out of it."""
+        self.params = params
+        views, i = [], 0
+        for shape in self._shapes:
+            n = math.prod(shape)
+            views.append(params[i:i + n].reshape(shape))
+            i += n
+        self.weights, self.biases = views[:3], views[3:]
 
     def forward(self, x: np.ndarray):
         """x: (B, in_dim). Returns (output (B, out_dim), cache)."""
@@ -49,43 +56,27 @@ class DenseNet:
     def backward(self, cache, grad_out: np.ndarray):
         """Gradients of sum_b <grad_out[b], out[b]> w.r.t. parameters and inputs.
 
-        Returns (param_grads, grad_x) with param_grads shaped like
-        (weights, biases) and grad_x holding per-sample input gradients.
+        Returns (grad, grad_x): grad is laid out like `params`, grad_x holds
+        the per-sample input gradients.
         """
         x, h1, h2 = cache
-        gw = [None, None, None]
-        gb = [None, None, None]
-        gw[2] = grad_out.T @ h2
-        gb[2] = grad_out.sum(axis=0)
         d2 = (grad_out @ self.weights[2]) * (h2 > 0)
-        gw[1] = d2.T @ h1
-        gb[1] = d2.sum(axis=0)
         d1 = (d2 @ self.weights[1]) * (h1 > 0)
-        gw[0] = d1.T @ x
-        gb[0] = d1.sum(axis=0)
-        grad_x = d1 @ self.weights[0]
-        return (gw, gb), grad_x
+        grad = np.concatenate([(d1.T @ x).ravel(), (d2.T @ h1).ravel(), (grad_out.T @ h2).ravel(),
+                               d1.sum(axis=0), d2.sum(axis=0), grad_out.sum(axis=0)])
+        return grad, d1 @ self.weights[0]
 
-    # -- flat parameter vector helpers (finite-difference checks, checkpoints) --
+    # -- flat parameter vector (finite-difference checks, diagnostics) --
 
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.weights + self.biases])
+        return self.params.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
-        i = 0
-        for p in self.weights + self.biases:
-            p[...] = flat[i:i + p.size].reshape(p.shape)
-            i += p.size
-
-    @staticmethod
-    def flatten_grads(grads) -> np.ndarray:
-        gw, gb = grads
-        return np.concatenate([g.ravel() for g in gw + gb])
+        self.params[...] = flat
 
     def clone(self) -> "DenseNet":
-        dup = object.__new__(DenseNet)
-        dup.weights = [w.copy() for w in self.weights]
-        dup.biases = [b.copy() for b in self.biases]
+        dup = copy.copy(self)
+        dup._bind(self.params.copy())
         return dup
 
 
@@ -96,12 +87,8 @@ class SgdOptimizer:
         self.net = net
         self.lr = lr
 
-    def step(self, grads) -> None:
-        gw, gb = grads
-        for p, g in zip(self.net.weights, gw):
-            p -= self.lr * g
-        for p, g in zip(self.net.biases, gb):
-            p -= self.lr * g
+    def step(self, grad: np.ndarray) -> None:
+        self.net.params -= self.lr * grad
 
 
 class AdamOptimizer:
@@ -111,20 +98,17 @@ class AdamOptimizer:
         self.net = net
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        params = net.weights + net.biases
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(net.params)
+        self.v = np.zeros_like(net.params)
         self.t = 0
 
-    def step(self, grads) -> None:
-        gw, gb = grads
+    def step(self, grad: np.ndarray) -> None:
         self.t += 1
-        for i, (p, g) in enumerate(zip(self.net.weights + self.net.biases, gw + gb)):
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1 ** self.t)
-            v_hat = self.v[i] / (1 - self.beta2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
+        m_hat = self.m / (1 - self.beta1 ** self.t)
+        v_hat = self.v / (1 - self.beta2 ** self.t)
+        self.net.params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def preactivation_margin(net: DenseNet, x: np.ndarray) -> float:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ariscf import channel, scenario
+from ariscf import channel, cli, scenario
 from ariscf.cli import main
 
 from _instances import count_calls
@@ -125,6 +125,16 @@ class TestSweep:
                        "--values", "3", "--seeds", "0",
                        "--phases", f"trained:{ckpt}", "--out", str(sweep_out))
         assert code == 2
+
+    def test_trained_checkpoint_loaded_once_per_sweep(self, monkeypatch, tmp_path, train_config):
+        ckpt = tmp_path / "ckpt.npz"
+        assert run_cli("train", "--config", train_config, "--episodes", "1", "--steps", "10",
+                       "--out", str(tmp_path / "curve.csv"), "--checkpoint", str(ckpt)) == 0
+        loads = count_calls(monkeypatch, cli, "load_checkpoint")
+        assert run_cli("sweep", "--config", train_config, "--param", "rho",
+                       "--values", "0.1,0.2", "--seeds", "0,1", "--phases", f"trained:{ckpt}",
+                       "--out", str(tmp_path / "s.csv")) == 0
+        assert len(loads) == 1
 
 
 class TestSweepTrends:

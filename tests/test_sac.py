@@ -69,6 +69,28 @@ class TestDenseNet:
         assert net(x).shape == (5, 3)
         assert_allclose(net(x), net2(x))
 
+    def test_layers_are_views_into_params(self):
+        net = DenseNet(4, 3, 5, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        draws = [rng.uniform(-np.sqrt(2.0 / d_in), np.sqrt(2.0 / d_in), size=(d_out, d_in))
+                 for d_in, d_out in ((4, 5), (5, 5), (5, 3))]
+        layout = np.concatenate([w.ravel() for w in draws] + [np.zeros(5), np.zeros(5), np.zeros(3)])
+        assert net.params.dtype == np.float64
+        assert_allclose(net.params, layout, rtol=0, atol=0)
+        for p in net.weights + net.biases:
+            assert np.shares_memory(p, net.params)
+        net.params += 1.0
+        assert_allclose(net.weights[0], draws[0] + 1.0, rtol=0, atol=0)
+        assert_allclose(net.biases[2], np.ones(3), rtol=0, atol=0)
+
+    def test_clone_owns_its_params(self):
+        net = DenseNet(4, 2, 6, np.random.default_rng(0))
+        dup = net.clone()
+        assert_allclose(dup.params, net.params, rtol=0, atol=0)
+        dup.params[...] = 0.0
+        assert np.abs(net.params).sum() > 0
+        assert not dup.weights[1].any() and not np.shares_memory(dup.biases[0], net.params)
+
     def test_flat_roundtrip(self):
         net = DenseNet(4, 2, 6, np.random.default_rng(0))
         flat = net.get_flat()
@@ -79,8 +101,7 @@ class TestDenseNet:
         net = DenseNet(3, 2, 5, np.random.default_rng(2))
         x = np.random.default_rng(3).standard_normal((4, 3)) + 0.3
         out, cache = net.forward(x)
-        grads, gx = net.backward(cache, np.ones_like(out))
-        ana = DenseNet.flatten_grads(grads)
+        ana, _ = net.backward(cache, np.ones_like(out))
         fd = fd_grad(net, lambda: float(net(x).sum()))
         assert np.linalg.norm(ana - fd) / np.linalg.norm(fd) < FD_TOL
 
@@ -88,23 +109,20 @@ class TestDenseNet:
 class TestGradientChecks:
     def test_value_gradient(self):
         agent, (obs, act, rew, nxt, eps) = smooth_agent_and_batch(seed=1)
-        _, grads = agent.value_loss_and_grads(obs, eps)
-        ana = DenseNet.flatten_grads(grads)
+        _, ana = agent.value_loss_and_grads(obs, eps)
         fd = fd_grad(agent.value, lambda: agent.value_loss_and_grads(obs, eps)[0])
         assert np.linalg.norm(ana - fd) / np.linalg.norm(fd) < FD_TOL
 
     def test_q_gradients(self):
         agent, (obs, act, rew, nxt, eps) = smooth_agent_and_batch(seed=2)
         (l1, g1), (l2, g2) = agent.q_loss_and_grads(obs, act, rew, nxt)
-        for net, grads, idx in ((agent.q1, g1, 0), (agent.q2, g2, 1)):
-            ana = DenseNet.flatten_grads(grads)
+        for net, ana, idx in ((agent.q1, g1, 0), (agent.q2, g2, 1)):
             fd = fd_grad(net, lambda: agent.q_loss_and_grads(obs, act, rew, nxt)[idx][0])
             assert np.linalg.norm(ana - fd) / np.linalg.norm(fd) < FD_TOL
 
     def test_policy_gradient(self):
         agent, (obs, act, rew, nxt, eps) = smooth_agent_and_batch(seed=3)
-        _, grads = agent.policy_loss_and_grads(obs, eps)
-        ana = DenseNet.flatten_grads(grads)
+        _, ana = agent.policy_loss_and_grads(obs, eps)
         fd = fd_grad(agent.policy, lambda: agent.policy_loss_and_grads(obs, eps)[0])
         assert np.linalg.norm(ana - fd) / np.linalg.norm(fd) < FD_TOL
 
@@ -151,10 +169,7 @@ class TestPolicySampling:
         cfg = SacConfig(hidden_units=8, batch=16, lr=1e-2)
         agent = SacAgent(3, 2, cfg, seed=7)
         for net in (agent.q1, agent.q2):  # zero the Q nets: constant output
-            for w in net.weights:
-                w[...] = 0.0
-            for b in net.biases:
-                b[...] = 0.0
+            net.params[...] = 0.0
         obs = np.random.default_rng(1).standard_normal((16, 3))
         before = agent.policy_stats(obs)[1].mean()
         rng = np.random.default_rng(2)
@@ -163,6 +178,23 @@ class TestPolicySampling:
             agent.opt_policy.step(grads)
         after = agent.policy_stats(obs)[1].mean()
         assert after > before
+
+
+class TestUpdate:
+    def test_six_backward_passes_per_update(self, monkeypatch):
+        # value 1, two critics 1 each, policy 1 plus the two critic action gradients
+        agent, (obs, act, rew, nxt, eps) = smooth_agent_and_batch(seed=11)
+        real = DenseNet.backward
+        calls = []
+
+        def counted(net, cache, grad_out):
+            calls.append(net)
+            return real(net, cache, grad_out)
+
+        monkeypatch.setattr(DenseNet, "backward", counted)
+        agent.update((obs, act, rew, nxt), np.random.default_rng(0))
+        assert len(calls) == 6
+        assert sum(net is agent.value for net in calls) == 1
 
 
 class TestLossDefinitions:

@@ -84,7 +84,10 @@ class TestTraining:
         cfg = SacConfig(episodes=2, episode_len=60, batch=8, buffer_capacity=200, lr=1e24)
         with pytest.raises(TrainingDiverged) as err:
             train(env, cfg, master_seed=0)
-        assert "losses" in err.value.snapshot
+        snapshot = err.value.snapshot
+        assert list(snapshot) == ["losses_value", "losses_q1", "losses_q2", "losses_policy",
+                                  "policy", "value", "q1", "q2"]
+        assert all(isinstance(v, np.ndarray) for v in snapshot.values())
 
     def test_adam_variant_runs(self):
         *_, env = small_env()
