@@ -1,4 +1,4 @@
-"""Analytic channel moments used by every closed form, and the complex Gaussian draw."""
+"""Analytic channel moments used by every closed form, and the complex Gaussian draws."""
 
 from __future__ import annotations
 
@@ -20,9 +20,41 @@ def _real_trace(value: complex) -> float:
     return float(value.real)
 
 
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard circularly-symmetric complex Gaussian, unit variance per entry."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """Standard circularly-symmetric complex Gaussian, unit variance per entry.
+
+    The whole real plane is drawn first, then the whole imaginary plane, each
+    into one reused buffer and scaled straight into the result. The bytes
+    equal (x + 1j*y) / sqrt(2) with x and y drawn in that order.
+    """
+    out = np.empty(shape, dtype=complex)
+    plane = np.empty(shape)
+    for part in (out.real, out.imag):
+        rng.standard_normal(out=plane)
+        np.multiply(plane, _INV_SQRT2, out=part)
+    return out
+
+
+def correlated_normal(rng: np.random.Generator, shape, F: np.ndarray, scale) -> np.ndarray:
+    """scale * (complex_normal(rng, shape) @ F.T) for a real square F, equal up to round-off.
+
+    Draws the same planes in the same order as `complex_normal`, contracts
+    each with F.T in one real GEMM over all leading axes, and applies
+    scale / sqrt(2) once. `scale` broadcasts against the result, e.g. an
+    (M, 1) array of per-row amplitudes.
+    """
+    out = np.empty(shape, dtype=complex)
+    plane, prod = np.empty(shape), np.empty(shape)
+    n = plane.shape[-1]
+    scale = np.asarray(scale) * _INV_SQRT2
+    for part in (out.real, out.imag):
+        rng.standard_normal(out=plane)
+        np.matmul(plane.reshape(-1, n), F.T, out=prod.reshape(-1, n))
+        np.multiply(prod, scale, out=part)
+    return out
 
 
 @dataclass(frozen=True)

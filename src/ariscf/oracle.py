@@ -9,6 +9,7 @@ import numpy as np
 from .channel import (
     complex_normal,
     compute_stats,
+    correlated_normal,
     cross_moment_cyclic,
     cross_moments,
     fourth_moment,
@@ -89,28 +90,41 @@ def _sample_block(realization: NetworkRealization, ris_state: RisState, plan: Pi
     F = realization.R_factor
     phasor = ris_state.phasor
 
-    h = np.sqrt(realization.alpha * area)[None, :, None] * \
-        (complex_normal(_stream(master_seed, chunk, _TAG_H), (size, M, N)) @ F.T)
-    z = np.sqrt(realization.alpha_bar * area)[None, :, None] * \
-        (complex_normal(_stream(master_seed, chunk, _TAG_Z), (size, K, N)) @ F.T)
-    g = np.sqrt(realization.beta)[None] * complex_normal(_stream(master_seed, chunk, _TAG_G), (size, M, K))
+    def draw(tag: int, shape, scale) -> np.ndarray:
+        # scaled in place: the bytes of scale * complex_normal(..), without the temporary
+        x = complex_normal(_stream(master_seed, chunk, tag), shape)
+        x *= scale
+        return x
+
+    h = correlated_normal(_stream(master_seed, chunk, _TAG_H), (size, M, N), F,
+                          np.sqrt(realization.alpha * area)[:, None])
+    z = correlated_normal(_stream(master_seed, chunk, _TAG_Z), (size, K, N), F,
+                          np.sqrt(realization.alpha_bar * area)[:, None])
     # conj(h) * phasor, in place of h: every cascaded term is a * hp @ x.
     hp = np.conj(h, out=h)
     hp *= phasor
-    q = g + a * (hp @ z.transpose(0, 2, 1))
+    q = draw(_TAG_G, (size, M, K), np.sqrt(realization.beta)) + a * (hp @ z.transpose(0, 2, 1))
 
     n_pilots = int(np.max(plan.pilot_of)) + 1
-    v_p = np.sqrt(sc.sigma2_bar) * complex_normal(_stream(master_seed, chunk, _TAG_VP), (size, n_pilots, N))
-    w_p = np.sqrt(sc.sigma2) * complex_normal(_stream(master_seed, chunk, _TAG_WP), (size, M, n_pilots))
+    v_p = draw(_TAG_VP, (size, n_pilots, N), np.sqrt(sc.sigma2_bar))
     pbar = a * (hp @ v_p.transpose(0, 2, 1))
-    rt = np.sqrt(sc.rho * sc.tau_p)
-    y = q @ plan.coset_mask().T.astype(float) + (pbar[:, :, plan.pilot_of] + w_p[:, :, plan.pilot_of]) / rt
-
-    v_d = np.sqrt(sc.sigma2_bar) * complex_normal(_stream(master_seed, chunk, _TAG_VD), (size, N))
+    v_d = draw(_TAG_VD, (size, N), np.sqrt(sc.sigma2_bar))
     # einsum, not matmul: a (B, M, N) @ (B, N, 1) batch of matrix-vector products is slower
     p_data = a * np.einsum("tmn,tn->tm", hp, v_d)
-    w_data = np.sqrt(sc.sigma2) * complex_normal(_stream(master_seed, chunk, _TAG_WD), (size, M))
+    # hp and v_p are the largest arrays the block does not keep: free them before forming y.
+    del h, hp, v_p
+
+    w_p = draw(_TAG_WP, (size, M, n_pilots), np.sqrt(sc.sigma2))
+    rt = np.sqrt(sc.rho * sc.tau_p)
+    y = q @ plan.coset_mask().T.astype(float) + (pbar[:, :, plan.pilot_of] + w_p[:, :, plan.pilot_of]) / rt
+    w_data = draw(_TAG_WD, (size, M), np.sqrt(sc.sigma2))
     return _Block(q=q, y=y, p_data=p_data, w_data=w_data, z=z, v_data=v_d, pbar=pbar)
+
+
+def _wishart_sum(x: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """sum_t (x_t^H A x_t) x_t x_t^H over the trial rows of x, as two BLAS products."""
+    xa = np.sum((np.conj(x) @ A) * x, axis=1)
+    return (xa[:, None] * x).T @ np.conj(x)
 
 
 class _Mean:
@@ -380,12 +394,12 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
     a_rng = _stream(master_seed, 0, _TAG_WISHART)
     A = complex_normal(a_rng, (N, N))
     A = A + np.conj(A).T
-    F0 = np.sqrt(realization.alpha[0] * sc.element_area) * realization.R_factor
+    amp0 = np.sqrt(realization.alpha[0] * sc.element_area)
     W_emp = np.zeros((N, N), dtype=complex)
     for chunk, size in enumerate(sizes):
-        x = complex_normal(_stream(master_seed, chunk + 1, _TAG_WISHART), (size, N)) @ F0.T
-        xa = np.einsum("ti,ij,tj->t", np.conj(x), A, x)
-        W_emp += np.einsum("t,ti,tj->ij", xa, x, np.conj(x))
+        x = correlated_normal(_stream(master_seed, chunk + 1, _TAG_WISHART), (size, N),
+                              realization.R_factor, amp0)
+        W_emp += _wishart_sum(x, A)
     W_emp /= n_trials
     W_ana = R0 @ A @ R0 + np.trace(A @ R0) * R0
     rows = [IdentityCheck(
@@ -401,8 +415,8 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
         scalar.setdefault(name, _Mean()).add(values)
 
     sinr = _SinrGroups(est.c[:, 0], 0)
-    for chunk, size in enumerate(sizes):
-        blk = _sample_block(realization, ris_state, plan, master_seed, chunk, size)
+
+    def accumulate(blk: _Block):
         q = blk.q
         kappa.add(np.abs(q) ** 2)
         fourth.add(np.abs(q) ** 4)
@@ -428,6 +442,10 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
             o1 = np.conj(qhat[:, 1, 0]) * q[:, 1, 0] - est.gamma[1, 0]
             add("corollary1", o0 * np.conj(o1))
         sinr.add(blk)
+
+    for chunk, size in enumerate(sizes):
+        # The block dies with the call, so only one is alive while the next is drawn.
+        accumulate(_sample_block(realization, ris_state, plan, master_seed, chunk, size))
 
     kappa_mean, kappa_se = kappa.mean, kappa.stderr
     fourth_mean, fourth_se = fourth.mean, fourth.stderr

@@ -258,24 +258,27 @@ def train(env: RisEnv, config: SacConfig, master_seed: int) -> TrainResult:
     best_phases = np.zeros(env.act_dim)
     curve = []
 
-    for _ in range(config.episodes):
-        obs, reset_se = env.reset(rng_env)
-        if reset_se > best_se:
-            best_se = reset_se
-            best_phases = env.phases.copy()
-        total = 0.0
-        for _ in range(config.episode_len):
-            action = agent.act(obs, rng_act)
-            next_obs, reward = env.step(action)
-            total += reward
-            if reward > best_se:
-                best_se = reward
+    # `SacAgent.update` turns non-finite losses into TrainingDiverged; numpy's
+    # overflow and invalid-value warnings on the way there would only flood stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.episodes):
+            obs, reset_se = env.reset(rng_env)
+            if reset_se > best_se:
+                best_se = reset_se
                 best_phases = env.phases.copy()
-            buffer.add(obs, action, reward * inv_temp, next_obs)
-            obs = next_obs
-            if len(buffer) >= config.batch:
-                agent.update(buffer.sample(config.batch, rng_batch), rng_update)
-        curve.append(total)
+            total = 0.0
+            for _ in range(config.episode_len):
+                action = agent.act(obs, rng_act)
+                next_obs, reward = env.step(action)
+                total += reward
+                if reward > best_se:
+                    best_se = reward
+                    best_phases = env.phases.copy()
+                buffer.add(obs, action, reward * inv_temp, next_obs)
+                obs = next_obs
+                if len(buffer) >= config.batch:
+                    agent.update(buffer.sample(config.batch, rng_batch), rng_update)
+            curve.append(total)
     return TrainResult(episode_rewards=curve, best_phases=best_phases, best_sum_se=float(best_se),
                        agent=agent, config=config, master_seed=int(master_seed))
 

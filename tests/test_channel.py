@@ -17,6 +17,7 @@ from ariscf.channel import (
 )
 from ariscf.estimation import assign_pilots
 from ariscf.ris import RisState
+from ariscf.scenario import Scenario, sample_layout
 
 from _instances import cascade_instance, draw_trials
 
@@ -73,6 +74,26 @@ class TestSampling:
         blk = oracle._sample_block(rl, RisState(phases=phases, a=0.0), assign_pilots(2, 1), 5, 0, 8)
         _, g = _regenerate_h_g(rl, 5, 0, 8)
         assert_allclose(blk.q, g)
+
+    @pytest.mark.parametrize("shape", [(64, 64), (512, 20, 15), (4099,)])
+    def test_complex_normal_bytes(self, shape):
+        # the real plane, then the imaginary plane, scaled by 1/sqrt(2)
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal(shape)
+        y = rng.standard_normal(shape)
+        expected = (x + 1j * y) / np.sqrt(2.0)
+        got = complex_normal(np.random.default_rng(17), shape)
+        assert np.array_equal(got.view(np.float64), expected.view(np.float64))
+
+    def test_correlated_draw_matches_complex_gemm(self):
+        # z through one real GEMM per plane against the complex draw times F^T
+        sc = Scenario(M=3, K=4, N_H=4, N_V=3, tau_p=2)
+        rl = sample_layout(sc, 1)
+        state = RisState(phases=np.random.default_rng(1).uniform(0, 2 * np.pi, sc.N), a=2.0)
+        blk = oracle._sample_block(rl, state, assign_pilots(sc.K, sc.tau_p), 4, 2, 300)
+        base = complex_normal(oracle._stream(4, 2, oracle._TAG_Z), (300, sc.K, sc.N))
+        z = np.sqrt(rl.alpha_bar * sc.element_area)[None, :, None] * (base @ rl.R_factor.T)
+        assert_allclose(blk.z, z, rtol=1e-12)
 
     def test_zero_mean_and_power(self):
         sc, rl, phases = cascade_instance()

@@ -20,6 +20,14 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def run_module(*argv):
+    """`python -m ariscf.cli` in a subprocess, which shows the real stderr."""
+    # the subprocess does not see pytest's pythonpath setting
+    pythonpath = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "ariscf.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": pythonpath})
+
+
 @pytest.fixture
 def small_config(tmp_path):
     path = tmp_path / "small.yaml"
@@ -232,6 +240,16 @@ class TestTrain:
             assert not np.isfinite(diag[f"losses_{net}"])
 
 
+    def test_divergence_prints_one_stderr_line(self, tmp_path):
+        # numpy's overflow warnings on the way to divergence stay off stderr
+        proc = run_module("train", "--config", os.path.join(CONFIG_DIR, "train_small.yaml"),
+                          "--episodes", "1", "--steps", "150", "--lr", "1e24",
+                          "--out", str(tmp_path / "curve.csv"))
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("training diverged:"), proc.stderr
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["sweep", "--config", "{small}", "--param", "rho", "--values", "0.1", "--seeds", "x"],
@@ -273,12 +291,8 @@ class TestEvaluationCost:
 
 class TestEntryPoint:
     def test_module_invocation(self, small_config):
-        # the subprocess does not see pytest's pythonpath setting
-        pythonpath = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "ariscf.cli", "sweep", "--config", small_config,
-             "--param", "rho", "--values", "0.1", "--seeds", "0"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath})
+        proc = run_module("sweep", "--config", small_config,
+                          "--param", "rho", "--values", "0.1", "--seeds", "0")
         assert proc.returncode == 0
         assert "param_value,seed" in proc.stdout
 

@@ -1,11 +1,13 @@
 """Monte Carlo oracle: block draws of both phases, determinism, identity suite."""
 
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from ariscf import oracle
-from ariscf.channel import compute_stats
+from ariscf.channel import complex_normal, compute_stats
 from ariscf.estimation import assign_pilots, compute_estimation_stats
 from ariscf.perf import sinr_closed_form
 from ariscf.ris import RisState
@@ -155,6 +157,31 @@ class TestIdentitySuite:
         rows = oracle.verify_moment_identities(rl, state, plan, 200_000, master_seed=4)
         bad = [r for r in rows if not r.passed]
         assert not bad, f"failing identities: {[(r.name, r.rel_err) for r in bad]}"
+
+    def test_wishart_sum_matches_einsum_reference(self):
+        rng = np.random.default_rng(5)
+        x = complex_normal(rng, (500, 16))
+        A = complex_normal(rng, (16, 16))
+        A = A + np.conj(A).T
+        xa = np.einsum("ti,ij,tj->t", np.conj(x), A, x)
+        expected = np.einsum("t,ti,tj->ij", xa, x, np.conj(x))
+        assert_allclose(oracle._wishart_sum(x, A), expected, rtol=1e-12)
+
+    def test_one_block_alive_at_a_time(self, monkeypatch):
+        sc, rl, phases = cascade_instance(tau_p=1)
+        real = oracle._sample_block
+        blocks, alive_at_draw = [], []
+
+        def sample(*args):
+            alive_at_draw.append(sum(ref() is not None for ref in blocks))
+            blk = real(*args)
+            blocks.append(weakref.ref(blk))
+            return blk
+
+        monkeypatch.setattr(oracle, "_sample_block", sample)
+        oracle.verify_moment_identities(rl, RisState(phases=phases, a=2.0), assign_pilots(2, 1),
+                                        2 * oracle.CHUNK_TRIALS + 10, master_seed=0)
+        assert alive_at_draw == [0, 0, 0]
 
     def test_scalar_wishart_case(self):
         # R = 1, A = 1: E{|x|^4} = 2 = R A R + tr(A R) R
