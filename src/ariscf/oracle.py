@@ -96,13 +96,13 @@ def _sample_block(realization: NetworkRealization, ris_state: RisState, plan: Pi
         x *= scale
         return x
 
-    h = correlated_normal(_stream(master_seed, chunk, _TAG_H), (size, M, N), F,
-                          np.sqrt(realization.alpha * area)[:, None])
+    # h, turned in place into conj(h) * phasor: every cascaded term is a * hp @ x.
+    hp = correlated_normal(_stream(master_seed, chunk, _TAG_H), (size, M, N), F,
+                           np.sqrt(realization.alpha * area)[:, None])
+    np.conj(hp, out=hp)
+    hp *= phasor
     z = correlated_normal(_stream(master_seed, chunk, _TAG_Z), (size, K, N), F,
                           np.sqrt(realization.alpha_bar * area)[:, None])
-    # conj(h) * phasor, in place of h: every cascaded term is a * hp @ x.
-    hp = np.conj(h, out=h)
-    hp *= phasor
     q = draw(_TAG_G, (size, M, K), np.sqrt(realization.beta)) + a * (hp @ z.transpose(0, 2, 1))
 
     n_pilots = int(np.max(plan.pilot_of)) + 1
@@ -112,7 +112,7 @@ def _sample_block(realization: NetworkRealization, ris_state: RisState, plan: Pi
     # einsum, not matmul: a (B, M, N) @ (B, N, 1) batch of matrix-vector products is slower
     p_data = a * np.einsum("tmn,tn->tm", hp, v_d)
     # hp and v_p are the largest arrays the block does not keep: free them before forming y.
-    del h, hp, v_p
+    del hp, v_p
 
     w_p = draw(_TAG_WP, (size, M, n_pilots), np.sqrt(sc.sigma2))
     rt = np.sqrt(sc.rho * sc.tau_p)
