@@ -9,7 +9,7 @@ from .scenario import (
     load_scenario,
     sample_layout,
 )
-from .ris import RisState, amplitude_gain, aris_output_power, reflection_matrix
+from .ris import RisState, amplitude_gain, aris_output_power
 from .channel import (
     SecondOrderStats,
     compute_stats,

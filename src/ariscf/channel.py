@@ -84,20 +84,8 @@ class SecondOrderStats:
     def K(self) -> int:
         return self.kappa.shape[1]
 
-    def tr_xi(self, m: int, k: int) -> float:
-        return self.xi_scale[m, k] * self.t1
-
     def tr_xi_xi(self, m: int, k: int, m2: int, k2: int) -> float:
         return self.xi_scale[m, k] * self.xi_scale[m2, k2] * self.t2
-
-    def xi(self, m: int, k: int) -> np.ndarray:
-        """Dense Xi_{m,k}; intended for small-instance checks only."""
-        rl = self.realization
-        phasor = self.ris_state.phasor
-        modulated = (phasor[:, None] * np.conj(phasor)[None, :]) * rl.R
-        a2 = self.ris_state.a ** 2
-        scale = a2 * rl.alpha[m] * rl.alpha_bar[k] * rl.scenario.element_area ** 2
-        return scale * (modulated @ rl.R)
 
 
 def compute_stats(realization: NetworkRealization, ris_state: RisState) -> SecondOrderStats:
@@ -107,10 +95,11 @@ def compute_stats(realization: NetworkRealization, ris_state: RisState) -> Secon
 
     phasor = ris_state.phasor
     modulated = (phasor[:, None] * np.conj(phasor)[None, :]) * realization.R
+    # t3 before W: its (N, N) temporaries are freed before W's are made
+    t3 = _real_trace(np.sum(modulated * (realization.R @ realization.R).T))
     W = modulated @ realization.R
     t1 = _real_trace(np.trace(W))
     t2 = _real_trace(np.sum(W * W.T))
-    t3 = _real_trace(np.sum(modulated * (realization.R @ realization.R).T))
 
     xi_scale = (a * a * area * area) * np.outer(realization.alpha, realization.alpha_bar)
     kappa = realization.beta + xi_scale * t1
@@ -131,24 +120,6 @@ def compute_stats(realization: NetworkRealization, ris_state: RisState) -> Secon
         t2=t2,
         t3=t3,
     )
-
-
-def active_noise_moment_main_text(stats: SecondOrderStats, m: int, k: int) -> float:
-    """Alternative active-noise moment as printed in the main text (comparison only).
-
-    N sigma2_bar a^2 beta tr(R_m) + N^2 sigma2_bar a^4 (tr(R_m^2) + tr(R_m)^2) tr(Rbar_k),
-    reading the undefined Rbar_m of the printed expression as R_m. The
-    appendix derivation (stats.alpha_an) is the form every oracle check uses.
-    """
-    rl = stats.realization
-    sc = rl.scenario
-    a = stats.ris_state.a
-    R_m = rl.R_m(m)
-    tr_rm = np.trace(R_m)
-    tr_rm2 = np.trace(R_m @ R_m)
-    tr_rbark = np.trace(rl.R_bar_k(k))
-    return float(sc.N * sc.sigma2_bar * a ** 2 * rl.beta[m, k] * tr_rm
-                 + sc.N ** 2 * sc.sigma2_bar * a ** 4 * (tr_rm2 + tr_rm ** 2) * tr_rbark)
 
 
 def fourth_moment(stats: SecondOrderStats, m: int, k: int) -> float:

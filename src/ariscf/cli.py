@@ -141,15 +141,13 @@ def _point_phases(phases, N: int, seed: int) -> np.ndarray:
 
 
 def _sweep_point(payload):
-    scenario, param, value, seed, phases, prelog = payload
-    sc = replace(scenario, **{param: value})
+    sc, label, seed, phases, prelog = payload
     realization, a, plan = _instance(sc, seed)
     phases = _point_phases(phases, sc.N, seed)
     se, est = evaluate_phases(sc, realization, plan, phases, a, prelog)
     se_total = float(se.sum())
     ee = energy_efficiency(sc, realization, se_total, a)
-    return [_fmt(value) if param not in INT_FIELDS else str(value), str(seed),
-            _fmt(se_total), _fmt(float(est.nmse.mean())), _fmt(a), _fmt(ee),
+    return [label, str(seed), _fmt(se_total), _fmt(float(est.nmse.mean())), _fmt(a), _fmt(ee),
             "1" if a != 0.0 else "0"]
 
 
@@ -172,9 +170,15 @@ def cmd_sweep(args) -> int:
     if not seeds:
         raise UsageError("--seeds must be a non-empty comma list")
 
+    try:
+        swept = [(replace(scenario, **{args.param: v}), str(v) if cast is int else _fmt(v))
+                 for v in values]
+    except ValueError as exc:
+        raise UsageError(f"bad --values for {args.param}: {exc}") from exc
+
     phases = _load_phases(args.phases)
-    payloads = [(scenario, args.param, value, seed, phases, args.prelog)
-                for value in values for seed in seeds]
+    payloads = [(sc, label, seed, phases, args.prelog)
+                for sc, label in swept for seed in seeds]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_point, payloads))

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,8 @@ class SinrBreakdown:
     `i2_terms` holds the eight interference addends; `ds`, `bu`, `ui`, `an`,
     `no` give the same denominator regrouped by physical origin
     (desired-signal, beamforming uncertainty, per-interferer power,
-    active RIS noise, AP noise) for Monte Carlo comparison.
+    active RIS noise, AP noise) for Monte Carlo comparison. The regrouping is
+    computed on first access, so the SE path never pays for it.
     """
 
     k: int
@@ -38,10 +40,7 @@ class SinrBreakdown:
     i2_terms: dict
     i3: float
     ds: float
-    bu: float
-    ui: np.ndarray  # (K,) interference power per k'; zero at k' = k
-    an: float
-    no: float
+    _inputs: tuple = field(repr=False, compare=False)  # what `_regroup` reads
 
     @property
     def i2(self) -> float:
@@ -50,6 +49,15 @@ class SinrBreakdown:
     @property
     def sinr(self) -> float:
         return self.i1 ** 2 / (self.i2 + self.i3)
+
+    @cached_property
+    def _groups(self) -> tuple:
+        return _regroup(self.k, *self._inputs)
+
+    bu = property(lambda self: self._groups[0])
+    ui = property(lambda self: self._groups[1], doc="(K,) interference power per k'; zero at k' = k")
+    an = property(lambda self: self._groups[2])
+    no = property(lambda self: self._groups[3])
 
 
 def sinr_closed_form(scenario: Scenario, stats: SecondOrderStats,
@@ -93,7 +101,18 @@ def sinr_closed_form(scenario: Scenario, stats: SecondOrderStats,
     i1 = float(np.sqrt(sc.rho_u) * gamma.sum())
     i3 = float(stats.alpha_an[:, k].sum() + sc.sigma2 * kappa[:, k].sum())
 
-    # Same denominator regrouped into the expectation groups of the derivation.
+    return SinrBreakdown(k=k, i1=i1, i2_terms=terms, i3=i3, ds=i1 ** 2,
+                         _inputs=(sc, stats, c, gamma, u, kappa_coset, coset, contam, others))
+
+
+def _regroup(k, sc, stats, c, gamma, u, kappa_coset, coset, contam, others):
+    """The SINR denominator regrouped into the expectation groups of the
+    derivation: (bu, ui, an, no)."""
+    kappa = stats.kappa
+    s = stats.xi_scale
+    t2 = stats.t2
+    rho_tau = sc.rho * sc.tau_p
+    c2 = c * c
     u_coset = float(u[coset].sum())
     pilot_noise = (stats.alpha_an + sc.sigma2 * kappa) / rho_tau  # (M, K)
     bu = sc.rho_u * float(
@@ -103,7 +122,7 @@ def sinr_closed_form(scenario: Scenario, stats: SecondOrderStats,
         + np.sum(c2 * kappa[:, k] * (kappa_coset - kappa[:, k]))
         + np.sum(c2 * pilot_noise[:, k])
     )
-    ui = np.zeros(K)
+    ui = np.zeros(stats.K)
     for kp in others:
         common = t2 * u_coset * u[kp] + float(np.sum(c2 * kappa[:, kp] * kappa_coset)) \
             + float(np.sum(c2 * pilot_noise[:, kp]))
@@ -113,9 +132,7 @@ def sinr_closed_form(scenario: Scenario, stats: SecondOrderStats,
         ui[kp] = sc.rho_u * common
     an = float(stats.alpha_an[:, k].sum())
     no = sc.sigma2 * float(kappa[:, k].sum())
-
-    return SinrBreakdown(k=k, i1=i1, i2_terms=terms, i3=i3,
-                         ds=i1 ** 2, bu=bu, ui=ui, an=an, no=no)
+    return bu, ui, an, no
 
 
 def evaluate_phases(scenario: Scenario, realization: NetworkRealization, plan: PilotPlan,

@@ -1,4 +1,4 @@
-"""Active-RIS reflection model: amplitude gain from the power budget, reflection matrix, power accounting."""
+"""Active-RIS reflection model: amplitude gain from the power budget, reflection state, power accounting."""
 
 from __future__ import annotations
 
@@ -30,15 +30,6 @@ class RisState:
     def phasor(self) -> np.ndarray:
         """Unit-modulus reflection coefficients exp(j * phases)."""
         return np.exp(1j * self.phases)
-
-    @property
-    def theta(self) -> np.ndarray:
-        """Diagonal reflection matrix a * diag(exp(j * phases))."""
-        return reflection_matrix(self.phases, self.a)
-
-
-def reflection_matrix(phases: np.ndarray, a: float) -> np.ndarray:
-    return np.diag(a * np.exp(1j * np.asarray(phases, dtype=float)))
 
 
 def unclamped_amplitude_gain(scenario: Scenario, alpha_bar: np.ndarray) -> float:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import yaml
@@ -167,11 +167,30 @@ def element_positions(N_H: int, N_V: int, d_H: float, d_V: float,
 
 def build_correlation_matrix(N_H: int, N_V: int, d_H: float, d_V: float,
                              wavelength: float, indexing: str = "paper") -> np.ndarray:
-    """Base spatial correlation of the RIS: [R]_(n1,n2) = sinc(2 ||u_n1 - u_n2|| / wavelength)."""
+    """Base spatial correlation of the RIS: [R]_(n1,n2) = sinc(2 ||u_n1 - u_n2|| / wavelength).
+
+    R depends on the geometry alone, so the last one built is cached and
+    returned read-only; a sweep visits all seeds of one geometry in a row.
+    """
+    # positional arguments only: lru_cache keys on how the defaults are spelled
+    return _correlation_matrix(N_H, N_V, d_H, d_V, wavelength, indexing)
+
+
+@lru_cache(maxsize=1)
+def _correlation_matrix(N_H, N_V, d_H, d_V, wavelength, indexing):
+    # Squared distances summed axis by axis, then np.sinc's steps in place:
+    # the bytes of np.sinc(2 sqrt(sum(diff ** 2, -1)) / wavelength) without
+    # its (N, N, 3) difference cube.
     pos = element_positions(N_H, N_V, d_H, d_V, indexing)
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt(np.sum(diff ** 2, axis=-1))
-    return np.sinc(2.0 * dist / wavelength)
+    R = sum(np.subtract.outer(p, p) ** 2 for p in pos.T)
+    np.sqrt(R, out=R)
+    R *= 2.0
+    R /= wavelength
+    R *= np.pi
+    R[R == 0] = np.finfo(R.dtype).eps
+    np.divide(np.sin(R), R, out=R)
+    R.flags.writeable = False
+    return R
 
 
 def large_scale_gain(distance_m: float, exponent: float) -> float:
@@ -210,9 +229,6 @@ class NetworkRealization:
 
     def R_m(self, m: int) -> np.ndarray:
         return self.alpha[m] * self.scenario.element_area * self.R
-
-    def R_bar_k(self, k: int) -> np.ndarray:
-        return self.alpha_bar[k] * self.scenario.element_area * self.R
 
 
 def sample_layout(scenario: Scenario, rng_seed: int) -> NetworkRealization:

@@ -260,10 +260,15 @@ class TestUsageErrors:
         ["train", "--config", "{train}", "--steps", "0"],
         ["train", "--config", "{train}", "--episodes", "-1"],
         ["train", "--config", "{train}", "--lr", "-1"],
+        ["sweep", "--config", "{default}", "--param", "N_H", "--values", "0", "--seeds", "0"],
+        ["sweep", "--config", "{default}", "--param", "tau_p", "--values", "500"],
+        ["sweep", "--config", "{small}", "--param", "N_H", "--values", "2,0", "--jobs", "2"],
     ], ids=["seeds-x", "trained-missing", "trials-0", "trials-negative", "steps-0",
-            "episodes-negative", "lr-negative"])
+            "episodes-negative", "lr-negative", "n_h-0", "tau_p-above-tau_c",
+            "bad-value-after-good"])
     def test_bad_input_exits_usage(self, argv, tmp_path, small_config, train_config, capsys):
         paths = {"small": small_config, "train": train_config,
+                 "default": os.path.join(CONFIG_DIR, "default.yaml"),
                  "missing": str(tmp_path / "missing.npz")}
         out = tmp_path / "out.csv"
         code = run_cli(*(arg.format(**paths) for arg in argv), "--out", str(out))

@@ -1,5 +1,8 @@
 """Closed-form SINR/SE/EE behavior."""
 
+import os
+import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,10 +13,11 @@ from ariscf import perf
 from ariscf.channel import compute_stats
 from ariscf.estimation import assign_pilots, compute_estimation_stats
 from ariscf.perf import I2_TERM_NAMES, energy_efficiency, evaluate_phases, sinr_closed_form
-from ariscf.ris import RisState, aris_power_consumption
-from ariscf.scenario import Scenario, sample_layout
+from ariscf.ris import RisState, amplitude_gain, aris_power_consumption
+from ariscf.scenario import Scenario, load_scenario, sample_layout
 
 from _instances import cascade_instance, synthetic_realization
+from _reference import dense_xi
 
 
 def breakdown(sc, rl, phases, a, tau_p, k=0):
@@ -107,7 +111,7 @@ class TestLiteralAssembly:
         k = 1
         br = sinr_closed_form(sc, stats, est, plan, k)
 
-        xi = [[stats.xi(m, j) for j in range(K)] for m in range(M)]
+        xi = [[dense_xi(stats, m, j) for j in range(K)] for m in range(M)]
         tr_xi_xi = lambda m, j, m2, j2: np.trace(xi[m][j] @ xi[m2][j2]).real
         c = est.c
         kap = stats.kappa
@@ -143,6 +147,119 @@ class TestLiteralAssembly:
         i3 = stats.alpha_an[:, k].sum() + sc.sigma2 * kap[:, k].sum()
         assert br.i1 == pytest.approx(i1, rel=1e-12)
         assert br.i3 == pytest.approx(i3, rel=1e-12)
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+def eager_breakdown(scenario, stats, est_stats, plan, k):
+    """The SINR terms and groups as `sinr_closed_form` built them before the
+    regrouping became lazy, transcribed verbatim: (i1, i2_terms, i3, sinr,
+    ds, bu, ui, an, no)."""
+    sc = scenario
+    K = stats.K
+    c = est_stats.c[:, k]
+    gamma = est_stats.gamma[:, k]
+    kappa = stats.kappa
+    s = stats.xi_scale
+    t2 = stats.t2
+    rho_tau = sc.rho * sc.tau_p
+
+    coset = plan.coset(k)
+    contam = coset[coset != k]
+    others = np.flatnonzero(np.arange(K) != k)
+
+    u = c @ s                                  # (K,) sum_m c_m s_{m,j}
+    kappa_coset = kappa[:, coset].sum(axis=1)  # (M,) coset channel power per AP
+    c2 = c * c
+
+    terms = {
+        "coherent_xi": t2 * float(u.sum() * u[coset].sum()),
+        "gamma_sq": float(np.sum(gamma ** 2)),
+        "inter_user_kappa": float(np.sum(c2[:, None] * kappa[:, others] * kappa_coset[:, None])),
+        "active_noise_pilot": float(np.sum(c2[:, None] * stats.alpha_an)) / rho_tau,
+        "ap_noise_pilot": sc.sigma2 * float(np.sum(c2[:, None] * kappa)) / rho_tau,
+        "contamination_mean_sq": float(np.sum((kappa[:, contam].T @ c) ** 2)),
+        "contamination_kappa": float(np.sum((c2 * kappa[:, k])[:, None] * kappa[:, contam])),
+        "contamination_xi_sq": t2 * float(np.sum(c2[:, None] * s[:, coset] ** 2)),
+    }
+    terms = {name: sc.rho_u * value for name, value in terms.items()}
+
+    i1 = float(np.sqrt(sc.rho_u) * gamma.sum())
+    i3 = float(stats.alpha_an[:, k].sum() + sc.sigma2 * kappa[:, k].sum())
+
+    # Same denominator regrouped into the expectation groups of the derivation.
+    u_coset = float(u[coset].sum())
+    pilot_noise = (stats.alpha_an + sc.sigma2 * kappa) / rho_tau  # (M, K)
+    bu = sc.rho_u * float(
+        t2 * u[k] * u_coset
+        + np.sum(gamma ** 2)
+        + t2 * np.sum(c2 * s[:, k] ** 2)
+        + np.sum(c2 * kappa[:, k] * (kappa_coset - kappa[:, k]))
+        + np.sum(c2 * pilot_noise[:, k])
+    )
+    ui = np.zeros(K)
+    for kp in others:
+        common = t2 * u_coset * u[kp] + float(np.sum(c2 * kappa[:, kp] * kappa_coset)) \
+            + float(np.sum(c2 * pilot_noise[:, kp]))
+        if kp in contam:
+            common += float((c @ kappa[:, kp]) ** 2) \
+                + t2 * float(np.sum(c2 * s[:, kp] ** 2))
+        ui[kp] = sc.rho_u * common
+    an = float(stats.alpha_an[:, k].sum())
+    no = sc.sigma2 * float(kappa[:, k].sum())
+
+    sinr = i1 ** 2 / (float(sum(terms.values())) + i3)
+    return i1, terms, i3, sinr, i1 ** 2, bu, ui, an, no
+
+
+def config_instance(name, seed, **overrides):
+    """Shipped config at its budget amplitude and random phases, as a sweep point sees it."""
+    sc = replace(load_scenario(os.path.join(CONFIG_DIR, name)), **overrides)
+    rl = sample_layout(sc, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        a = amplitude_gain(sc, rl.alpha_bar)
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, sc.N)
+    return sc, rl, assign_pilots(sc.K, sc.tau_p), RisState(phases=phases, a=a)
+
+
+class TestLazyRegrouping:
+    @pytest.mark.parametrize("name,seed,overrides", [
+        ("default.yaml", 0, {}), ("default.yaml", 1, {}), ("default.yaml", 2, {}),
+        ("train_small.yaml", 0, {}),
+        ("default.yaml", 3, {"tau_p": 5}),   # pilot sharing: cosets of three users
+    ], ids=["default-0", "default-1", "default-2", "train-small", "default-tau5"])
+    def test_bytes_match_eager_regrouping(self, name, seed, overrides):
+        sc, rl, plan, state = config_instance(name, seed, **overrides)
+        stats = compute_stats(rl, state)
+        est = compute_estimation_stats(sc, stats, plan)
+        for k in range(sc.K):
+            br = sinr_closed_form(sc, stats, est, plan, k)
+            i1, terms, i3, sinr, ds, bu, ui, an, no = eager_breakdown(sc, stats, est, plan, k)
+            assert (br.i1, br.i3, br.sinr) == (i1, i3, sinr)
+            assert br.i2_terms == terms
+            assert (br.ds, br.bu, br.an, br.no) == (ds, bu, an, no)
+            assert br.ui.dtype == ui.dtype and np.array_equal(br.ui, ui)
+
+    def test_groups_built_once_on_first_access(self, monkeypatch):
+        sc, rl, phases = cascade_instance(tau_p=1)
+        br, *_ = breakdown(sc, rl, phases, 2.0, 1)
+        calls = []
+        real = perf._regroup
+        monkeypatch.setattr(perf, "_regroup", lambda *args: calls.append(args) or real(*args))
+        assert (br.bu, br.ui[1], br.an, br.no) == (br.bu, br.ui[1], br.an, br.no)
+        assert len(calls) == 1
+
+    def test_evaluate_phases_never_regroups(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the SE path built the SINR regrouping")
+        monkeypatch.setattr(perf, "_regroup", fail)
+        sc, rl, plan, state = config_instance("train_small.yaml", 0)
+        se, est = evaluate_phases(sc, rl, plan, state.phases, state.a)
+        assert se.shape == (sc.K,) and np.isfinite(se).all()
+        with pytest.raises(AssertionError, match="regrouping"):
+            sinr_closed_form(sc, compute_stats(rl, state), est, plan, 0).bu
 
 
 class TestSpectralEfficiency:

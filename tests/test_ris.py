@@ -10,10 +10,11 @@ from ariscf.ris import (
     amplitude_gain,
     aris_output_power,
     aris_power_consumption,
-    reflection_matrix,
     unclamped_amplitude_gain,
 )
 from ariscf.scenario import Scenario, sample_layout
+
+from _reference import reflection_matrix
 
 
 def scenario_with(**kw):

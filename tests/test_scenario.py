@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ariscf import scenario
 from ariscf.scenario import (
     Scenario,
     build_correlation_matrix,
@@ -16,6 +17,8 @@ from ariscf.scenario import (
     sample_layout,
     scenario_from_dict,
 )
+
+from _reference import R_bar_k
 
 LAM = Scenario().wavelength
 
@@ -76,6 +79,41 @@ class TestCorrelationMatrix:
         R = build_correlation_matrix(nh, nv, LAM / 4, LAM / 4, LAM)
         assert np.linalg.eigvalsh(R).min() >= -1e-9 * nh * nv
 
+    @pytest.mark.parametrize("indexing", ["paper", "row_major"])
+    @pytest.mark.parametrize("nh,nv,d_h,d_v", [(3, 5, LAM / 4, LAM / 3), (6, 2, LAM / 2, LAM / 7),
+                                               (24, 24, LAM / 4, LAM / 4)])
+    def test_bytes_match_difference_cube(self, nh, nv, d_h, d_v, indexing):
+        # the expression R was built from before the (N, N, 3) cube was dropped
+        pos = element_positions(nh, nv, d_h, d_v, indexing)
+        diff = pos[:, None, :] - pos[None, :, :]
+        expected = np.sinc(2.0 * np.sqrt(np.sum(diff ** 2, axis=-1)) / LAM)
+        R = build_correlation_matrix(nh, nv, d_h, d_v, LAM, indexing)
+        assert R.dtype == expected.dtype and R.shape == expected.shape
+        assert np.array_equal(R.view(np.uint64), expected.view(np.uint64))
+
+
+class TestCorrelationCache:
+    def test_seeds_of_one_scenario_share_r(self):
+        sc = Scenario(M=2, K=3, N_H=4, N_V=3)
+        assert sample_layout(sc, 0).R is sample_layout(sc, 1).R
+
+    def test_r_is_read_only(self):
+        R = sample_layout(Scenario(M=2, K=2, N_H=3, N_V=3), 0).R
+        with pytest.raises(ValueError):
+            R[0, 1] = 0.5
+        with pytest.raises(ValueError):
+            R *= 2.0
+
+    def test_new_geometry_gets_fresh_r(self):
+        R1 = sample_layout(Scenario(M=2, K=2, N_H=3, N_V=3), 0).R
+        sc = Scenario(M=2, K=2, N_H=4, N_V=2, d_V=LAM / 3, grid_indexing="row_major")
+        R2 = sample_layout(sc, 0).R
+        assert R2 is not R1 and R2.shape == (8, 8)
+        uncached = scenario._correlation_matrix.__wrapped__(
+            sc.N_H, sc.N_V, sc.d_H, sc.d_V, sc.wavelength, sc.grid_indexing)
+        assert uncached is not R2
+        assert np.array_equal(R2, uncached)
+
 
 class TestLargeScaleGain:
     def test_reference_distance(self):
@@ -120,7 +158,7 @@ class TestLayout:
         rl = sample_layout(sc, 1)
         area = sc.element_area
         assert_allclose(rl.R_m(1), rl.alpha[1] * area * rl.R)
-        assert_allclose(rl.R_bar_k(0), rl.alpha_bar[0] * area * rl.R)
+        assert_allclose(R_bar_k(rl, 0), rl.alpha_bar[0] * area * rl.R)
 
     def test_r_factor_follows_r(self):
         sc = Scenario(M=2, K=2, N_H=3, N_V=3)
