@@ -23,6 +23,7 @@ from .perf import (
     energy_efficiency,
     evaluate_phases,
     sinr_closed_form,
+    sinr_groups,
 )
 
 __version__ = "0.1.0"

@@ -77,10 +77,6 @@ class SecondOrderStats:
     t3: float
 
     @property
-    def M(self) -> int:
-        return self.kappa.shape[0]
-
-    @property
     def K(self) -> int:
         return self.kappa.shape[1]
 

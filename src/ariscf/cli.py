@@ -56,6 +56,12 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _check_seed(seed: int, flag: str = "--seed") -> None:
+    """Layout and oracle streams are keyed by non-negative integers only."""
+    if seed < 0:
+        raise UsageError(f"{flag} must be >= 0, got {seed}")
+
+
 def _instance(scenario: Scenario, seed: int):
     """Layout, amplitude gain and pilot plan for one seed.
 
@@ -75,6 +81,7 @@ def _instance(scenario: Scenario, seed: int):
 def cmd_validate(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    _check_seed(args.seed)
     if args.config is None:
         # built-in synthetic benchmark: conditioning guaranteed by construction
         realization, state, plan = oracle.benchmark_instance()
@@ -152,6 +159,8 @@ def _sweep_point(payload):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     scenario = _load_or_default(args.config)
     valid = {f.name for f in fields(Scenario)}
     if args.param not in valid:
@@ -169,6 +178,8 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"bad --seeds: {exc}") from exc
     if not seeds:
         raise UsageError("--seeds must be a non-empty comma list")
+    for seed in seeds:
+        _check_seed(seed, "--seeds entries")
 
     try:
         swept = [(replace(scenario, **{args.param: v}), str(v) if cast is int else _fmt(v))
@@ -201,20 +212,10 @@ def cmd_sweep(args) -> int:
 # train
 
 def cmd_train(args) -> int:
+    _check_seed(args.seed)
     scenario = _load_or_default(args.config)
-    realization, a, plan = _instance(scenario, args.seed)
-    env = RisEnv(scenario, realization, plan, a, prelog=args.prelog)
-
-    comments = [f"config_sha256={scenario.config_hash()}", f"master_seed={args.seed}"]
-    baseline = env.equal_phase_se
-    if args.episodes == 0:
-        _write_csv(args.out, comments + [f"baseline_equal_sum_se={_fmt(baseline)}"],
-                   ["episode", "cumulative_reward"], [])
-        print(f"baseline equal-phase sum SE: {baseline:.6f} (no training requested)")
-        return EXIT_OK
-
     overrides = {}
-    if args.episodes is not None:
+    if args.episodes:  # 0 = baseline only: keep the default, still check the other options
         overrides["episodes"] = args.episodes
     if args.steps is not None:
         overrides["episode_len"] = args.steps
@@ -226,6 +227,16 @@ def cmd_train(args) -> int:
         config = replace(SacConfig(), **overrides)
     except ValueError as exc:
         raise UsageError(f"bad training options: {exc}") from exc
+
+    realization, a, plan = _instance(scenario, args.seed)
+    env = RisEnv(scenario, realization, plan, a, prelog=args.prelog)
+    comments = [f"config_sha256={scenario.config_hash()}", f"master_seed={args.seed}"]
+    baseline = env.equal_phase_se
+    if args.episodes == 0:
+        _write_csv(args.out, comments + [f"baseline_equal_sum_se={_fmt(baseline)}"],
+                   ["episode", "cumulative_reward"], [])
+        print(f"baseline equal-phase sum SE: {baseline:.6f} (no training requested)")
+        return EXIT_OK
 
     try:
         result = train(env, config, args.seed)

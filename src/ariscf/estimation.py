@@ -17,10 +17,6 @@ class PilotPlan:
     tau_p: int
     pilot_of: np.ndarray      # (K,) pilot index per user
 
-    @property
-    def K(self) -> int:
-        return self.pilot_of.size
-
     def coset(self, k: int) -> np.ndarray:
         """Users sharing user k's pilot, k included."""
         return np.flatnonzero(self.pilot_of == self.pilot_of[k])

@@ -15,7 +15,7 @@ from .channel import (
     fourth_moment,
 )
 from .estimation import EstimationStats, PilotPlan, compute_estimation_stats
-from .perf import sinr_closed_form
+from .perf import sinr_closed_form, sinr_groups
 from .ris import RisState, aris_output_power
 from .scenario import NetworkRealization
 
@@ -163,7 +163,6 @@ class _Mean:
 class EmpiricalSinr:
     """Sample estimates of the SINR expectation groups for one user."""
 
-    k: int
     sinr: float
     ds: float
     bu: float
@@ -171,8 +170,6 @@ class EmpiricalSinr:
     an: float
     no: float
     stderr: dict            # standard error per group; "ui" is (K,) like `ui`
-    n_trials: int
-    low_confidence: bool    # n_trials below the authoritative floor
 
 
 class _SinrGroups:
@@ -197,7 +194,7 @@ class _SinrGroups:
         self.no.add(np.abs(np.einsum("tm,tm->t", qh, blk.w_data)) ** 2)
 
     def result(self, rho_u: float) -> EmpiricalSinr:
-        k, n = self.k, self.T.n
+        k = self.k
         mean_T = complex(self.T.mean)
         ds = rho_u * abs(mean_T) ** 2
         bu = rho_u * (float(self.T2.mean[k]) - abs(mean_T) ** 2)
@@ -211,27 +208,8 @@ class _SinrGroups:
             "an": float(self.an.stderr),
             "no": float(self.no.stderr),
         }
-        return EmpiricalSinr(k=k, sinr=ds / (bu + float(ui.sum()) + an + no), ds=ds, bu=bu, ui=ui,
-                             an=an, no=no, stderr=stderr, n_trials=n,
-                             low_confidence=n < MIN_AUTHORITATIVE_TRIALS)
-
-
-def empirical_sinr(realization: NetworkRealization, ris_state: RisState, plan: PilotPlan,
-                   k: int, n_trials: int, master_seed: int) -> EmpiricalSinr:
-    """Monte Carlo estimate of the MRC uplink SINR of user k.
-
-    Estimates the desired-signal mean, the variance-style beamforming
-    uncertainty, per-interferer powers, and the active/AP noise powers by
-    sample averaging with fresh fading and noise per trial. Deterministic in
-    `master_seed` regardless of execution order: trials live in fixed-size
-    blocks with counter-based substreams reduced in block order.
-    """
-    sc = realization.scenario
-    est_stats = compute_estimation_stats(sc, compute_stats(realization, ris_state), plan)
-    groups = _SinrGroups(est_stats.c[:, k], k)
-    for chunk, size in enumerate(_chunk_sizes(n_trials)):
-        groups.add(_sample_block(realization, ris_state, plan, master_seed, chunk, size))
-    return groups.result(sc.rho_u)
+        return EmpiricalSinr(sinr=ds / (bu + float(ui.sum()) + an + no), ds=ds, bu=bu, ui=ui,
+                             an=an, no=no, stderr=stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +284,6 @@ class IdentityCheck:
         return "FAIL"
 
     @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-    @property
     def failed(self) -> bool:
         return self.status == "FAIL"
 
@@ -336,26 +310,6 @@ TOLERANCES = {
     "orthogonality": 0.01,
     "corollary1": 0.05,
     "sinr": 0.05,
-}
-
-# Closed-form exports and the identity family that gives each its empirical
-# counterpart; a coverage test enforces the two-sided mapping.
-ORACLE_COVERAGE = {
-    "channel.SecondOrderStats.kappa": "kappa",
-    "channel.fourth_moment": "fourth",
-    "channel.cross_moments": "cross",
-    "channel.cross_moment_cyclic": "cyclic",
-    "channel.SecondOrderStats.alpha_an": "alpha_an",
-    "ris.aris_output_power": "aris_power",
-    "estimation.EstimationStats.c": "nmse",
-    "estimation.EstimationStats.gamma": "gamma",
-    "estimation.EstimationStats.nmse": "nmse",
-    "perf.SinrBreakdown.ds": "sinr_ds",
-    "perf.SinrBreakdown.bu": "sinr_bu",
-    "perf.SinrBreakdown.ui": "sinr_ui",
-    "perf.SinrBreakdown.an": "sinr_an_exact",
-    "perf.SinrBreakdown.no": "sinr_no_exact",
-    "perf.SinrBreakdown.sinr": "sinr_total",
 }
 
 
@@ -487,10 +441,11 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
                                   * stats.xi_scale[0, 0] * float(stats.xi_scale[1, coset].sum())))
 
     br = sinr_closed_form(sc, stats, est, plan, 0)
+    bu, ui, _, _ = sinr_groups(sc, stats, est, plan, 0)
     emp = sinr.result(sc.rho_u)
     rows.append(row("sinr_ds", emp.ds, br.ds, emp.stderr["ds"]))
-    rows.append(row("sinr_bu", emp.bu, br.bu, emp.stderr["bu"]))
-    rows.extend(row(f"sinr_ui[{kp}]", emp.ui[kp], br.ui[kp], emp.stderr["ui"][kp])
+    rows.append(row("sinr_bu", emp.bu, bu, emp.stderr["bu"]))
+    rows.extend(row(f"sinr_ui[{kp}]", emp.ui[kp], ui[kp], emp.stderr["ui"][kp])
                 for kp in range(1, K))
     rows.append(row("sinr_an_exact", emp.an, exact_active_noise_power(stats, est, plan, 0),
                     emp.stderr["an"]))

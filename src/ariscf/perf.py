@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,35 +11,24 @@ from .estimation import EstimationStats, PilotPlan, compute_estimation_stats
 from .ris import RisState, aris_power_consumption
 from .scenario import NetworkRealization, Scenario
 
-I2_TERM_NAMES = (
-    "coherent_xi",            # Xi-coherent double sum over APs and all user pairs
-    "gamma_sq",               # per-AP estimate-variance square (beamforming uncertainty)
-    "inter_user_kappa",       # non-coherent inter-user interference
-    "active_noise_pilot",     # RIS-noise leakage through the pilot projection
-    "ap_noise_pilot",         # AP-noise leakage through the pilot projection
-    "contamination_mean_sq",  # coherent contamination bias power
-    "contamination_kappa",    # contamination cross term kappa_k * kappa_k'
-    "contamination_xi_sq",    # per-AP tr(Xi^2) excess over the coset
-)
-
 
 @dataclass(frozen=True)
 class SinrBreakdown:
     """All terms of the uplink SINR for one user.
 
-    `i2_terms` holds the eight interference addends; `ds`, `bu`, `ui`, `an`,
-    `no` give the same denominator regrouped by physical origin
-    (desired-signal, beamforming uncertainty, per-interferer power,
-    active RIS noise, AP noise) for Monte Carlo comparison. The regrouping is
-    computed on first access, so the SE path never pays for it.
+    `i2_terms` holds the eight interference addends; `sinr_groups` writes the
+    same denominator regrouped by physical origin for Monte Carlo comparison.
     """
 
     k: int
     i1: float
     i2_terms: dict
     i3: float
-    ds: float
-    _inputs: tuple = field(repr=False, compare=False)  # what `_regroup` reads
+
+    @property
+    def ds(self) -> float:
+        """Desired-signal power."""
+        return self.i1 ** 2
 
     @property
     def i2(self) -> float:
@@ -50,14 +38,16 @@ class SinrBreakdown:
     def sinr(self) -> float:
         return self.i1 ** 2 / (self.i2 + self.i3)
 
-    @cached_property
-    def _groups(self) -> tuple:
-        return _regroup(self.k, *self._inputs)
 
-    bu = property(lambda self: self._groups[0])
-    ui = property(lambda self: self._groups[1], doc="(K,) interference power per k'; zero at k' = k")
-    an = property(lambda self: self._groups[2])
-    no = property(lambda self: self._groups[3])
+def _user_inputs(stats: SecondOrderStats, est_stats: EstimationStats, plan: PilotPlan, k: int):
+    """User k's LMMSE columns, its coset split, and the coset sums that both
+    the addends and the groups read: (c, gamma, coset, contam, others, u, kappa_coset)."""
+    c = est_stats.c[:, k]
+    coset = plan.coset(k)
+    u = c @ stats.xi_scale                           # (K,) sum_m c_m s_{m,j}
+    kappa_coset = stats.kappa[:, coset].sum(axis=1)  # (M,) coset channel power per AP
+    others = np.flatnonzero(np.arange(stats.K) != k)
+    return c, est_stats.gamma[:, k], coset, coset[coset != k], others, u, kappa_coset
 
 
 def sinr_closed_form(scenario: Scenario, stats: SecondOrderStats,
@@ -70,48 +60,53 @@ def sinr_closed_form(scenario: Scenario, stats: SecondOrderStats,
     floor keeps the perfect-estimation reading sum(alpha) + sigma2 sum(kappa).
     """
     sc = scenario
-    K = stats.K
-    c = est_stats.c[:, k]
-    gamma = est_stats.gamma[:, k]
     kappa = stats.kappa
     s = stats.xi_scale
     t2 = stats.t2
     rho_tau = sc.rho * sc.tau_p
-
-    coset = plan.coset(k)
-    contam = coset[coset != k]
-    others = np.flatnonzero(np.arange(K) != k)
-
-    u = c @ s                                  # (K,) sum_m c_m s_{m,j}
-    kappa_coset = kappa[:, coset].sum(axis=1)  # (M,) coset channel power per AP
+    c, gamma, coset, contam, others, u, kappa_coset = _user_inputs(stats, est_stats, plan, k)
     c2 = c * c
 
     terms = {
+        # Xi-coherent double sum over APs and all user pairs
         "coherent_xi": t2 * float(u.sum() * u[coset].sum()),
+        # per-AP estimate-variance square (beamforming uncertainty)
         "gamma_sq": float(np.sum(gamma ** 2)),
+        # non-coherent inter-user interference
         "inter_user_kappa": float(np.sum(c2[:, None] * kappa[:, others] * kappa_coset[:, None])),
+        # RIS-noise leakage through the pilot projection
         "active_noise_pilot": float(np.sum(c2[:, None] * stats.alpha_an)) / rho_tau,
+        # AP-noise leakage through the pilot projection
         "ap_noise_pilot": sc.sigma2 * float(np.sum(c2[:, None] * kappa)) / rho_tau,
+        # coherent contamination bias power
         "contamination_mean_sq": float(np.sum((kappa[:, contam].T @ c) ** 2)),
+        # contamination cross term kappa_k * kappa_k'
         "contamination_kappa": float(np.sum((c2 * kappa[:, k])[:, None] * kappa[:, contam])),
+        # per-AP tr(Xi^2) excess over the coset
         "contamination_xi_sq": t2 * float(np.sum(c2[:, None] * s[:, coset] ** 2)),
     }
     terms = {name: sc.rho_u * value for name, value in terms.items()}
 
     i1 = float(np.sqrt(sc.rho_u) * gamma.sum())
     i3 = float(stats.alpha_an[:, k].sum() + sc.sigma2 * kappa[:, k].sum())
-
-    return SinrBreakdown(k=k, i1=i1, i2_terms=terms, i3=i3, ds=i1 ** 2,
-                         _inputs=(sc, stats, c, gamma, u, kappa_coset, coset, contam, others))
+    return SinrBreakdown(k=k, i1=i1, i2_terms=terms, i3=i3)
 
 
-def _regroup(k, sc, stats, c, gamma, u, kappa_coset, coset, contam, others):
-    """The SINR denominator regrouped into the expectation groups of the
-    derivation: (bu, ui, an, no)."""
+def sinr_groups(scenario: Scenario, stats: SecondOrderStats,
+                est_stats: EstimationStats, plan: PilotPlan, k: int):
+    """User k's SINR denominator regrouped into the expectation groups of the
+    derivation: (bu, ui, an, no), i.e. beamforming uncertainty, the (K,)
+    per-interferer powers (zero at k), active RIS noise and AP noise.
+
+    They sum to i2 + i3 of `sinr_closed_form` up to round-off; the Monte Carlo
+    oracle compares them group by group. The SE path never builds them.
+    """
+    sc = scenario
     kappa = stats.kappa
     s = stats.xi_scale
     t2 = stats.t2
     rho_tau = sc.rho * sc.tau_p
+    c, gamma, coset, contam, others, u, kappa_coset = _user_inputs(stats, est_stats, plan, k)
     c2 = c * c
     u_coset = float(u[coset].sum())
     pilot_noise = (stats.alpha_an + sc.sigma2 * kappa) / rho_tau  # (M, K)

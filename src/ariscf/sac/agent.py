@@ -205,8 +205,8 @@ class SacAgent:
         losses = {"value": v_loss, "q1": q1_loss, "q2": q2_loss, "policy": p_loss}
         if not all(np.isfinite(list(losses.values()))):
             snapshot = {f"losses_{net}": np.asarray(loss) for net, loss in losses.items()}
-            snapshot.update(policy=self.policy.get_flat(), value=self.value.get_flat(),
-                            q1=self.q1.get_flat(), q2=self.q2.get_flat())
+            snapshot.update(policy=self.policy.params.copy(), value=self.value.params.copy(),
+                            q1=self.q1.params.copy(), q2=self.q2.params.copy())
             raise TrainingDiverged(f"non-finite loss: {losses}", snapshot)
         self.opt_value.step(v_grads)
         self.opt_q1.step(q1_grads)

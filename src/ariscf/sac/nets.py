@@ -66,14 +66,6 @@ class DenseNet:
                                d1.sum(axis=0), d2.sum(axis=0), grad_out.sum(axis=0)])
         return grad, d1 @ self.weights[0]
 
-    # -- flat parameter vector (finite-difference checks, diagnostics) --
-
-    def get_flat(self) -> np.ndarray:
-        return self.params.copy()
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        self.params[...] = flat
-
     def clone(self) -> "DenseNet":
         dup = copy.copy(self)
         dup._bind(self.params.copy())
@@ -109,17 +101,6 @@ class AdamOptimizer:
         m_hat = self.m / (1 - self.beta1 ** self.t)
         v_hat = self.v / (1 - self.beta2 ** self.t)
         self.net.params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def preactivation_margin(net: DenseNet, x: np.ndarray) -> float:
-    """Smallest |pre-activation| over the hidden layers for inputs x.
-
-    Finite-difference gradient checks are only valid when every rectifier
-    input sits further from its kink than the difference step.
-    """
-    pre1 = x @ net.weights[0].T + net.biases[0]
-    pre2 = relu(pre1) @ net.weights[1].T + net.biases[1]
-    return float(min(np.abs(pre1).min(), np.abs(pre2).min()))
 
 
 def make_optimizer(net: DenseNet, name: str, lr: float):

@@ -79,6 +79,10 @@ class Scenario:
         return self.d_H * self.d_V
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.M < 1 or self.K < 1 or self.N_H < 1 or self.N_V < 1:
             raise ValueError("M, K, N_H, N_V must all be >= 1")
         if self.tau_p < 1 or self.tau_p > self.tau_c:

@@ -1,5 +1,6 @@
 """Shared test instances with hand-controlled large-scale gains, oracle block
-draws, and a call counter for package functions."""
+draws and the empirical SINR built from them, and a call counter for package
+functions."""
 
 import sys
 from dataclasses import fields
@@ -7,6 +8,8 @@ from dataclasses import fields
 import numpy as np
 
 from ariscf import oracle
+from ariscf.channel import compute_stats
+from ariscf.estimation import compute_estimation_stats
 from ariscf.scenario import NetworkRealization, Scenario, build_correlation_matrix
 
 
@@ -64,6 +67,18 @@ def draw_trials(realization: NetworkRealization, ris_state, plan, n_trials: int,
               for chunk, size in enumerate(oracle._chunk_sizes(n_trials))]
     return oracle._Block(**{f.name: np.concatenate([getattr(b, f.name) for b in blocks])
                             for f in fields(oracle._Block)})
+
+
+def empirical_sinr(realization: NetworkRealization, ris_state, plan, n_trials: int,
+                   master_seed: int):
+    """Monte Carlo SINR groups of user 0: the oracle's block draws reduced by
+    the same accumulator, in the same block order, as its sinr_* rows."""
+    sc = realization.scenario
+    est = compute_estimation_stats(sc, compute_stats(realization, ris_state), plan)
+    groups = oracle._SinrGroups(est.c[:, 0], 0)
+    for chunk, size in enumerate(oracle._chunk_sizes(n_trials)):
+        groups.add(oracle._sample_block(realization, ris_state, plan, master_seed, chunk, size))
+    return groups.result(sc.rho_u)
 
 
 def count_calls(monkeypatch, module, name: str) -> list:

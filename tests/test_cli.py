@@ -263,9 +263,19 @@ class TestUsageErrors:
         ["sweep", "--config", "{default}", "--param", "N_H", "--values", "0", "--seeds", "0"],
         ["sweep", "--config", "{default}", "--param", "tau_p", "--values", "500"],
         ["sweep", "--config", "{small}", "--param", "N_H", "--values", "2,0", "--jobs", "2"],
+        ["validate", "--seed", "-1"],
+        ["train", "--config", "{train}", "--seed", "-1"],
+        ["sweep", "--config", "{small}", "--param", "rho", "--values", "0.1", "--seeds", "-1"],
+        ["sweep", "--config", "{small}", "--param", "rho", "--values", "0.1", "--jobs", "0"],
+        ["sweep", "--config", "{small}", "--param", "rho", "--values", "0.1", "--jobs", "-2"],
+        ["train", "--config", "{train}", "--episodes", "0", "--steps", "-5"],
+        ["train", "--config", "{train}", "--episodes", "0", "--lr", "-1"],
+        ["sweep", "--config", "{small}", "--param", "rho_u", "--values", "nan"],
     ], ids=["seeds-x", "trained-missing", "trials-0", "trials-negative", "steps-0",
             "episodes-negative", "lr-negative", "n_h-0", "tau_p-above-tau_c",
-            "bad-value-after-good"])
+            "bad-value-after-good", "validate-seed-negative", "train-seed-negative",
+            "sweep-seed-negative", "jobs-0", "jobs-negative", "baseline-steps-negative",
+            "baseline-lr-negative", "value-nan"])
     def test_bad_input_exits_usage(self, argv, tmp_path, small_config, train_config, capsys):
         paths = {"small": small_config, "train": train_config,
                  "default": os.path.join(CONFIG_DIR, "default.yaml"),

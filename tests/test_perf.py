@@ -12,12 +12,17 @@ from numpy.testing import assert_allclose
 from ariscf import perf
 from ariscf.channel import compute_stats
 from ariscf.estimation import assign_pilots, compute_estimation_stats
-from ariscf.perf import I2_TERM_NAMES, energy_efficiency, evaluate_phases, sinr_closed_form
+from ariscf.perf import energy_efficiency, evaluate_phases, sinr_closed_form, sinr_groups
 from ariscf.ris import RisState, amplitude_gain, aris_power_consumption
 from ariscf.scenario import Scenario, load_scenario, sample_layout
 
 from _instances import cascade_instance, synthetic_realization
 from _reference import dense_xi
+
+I2_TERM_NAMES = (
+    "coherent_xi", "gamma_sq", "inter_user_kappa", "active_noise_pilot", "ap_noise_pilot",
+    "contamination_mean_sq", "contamination_kappa", "contamination_xi_sq",
+)
 
 
 def breakdown(sc, rl, phases, a, tau_p, k=0):
@@ -51,8 +56,9 @@ class TestSinrBreakdown:
         for tau_p in (1, 2):
             sc, rl, phases = cascade_instance(tau_p=tau_p)
             for k in range(sc.K):
-                br, *_ = breakdown(sc, rl, phases, 2.0, tau_p, k=k)
-                assert br.bu + br.ui.sum() + br.an + br.no == pytest.approx(
+                br, stats, est, plan = breakdown(sc, rl, phases, 2.0, tau_p, k=k)
+                bu, ui, an, no = sinr_groups(sc, stats, est, plan, k)
+                assert bu + ui.sum() + an + no == pytest.approx(
                     br.i2 + br.i3, rel=1e-12)
                 assert br.ds == pytest.approx(br.i1 ** 2, rel=1e-12)
 
@@ -153,9 +159,9 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def eager_breakdown(scenario, stats, est_stats, plan, k):
-    """The SINR terms and groups as `sinr_closed_form` built them before the
-    regrouping became lazy, transcribed verbatim: (i1, i2_terms, i3, sinr,
-    ds, bu, ui, an, no)."""
+    """The SINR terms and groups as `sinr_closed_form` once built them eagerly
+    in one pass, transcribed verbatim: (i1, i2_terms, i3, sinr, ds, bu, ui,
+    an, no)."""
     sc = scenario
     K = stats.K
     c = est_stats.c[:, k]
@@ -236,30 +242,22 @@ class TestLazyRegrouping:
         est = compute_estimation_stats(sc, stats, plan)
         for k in range(sc.K):
             br = sinr_closed_form(sc, stats, est, plan, k)
+            g_bu, g_ui, g_an, g_no = sinr_groups(sc, stats, est, plan, k)
             i1, terms, i3, sinr, ds, bu, ui, an, no = eager_breakdown(sc, stats, est, plan, k)
             assert (br.i1, br.i3, br.sinr) == (i1, i3, sinr)
             assert br.i2_terms == terms
-            assert (br.ds, br.bu, br.an, br.no) == (ds, bu, an, no)
-            assert br.ui.dtype == ui.dtype and np.array_equal(br.ui, ui)
-
-    def test_groups_built_once_on_first_access(self, monkeypatch):
-        sc, rl, phases = cascade_instance(tau_p=1)
-        br, *_ = breakdown(sc, rl, phases, 2.0, 1)
-        calls = []
-        real = perf._regroup
-        monkeypatch.setattr(perf, "_regroup", lambda *args: calls.append(args) or real(*args))
-        assert (br.bu, br.ui[1], br.an, br.no) == (br.bu, br.ui[1], br.an, br.no)
-        assert len(calls) == 1
+            assert (br.ds, g_bu, g_an, g_no) == (ds, bu, an, no)
+            assert g_ui.dtype == ui.dtype and np.array_equal(g_ui, ui)
 
     def test_evaluate_phases_never_regroups(self, monkeypatch):
         def fail(*args):
             raise AssertionError("the SE path built the SINR regrouping")
-        monkeypatch.setattr(perf, "_regroup", fail)
+        monkeypatch.setattr(perf, "sinr_groups", fail)
         sc, rl, plan, state = config_instance("train_small.yaml", 0)
         se, est = evaluate_phases(sc, rl, plan, state.phases, state.a)
         assert se.shape == (sc.K,) and np.isfinite(se).all()
         with pytest.raises(AssertionError, match="regrouping"):
-            sinr_closed_form(sc, compute_stats(rl, state), est, plan, 0).bu
+            perf.sinr_groups(sc, compute_stats(rl, state), est, plan, 0)
 
 
 class TestSpectralEfficiency:

@@ -182,6 +182,24 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             Scenario(a_max=0.5)
 
+    @pytest.mark.parametrize("field", ["rho_u", "sigma2", "a_max", "radius", "P0", "d_H"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_rejected(self, field, value):
+        # NaN passes every ordered comparison as False, so range checks alone miss it
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Scenario(**{field: value})
+        with pytest.raises(ValueError, match="must be finite"):
+            replace(Scenario(), **{field: value})
+
+    def test_non_finite_yaml_value_rejected(self, tmp_path):
+        path = tmp_path / "sc.yaml"
+        path.write_text("M: 4\nrho_u: .nan\n")
+        with pytest.raises(ValueError, match="rho_u must be finite"):
+            load_scenario(str(path))
+        path.write_text("rho_dbm: .inf\n")
+        with pytest.raises(ValueError, match="rho must be finite"):
+            load_scenario(str(path))
+
     def test_n_product(self):
         assert Scenario(N_H=3, N_V=5).N == 15
 
