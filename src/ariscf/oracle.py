@@ -57,7 +57,6 @@ def benchmark_instance():
         scenario=sc,
         ap_positions=np.zeros((sc.M, 2)),
         user_positions=np.zeros((sc.K, 2)),
-        ris_position=np.zeros(2),
         beta=5e-4 * np.array([[2e-8, 1.2e-8], [0.8e-8, 2.5e-8]]),
         alpha=np.array([3e-6, 2e-6]),
         alpha_bar=np.array([4e-4, 3e-4]) / sc.element_area,

@@ -49,8 +49,8 @@ class SacConfig:
             raise ValueError("polyak and discount must lie in (0, 1]")
         for name in ("lr", "entropy_coeff", "batch", "buffer_capacity", "hidden_units",
                      "exploration_noise", "episode_len", "episodes"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 def gaussian_tanh_log_prob(u: np.ndarray, mean: np.ndarray, std_eff: np.ndarray) -> np.ndarray:
@@ -73,7 +73,7 @@ class SacAgent:
     The entropy temperature is folded into the reward (rewards are scaled by
     1/entropy_coeff before storage), so all losses carry a unit entropy
     weight. Exploration noise is the standard deviation of the
-    reparameterization variable epsilon.
+    reparameterization variable epsilon. `q1` and `q2` are the rows of `critics`.
     """
 
     def __init__(self, obs_dim: int, act_dim: int, config: SacConfig, seed: int):
@@ -85,11 +85,11 @@ class SacAgent:
         self.policy = DenseNet(obs_dim, 2 * act_dim, hidden, np.random.default_rng(keys[0]))
         self.q1 = DenseNet(obs_dim + act_dim, 1, hidden, np.random.default_rng(keys[1]))
         self.q2 = DenseNet(obs_dim + act_dim, 1, hidden, np.random.default_rng(keys[2]))
+        self.critics = DenseNet.stack([self.q1, self.q2])
         self.value = DenseNet(obs_dim, 1, hidden, np.random.default_rng(keys[3]))
         self.value_target = self.value.clone()
         self.opt_policy = make_optimizer(self.policy, config.optimizer, config.lr)
-        self.opt_q1 = make_optimizer(self.q1, config.optimizer, config.lr)
-        self.opt_q2 = make_optimizer(self.q2, config.optimizer, config.lr)
+        self.opt_critics = make_optimizer(self.critics, config.optimizer, config.lr)
         self.opt_value = make_optimizer(self.value, config.optimizer, config.lr)
 
     # ---------------- policy ----------------
@@ -100,13 +100,13 @@ class SacAgent:
         log_std = np.clip(log_std_raw, LOG_STD_MIN, LOG_STD_MAX)
         return mean, log_std, log_std_raw, cache
 
-    def policy_sample(self, obs: np.ndarray, eps_hat: np.ndarray):
+    def policy_sample(self, obs: np.ndarray, eps_hat: np.ndarray, stats=None):
         """Reparameterized squashed action for standard-normal draws eps_hat.
 
         epsilon = exploration_noise * eps_hat, u = mean + exp(log_std) * epsilon,
-        action = tanh(u). Returns (action, log_prob, internals).
+        action = tanh(u). Returns (action, log_prob, internals); `stats` reuses policy_stats(obs).
         """
-        mean, log_std, log_std_raw, cache = self.policy_stats(obs)
+        mean, log_std, log_std_raw, cache = self.policy_stats(obs) if stats is None else stats
         std_eff = np.exp(log_std) * self.config.exploration_noise
         u = mean + std_eff * eps_hat
         action = np.tanh(u)
@@ -125,49 +125,37 @@ class SacAgent:
 
     # ---------------- critics ----------------
 
-    def q_values(self, obs: np.ndarray, act: np.ndarray):
-        x = np.concatenate([obs, act], axis=1)
-        q1, c1 = self.q1.forward(x)
-        q2, c2 = self.q2.forward(x)
-        return q1[:, 0], q2[:, 0], c1, c2
-
     def min_q_and_action_grad(self, obs: np.ndarray, act: np.ndarray):
         """min(Q1, Q2) per sample and its gradient w.r.t. the action input."""
-        q1, q2, c1, c2 = self.q_values(obs, act)
-        ones = np.ones((obs.shape[0], 1))
-        _, gx1 = self.q1.backward(c1, ones)
-        _, gx2 = self.q2.backward(c2, ones)
-        take1 = (q1 <= q2)[:, None]
-        grad_act = np.where(take1, gx1[:, self.obs_dim:], gx2[:, self.obs_dim:])
-        return np.minimum(q1, q2), grad_act
+        q, cache = self.critics.forward(np.concatenate([obs, act], axis=1))
+        gx = self.critics.input_grad(cache, np.ones((obs.shape[0], 1)))
+        grad_act = np.where(q[0] <= q[1], gx[0, :, self.obs_dim:], gx[1, :, self.obs_dim:])
+        return np.minimum(q[0, :, 0], q[1, :, 0]), grad_act
 
     # ---------------- losses and updates ----------------
 
-    def value_loss_and_grads(self, obs: np.ndarray, eps_hat: np.ndarray):
+    def value_loss_and_grads(self, obs: np.ndarray, eps_hat: np.ndarray, stats=None):
         """L = 1/2 mean (V(s) - [minQ(s, a~) - log pi(a~|s)])^2 with a~ resampled."""
-        action, log_prob, _ = self.policy_sample(obs, eps_hat)
-        q1, q2, _, _ = self.q_values(obs, action)
-        target = np.minimum(q1, q2) - log_prob
+        action, log_prob, _ = self.policy_sample(obs, eps_hat, stats)
+        q, _ = self.critics.forward(np.concatenate([obs, action], axis=1))
+        target = np.minimum(q[0, :, 0], q[1, :, 0]) - log_prob
         v, cache = self.value.forward(obs)
         delta = v[:, 0] - target
         loss = 0.5 * float(np.mean(delta ** 2))
-        grads, _ = self.value.backward(cache, (delta / delta.size)[:, None])
-        return loss, grads
+        return loss, self.value.backward(cache, (delta / delta.size)[:, None])
 
     def q_loss_and_grads(self, obs, act, rew, next_obs):
-        """Both critics regress on the shared target r + discount * V_target(s')."""
-        target = rew + self.config.discount * self.value_target(next_obs)[:, 0]
-        x = np.concatenate([obs, act], axis=1)
-        out = []
-        for net in (self.q1, self.q2):
-            q, cache = net.forward(x)
-            delta = q[:, 0] - target
-            loss = 0.5 * float(np.mean(delta ** 2))
-            grads, _ = net.backward(cache, (delta / delta.size)[:, None])
-            out.append((loss, grads))
-        return out
+        """Both critics regress on the shared target r + discount * V_target(s').
 
-    def policy_loss_and_grads(self, obs: np.ndarray, eps_hat: np.ndarray):
+        Returns [(loss_1, grad_1), (loss_2, grad_2)]."""
+        target = rew + self.config.discount * self.value_target(next_obs)[:, 0]
+        q, cache = self.critics.forward(np.concatenate([obs, act], axis=1))
+        delta = q[..., 0] - target
+        losses = 0.5 * np.mean(delta ** 2, axis=-1)
+        grads = self.critics.backward(cache, (delta / delta.shape[-1])[..., None])
+        return list(zip(losses.tolist(), grads))
+
+    def policy_loss_and_grads(self, obs: np.ndarray, eps_hat: np.ndarray, stats=None):
         """L = mean(log pi(a~|s) - minQ(s, a~)), gradients through both paths.
 
         Head gradients (t = tanh(u), all per sample and dimension):
@@ -177,7 +165,7 @@ class SacAgent:
           d (-Q) / d log_std   = -(dQ/da) (1 - t^2) (u - mean)
         with the log_std rows masked wherever the clamp is active.
         """
-        action, log_prob, it = self.policy_sample(obs, eps_hat)
+        action, log_prob, it = self.policy_sample(obs, eps_hat, stats)
         q_min, q_act_grad = self.min_q_and_action_grad(obs, action)
         loss = float(np.mean(log_prob - q_min))
 
@@ -189,8 +177,7 @@ class SacAgent:
         active = (it["log_std_raw"] > LOG_STD_MIN) & (it["log_std_raw"] < LOG_STD_MAX)
         g_log_std = (-1.0 + flow * u_centered) / B * active
         grad_out = np.concatenate([g_mean, g_log_std], axis=1)
-        grads, _ = self.policy.backward(it["cache"], grad_out)
-        return loss, grads
+        return loss, self.policy.backward(it["cache"], grad_out)
 
     def update(self, batch, rng: np.random.Generator) -> dict:
         """One gradient step on V, both Q nets, and the policy, plus a Polyak update."""
@@ -198,9 +185,10 @@ class SacAgent:
         eps_v = rng.standard_normal((obs.shape[0], self.act_dim))
         eps_p = rng.standard_normal((obs.shape[0], self.act_dim))
 
-        v_loss, v_grads = self.value_loss_and_grads(obs, eps_v)
+        stats = self.policy_stats(obs)
+        v_loss, v_grads = self.value_loss_and_grads(obs, eps_v, stats)
         (q1_loss, q1_grads), (q2_loss, q2_grads) = self.q_loss_and_grads(obs, act, rew, next_obs)
-        p_loss, p_grads = self.policy_loss_and_grads(obs, eps_p)
+        p_loss, p_grads = self.policy_loss_and_grads(obs, eps_p, stats)
 
         losses = {"value": v_loss, "q1": q1_loss, "q2": q2_loss, "policy": p_loss}
         if not all(np.isfinite(list(losses.values()))):
@@ -209,8 +197,7 @@ class SacAgent:
                             q1=self.q1.params.copy(), q2=self.q2.params.copy())
             raise TrainingDiverged(f"non-finite loss: {losses}", snapshot)
         self.opt_value.step(v_grads)
-        self.opt_q1.step(q1_grads)
-        self.opt_q2.step(q2_grads)
+        self.opt_critics.step(np.stack([q1_grads, q2_grads]))
         self.opt_policy.step(p_grads)
         polyak_update(self.value_target, self.value, self.config.polyak)
         return losses

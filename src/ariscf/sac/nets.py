@@ -18,10 +18,10 @@ class DenseNet:
     All parameters live in one float64 vector `params`, laid out as
     (w0, w1, w2, b0, b1, b2); `weights` and `biases` are reshaped views into
     it (out_features x in_features convention), so optimizers and target
-    updates act on `params` alone. `forward` returns an activation cache that
-    `backward` consumes; per-sample input gradients come back alongside the
-    parameter gradient so losses can differentiate through network inputs
-    (needed for the policy update through the Q action input).
+    updates act on `params` alone; `DenseNet.stack` holds same-shape networks
+    as the rows of an (S, P) `params` and runs them over a leading stack axis.
+    `forward` returns an activation cache that `backward` (parameter gradient)
+    and `input_grad` (per-sample input gradient, for the Q action input) consume.
     """
 
     def __init__(self, in_dim: int, out_dim: int, hidden: int, rng: np.random.Generator):
@@ -33,38 +33,51 @@ class DenseNet:
             bound = np.sqrt(2.0 / w.shape[1])
             w[...] = rng.uniform(-bound, bound, size=w.shape)
 
+    @classmethod
+    def stack(cls, nets: list["DenseNet"]) -> "DenseNet":
+        """One network over the rows of `nets`' stacked params; each net is rebound to its row."""
+        stacked = copy.copy(nets[0])
+        stacked._bind(np.stack([net.params for net in nets]))
+        for net, row in zip(nets, stacked.params):
+            net._bind(row)
+        return stacked
+
     def _bind(self, params: np.ndarray) -> None:
         """Adopt `params` and cut the per-layer views out of it."""
         self.params = params
-        views, i = [], 0
+        lead, views, i = params.shape[:-1], [], 0
         for shape in self._shapes:
             n = math.prod(shape)
-            views.append(params[i:i + n].reshape(shape))
+            views.append(params[..., i:i + n].reshape(lead + shape))
             i += n
         self.weights, self.biases = views[:3], views[3:]
 
     def forward(self, x: np.ndarray):
-        """x: (B, in_dim). Returns (output (B, out_dim), cache)."""
-        h1 = relu(x @ self.weights[0].T + self.biases[0])
-        h2 = relu(h1 @ self.weights[1].T + self.biases[1])
-        out = h2 @ self.weights[2].T + self.biases[2]
+        """x: (B, in_dim). Returns (output (*stack, B, out_dim), cache)."""
+        h1 = relu(x @ self.weights[0].swapaxes(-1, -2) + self.biases[0][..., None, :])
+        h2 = relu(h1 @ self.weights[1].swapaxes(-1, -2) + self.biases[1][..., None, :])
+        out = h2 @ self.weights[2].swapaxes(-1, -2) + self.biases[2][..., None, :]
         return out, (x, h1, h2)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
 
-    def backward(self, cache, grad_out: np.ndarray):
-        """Gradients of sum_b <grad_out[b], out[b]> w.r.t. parameters and inputs.
-
-        Returns (grad, grad_x): grad is laid out like `params`, grad_x holds
-        the per-sample input gradients.
-        """
-        x, h1, h2 = cache
+    def _deltas(self, cache, grad_out: np.ndarray):
+        _, h1, h2 = cache
         d2 = (grad_out @ self.weights[2]) * (h2 > 0)
-        d1 = (d2 @ self.weights[1]) * (h1 > 0)
-        grad = np.concatenate([(d1.T @ x).ravel(), (d2.T @ h1).ravel(), (grad_out.T @ h2).ravel(),
-                               d1.sum(axis=0), d2.sum(axis=0), grad_out.sum(axis=0)])
-        return grad, d1 @ self.weights[0]
+        return (d2 @ self.weights[1]) * (h1 > 0), d2
+
+    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
+        """Gradient of sum_b <grad_out[b], out[b]> w.r.t. the parameters, laid out like `params`."""
+        x, h1, h2 = cache
+        d1, d2 = self._deltas(cache, grad_out)
+        outer = [d.swapaxes(-1, -2) @ a for d, a in ((d1, x), (d2, h1), (grad_out, h2))]
+        return np.concatenate([g.reshape(grad_out.shape[:-2] + (-1,)) for g in outer]
+                              + [d.sum(axis=-2) for d in (d1, d2, grad_out)], axis=-1)
+
+    def input_grad(self, cache, grad_out: np.ndarray) -> np.ndarray:
+        """Per-sample gradients of sum_b <grad_out[b], out[b]> w.r.t. the inputs x."""
+        return self._deltas(cache, grad_out)[0] @ self.weights[0]
 
     def clone(self) -> "DenseNet":
         dup = copy.copy(self)

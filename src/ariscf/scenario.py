@@ -220,7 +220,6 @@ class NetworkRealization:
     scenario: Scenario
     ap_positions: np.ndarray      # (M, 2)
     user_positions: np.ndarray    # (K, 2)
-    ris_position: np.ndarray      # (2,)
     beta: np.ndarray              # (M, K) AP-user gains
     alpha: np.ndarray             # (M,)   AP-RIS gains
     alpha_bar: np.ndarray         # (K,)   RIS-user gains
@@ -266,7 +265,6 @@ def sample_layout(scenario: Scenario, rng_seed: int) -> NetworkRealization:
         scenario=scenario,
         ap_positions=ap_positions,
         user_positions=user_positions,
-        ris_position=ris_position,
         beta=beta,
         alpha=alpha,
         alpha_bar=alpha_bar,

@@ -22,7 +22,6 @@ def synthetic_realization(scenario: Scenario, beta: np.ndarray, alpha: np.ndarra
         scenario=scenario,
         ap_positions=np.zeros((scenario.M, 2)),
         user_positions=np.zeros((scenario.K, 2)),
-        ris_position=np.zeros(2),
         beta=np.asarray(beta, dtype=float),
         alpha=np.asarray(alpha, dtype=float),
         alpha_bar=np.asarray(alpha_bar, dtype=float),

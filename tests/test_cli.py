@@ -9,8 +9,10 @@ import pytest
 
 from ariscf import channel, cli, scenario
 from ariscf.cli import main
+from ariscf.sac.agent import SacConfig
 
 from _instances import count_calls
+from _reference import UnstackedSac, save_unstacked_checkpoint
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -144,6 +146,24 @@ class TestSweep:
                        "--out", str(tmp_path / "s.csv")) == 0
         assert len(loads) == 1
 
+    def test_unstacked_checkpoint_drives_trained_sweep(self, tmp_path, train_config):
+        # a version-1 checkpoint written from four separate networks gives the
+        # same sweep rows as one that `train` writes with the same phases
+        new, old = tmp_path / "new.npz", tmp_path / "old.npz"
+        assert run_cli("train", "--config", train_config, "--episodes", "1", "--steps", "10",
+                       "--out", str(tmp_path / "curve.csv"), "--checkpoint", str(new)) == 0
+        with np.load(new) as ckpt:
+            ref = UnstackedSac(int(ckpt["obs_dim"]), int(ckpt["act_dim"]), SacConfig(), seed=0)
+            save_unstacked_checkpoint(str(old), ref, ckpt["best_phases"], 0.0, 0)
+        rows = []
+        for path in (new, old):
+            out = tmp_path / f"{path.stem}.csv"
+            assert run_cli("sweep", "--config", train_config, "--param", "rho", "--values",
+                           "0.1,0.2", "--seeds", "0,1", "--phases", f"trained:{path}",
+                           "--out", str(out)) == 0
+            rows.append([l for l in out.read_text().splitlines() if not l.startswith("#")])
+        assert len(rows[0]) == 5 and rows[0] == rows[1]
+
 
 class TestSweepTrends:
     def _column(self, path, name):
@@ -271,11 +291,13 @@ class TestUsageErrors:
         ["train", "--config", "{train}", "--episodes", "0", "--steps", "-5"],
         ["train", "--config", "{train}", "--episodes", "0", "--lr", "-1"],
         ["sweep", "--config", "{small}", "--param", "rho_u", "--values", "nan"],
+        ["train", "--config", "{train}", "--episodes", "1", "--steps", "100", "--lr", "nan"],
+        ["train", "--config", "{train}", "--episodes", "1", "--steps", "100", "--lr", "inf"],
     ], ids=["seeds-x", "trained-missing", "trials-0", "trials-negative", "steps-0",
             "episodes-negative", "lr-negative", "n_h-0", "tau_p-above-tau_c",
             "bad-value-after-good", "validate-seed-negative", "train-seed-negative",
             "sweep-seed-negative", "jobs-0", "jobs-negative", "baseline-steps-negative",
-            "baseline-lr-negative", "value-nan"])
+            "baseline-lr-negative", "value-nan", "lr-nan", "lr-inf"])
     def test_bad_input_exits_usage(self, argv, tmp_path, small_config, train_config, capsys):
         paths = {"small": small_config, "train": train_config,
                  "default": os.path.join(CONFIG_DIR, "default.yaml"),

@@ -16,6 +16,8 @@ from ariscf.sac.buffer import ReplayBuffer
 from ariscf.sac.env import action_to_phases
 from ariscf.sac.nets import DenseNet, relu
 
+from _reference import UnstackedSac
+
 FD_STEP = 1e-5
 FD_TOL = 1e-4
 
@@ -106,7 +108,7 @@ class TestDenseNet:
         net = DenseNet(3, 2, 5, np.random.default_rng(2))
         x = np.random.default_rng(3).standard_normal((4, 3)) + 0.3
         out, cache = net.forward(x)
-        ana, _ = net.backward(cache, np.ones_like(out))
+        ana = net.backward(cache, np.ones_like(out))
         fd = fd_grad(net, lambda: float(net(x).sum()))
         assert np.linalg.norm(ana - fd) / np.linalg.norm(fd) < FD_TOL
 
@@ -185,21 +187,81 @@ class TestPolicySampling:
         assert after > before
 
 
+def count_method_calls(monkeypatch, name: str) -> list:
+    """Wrap DenseNet.<name>; the returned list gets the network of each call."""
+    real = getattr(DenseNet, name)
+    calls = []
+
+    def counted(net, *args):
+        calls.append(net)
+        return real(net, *args)
+
+    monkeypatch.setattr(DenseNet, name, counted)
+    return calls
+
+
 class TestUpdate:
-    def test_six_backward_passes_per_update(self, monkeypatch):
-        # value 1, two critics 1 each, policy 1 plus the two critic action gradients
+    def test_four_backward_passes_per_update(self, monkeypatch):
+        # value 1, the critic pair 1 parameter gradient and 1 action gradient, policy 1
         agent, (obs, act, rew, nxt, eps) = smooth_agent_and_batch(seed=11)
-        real = DenseNet.backward
-        calls = []
-
-        def counted(net, cache, grad_out):
-            calls.append(net)
-            return real(net, cache, grad_out)
-
-        monkeypatch.setattr(DenseNet, "backward", counted)
+        grads = count_method_calls(monkeypatch, "backward")
+        input_grads = count_method_calls(monkeypatch, "input_grad")
         agent.update((obs, act, rew, nxt), np.random.default_rng(0))
-        assert len(calls) == 6
-        assert sum(net is agent.value for net in calls) == 1
+        assert len(grads) + len(input_grads) == 4
+        assert sum(net is agent.value for net in grads) == 1
+        assert grads == [agent.value, agent.critics, agent.policy]
+        assert input_grads == [agent.critics]
+
+    def test_six_forward_passes_per_update(self, monkeypatch):
+        # policy 1 (shared by the value and policy losses), value 1, value target 1,
+        # and the critic pair once per loss
+        agent, (obs, act, rew, nxt, eps) = smooth_agent_and_batch(seed=11)
+        forwards = count_method_calls(monkeypatch, "forward")
+        agent.update((obs, act, rew, nxt), np.random.default_rng(0))
+        assert len(forwards) == 6
+        assert [net is agent.critics for net in forwards].count(True) == 3
+        assert sum(net is agent.policy for net in forwards) == 1
+
+
+class TestStackedCritics:
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_update_bytes_match_unstacked_reference(self, optimizer):
+        # train_small's sizes: obs N + M K = 28, act N = 16, batch 64, 64 hidden units
+        cfg = SacConfig(optimizer=optimizer)
+        agent, ref = SacAgent(28, 16, cfg, seed=5), UnstackedSac(28, 16, cfg, seed=5)
+        data, rng_agent, rng_ref = (np.random.default_rng(s) for s in (9, 3, 3))
+        for _ in range(50):
+            batch = (data.standard_normal((64, 28)), np.tanh(data.standard_normal((64, 16))),
+                     data.standard_normal(64), data.standard_normal((64, 28)))
+            assert agent.update(batch, rng_agent) == ref.update(batch, rng_ref)
+        for name in ("policy", "q1", "q2", "value", "value_target"):
+            assert (getattr(agent, name).params == getattr(ref, name).params).all(), name
+
+    def test_q_nets_are_rows_of_the_stack(self):
+        agent = SacAgent(5, 3, SacConfig(hidden_units=6), seed=0)
+        x = np.random.default_rng(0).standard_normal((4, 8))
+        before = agent.critics(x)
+        assert before.shape == (2, 4, 1)
+        assert (before[0] == agent.q1(x)).all() and (before[1] == agent.q2(x)).all()
+        agent.q1.params[...] = 0.0
+        after = agent.critics(x)
+        assert (before[0] != 0).all() and (after[0] == 0).all()
+        assert (after[1] == before[1]).all()
+
+    def test_input_grad_matches_fd(self):
+        agent, (obs, act, *_rest) = smooth_agent_and_batch(seed=12)
+        x = np.concatenate([obs, act], axis=1)
+        _, cache = agent.critics.forward(x)
+        ana = agent.critics.input_grad(cache, np.ones((x.shape[0], 1)))
+        for row, net in enumerate((agent.q1, agent.q2)):
+            fd = np.zeros_like(x)
+            for idx in np.ndindex(*x.shape):
+                for sign in (+1, -1):
+                    x2 = x.copy()
+                    x2[idx] += sign * FD_STEP
+                    fd[idx] += sign * net(x2)[idx[0], 0]
+            fd /= 2 * FD_STEP
+            assert np.linalg.norm(ana[row] - fd) / np.linalg.norm(fd) < FD_TOL
 
 
 class TestLossDefinitions:
@@ -328,3 +390,7 @@ class TestConfig:
             SacConfig(discount=1.5)
         with pytest.raises(ValueError):
             SacConfig(batch=0)
+        for name in ("lr", "entropy_coeff", "exploration_noise"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError):
+                    SacConfig(**{name: value})

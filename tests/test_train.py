@@ -8,11 +8,20 @@ from ariscf import channel
 from ariscf.estimation import assign_pilots
 from ariscf.perf import evaluate_phases
 from ariscf.ris import amplitude_gain
-from ariscf.sac.agent import SacConfig, TrainingDiverged, load_checkpoint, save_checkpoint, train
+from ariscf.sac.agent import (
+    SacAgent,
+    SacConfig,
+    TrainingDiverged,
+    TrainResult,
+    load_checkpoint,
+    save_checkpoint,
+    train,
+)
 from ariscf.sac.env import RisEnv
 from ariscf.scenario import Scenario, sample_layout
 
 from _instances import count_calls
+from _reference import UnstackedSac, save_unstacked_checkpoint
 
 
 def small_env(seed=123, **scenario_kw):
@@ -110,3 +119,28 @@ class TestCheckpoint:
         assert_allclose(loaded["best_phases"], res.best_phases)
         assert_allclose(loaded["weights"]["policy_w0"], res.agent.policy.weights[0])
         assert loaded["obs_dim"] == env.obs_dim
+
+    def test_layout_matches_unstacked_writer(self, tmp_path):
+        # same keys, shapes, dtypes and values as a version-1 checkpoint
+        # written from four separate networks
+        *_, env = small_env()
+        cfg = SacConfig(batch=8)
+        agent = SacAgent(env.obs_dim, env.act_dim, cfg, seed=3)
+        ref = UnstackedSac(env.obs_dim, env.act_dim, cfg, seed=3)
+        data, rng_agent, rng_ref = (np.random.default_rng(s) for s in (0, 1, 1))
+        for _ in range(5):
+            batch = (data.standard_normal((8, env.obs_dim)), data.uniform(-1, 1, (8, env.act_dim)),
+                     data.standard_normal(8), data.standard_normal((8, env.obs_dim)))
+            agent.update(batch, rng_agent)
+            ref.update(batch, rng_ref)
+        phases = data.uniform(0, 2 * np.pi, env.act_dim)
+        new, old = tmp_path / "new.npz", tmp_path / "old.npz"
+        save_checkpoint(str(new), TrainResult(episode_rewards=[], best_phases=phases,
+                                              best_sum_se=0.5, agent=agent, config=cfg,
+                                              master_seed=3))
+        save_unstacked_checkpoint(str(old), ref, phases, 0.5, 3)
+        with np.load(new) as a, np.load(old) as b:
+            assert a.files == b.files
+            for key in a.files:
+                assert a[key].shape == b[key].shape and a[key].dtype == b[key].dtype, key
+                assert (a[key] == b[key]).all(), key
