@@ -22,7 +22,7 @@ from .perf import (
     SinrBreakdown,
     energy_efficiency,
     evaluate_phases,
-    sinr_closed_form,
+    sinr_all,
     sinr_groups,
 )
 

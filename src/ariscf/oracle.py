@@ -15,7 +15,7 @@ from .channel import (
     fourth_moment,
 )
 from .estimation import EstimationStats, PilotPlan, compute_estimation_stats
-from .perf import sinr_closed_form, sinr_groups
+from .perf import sinr_all, sinr_groups
 from .ris import RisState, aris_output_power
 from .scenario import NetworkRealization
 
@@ -439,15 +439,15 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
         scalar_row("corollary1", (est.c[0, 0] * est.c[1, 0] * stats.t2
                                   * stats.xi_scale[0, 0] * float(stats.xi_scale[1, coset].sum())))
 
-    br = sinr_closed_form(sc, stats, est, plan, 0)
+    br = sinr_all(sc, stats, est, plan)
     bu, ui, _, _ = sinr_groups(sc, stats, est, plan, 0)
     emp = sinr.result(sc.rho_u)
-    rows.append(row("sinr_ds", emp.ds, br.ds, emp.stderr["ds"]))
+    rows.append(row("sinr_ds", emp.ds, br.ds[0], emp.stderr["ds"]))
     rows.append(row("sinr_bu", emp.bu, bu, emp.stderr["bu"]))
     rows.extend(row(f"sinr_ui[{kp}]", emp.ui[kp], ui[kp], emp.stderr["ui"][kp])
                 for kp in range(1, K))
     rows.append(row("sinr_an_exact", emp.an, exact_active_noise_power(stats, est, plan, 0),
                     emp.stderr["an"]))
     rows.append(row("sinr_no_exact", emp.no, exact_ap_noise_power(sc, est, 0), emp.stderr["no"]))
-    rows.append(row("sinr_total", emp.sinr, br.sinr, 0.0))
+    rows.append(row("sinr_total", emp.sinr, br.sinr[0], 0.0))
     return rows

@@ -87,7 +87,7 @@ class Scenario:
             raise ValueError("M, K, N_H, N_V must all be >= 1")
         if self.tau_p < 1 or self.tau_p > self.tau_c:
             raise ValueError("need 1 <= tau_p <= tau_c")
-        for name in POWER_FIELDS:
+        for name in POWER_FIELDS + ("Pbt",):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if not 0 < self.xi <= 1:

@@ -13,7 +13,7 @@ import numpy as np
 from ariscf import oracle
 from ariscf.channel import compute_stats
 from ariscf.estimation import assign_pilots, compute_estimation_stats
-from ariscf.perf import evaluate_phases, sinr_closed_form
+from ariscf.perf import evaluate_phases, sinr_all
 from ariscf.ris import RisState, amplitude_gain, aris_power_consumption, unclamped_amplitude_gain
 from ariscf.sac.agent import SacConfig, train
 from ariscf.sac.env import RisEnv
@@ -90,7 +90,7 @@ def test_criterion_3_sinr_oracle_equivalence():
         plan = assign_pilots(sc.K, sc.tau_p)
         stats = compute_stats(rl, state)
         est = compute_estimation_stats(sc, stats, plan)
-        closed = sinr_closed_form(sc, stats, est, plan, 0).sinr
+        closed = sinr_all(sc, stats, est, plan).sinr[0]
         emp = empirical_sinr(rl, state, plan, 1_000_000, master_seed=31).sinr
         rel = abs(emp - closed) / closed
         details.append(f"{label}:{rel:.4f}")

@@ -293,11 +293,12 @@ class TestUsageErrors:
         ["sweep", "--config", "{small}", "--param", "rho_u", "--values", "nan"],
         ["train", "--config", "{train}", "--episodes", "1", "--steps", "100", "--lr", "nan"],
         ["train", "--config", "{train}", "--episodes", "1", "--steps", "100", "--lr", "inf"],
+        ["sweep", "--config", "{default}", "--param", "Pbt", "--values=-1e-3", "--seeds", "0"],
     ], ids=["seeds-x", "trained-missing", "trials-0", "trials-negative", "steps-0",
             "episodes-negative", "lr-negative", "n_h-0", "tau_p-above-tau_c",
             "bad-value-after-good", "validate-seed-negative", "train-seed-negative",
             "sweep-seed-negative", "jobs-0", "jobs-negative", "baseline-steps-negative",
-            "baseline-lr-negative", "value-nan", "lr-nan", "lr-inf"])
+            "baseline-lr-negative", "value-nan", "lr-nan", "lr-inf", "pbt-negative"])
     def test_bad_input_exits_usage(self, argv, tmp_path, small_config, train_config, capsys):
         paths = {"small": small_config, "train": train_config,
                  "default": os.path.join(CONFIG_DIR, "default.yaml"),
@@ -307,6 +308,17 @@ class TestUsageErrors:
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not out.exists()
+
+    def test_negative_pbt_in_config_exits_usage(self, tmp_path, capsys):
+        config = tmp_path / "neg_pbt.yaml"
+        config.write_text("M: 2\nK: 2\nN_H: 2\nN_V: 2\nPbt: -1.0e-3\n")
+        out = tmp_path / "out.csv"
+        code = run_cli("sweep", "--config", str(config), "--param", "rho", "--values", "0.1",
+                       "--seeds", "0", "--out", str(out))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ") and "Pbt must be >= 0" in err[0], err
         assert not out.exists()
 
 

@@ -12,11 +12,11 @@ from numpy.testing import assert_allclose
 from ariscf import perf
 from ariscf.channel import compute_stats
 from ariscf.estimation import assign_pilots, compute_estimation_stats
-from ariscf.perf import energy_efficiency, evaluate_phases, sinr_closed_form, sinr_groups
+from ariscf.perf import energy_efficiency, evaluate_phases, sinr_all, sinr_groups
 from ariscf.ris import RisState, amplitude_gain, aris_power_consumption
 from ariscf.scenario import Scenario, load_scenario, sample_layout
 
-from _instances import cascade_instance, synthetic_realization
+from _instances import cascade_instance, count_calls, synthetic_realization
 from _reference import dense_xi
 
 I2_TERM_NAMES = (
@@ -25,12 +25,18 @@ I2_TERM_NAMES = (
 )
 
 
+def user_column(br, k):
+    """User k's scalars of a batched `sinr_all` result."""
+    return SimpleNamespace(i1=br.i1[k], i2_terms={name: v[k] for name, v in br.i2_terms.items()},
+                           i3=br.i3[k], ds=br.ds[k], i2=br.i2[k], sinr=br.sinr[k])
+
+
 def breakdown(sc, rl, phases, a, tau_p, k=0):
     state = RisState(phases=phases, a=a)
     stats = compute_stats(rl, state)
     plan = assign_pilots(sc.K, tau_p)
     est = compute_estimation_stats(sc, stats, plan)
-    return sinr_closed_form(sc, stats, est, plan, k), stats, est, plan
+    return user_column(sinr_all(sc, stats, est, plan), k), stats, est, plan
 
 
 class TestSinrBreakdown:
@@ -115,7 +121,7 @@ class TestLiteralAssembly:
         plan = assign_pilots(K, tau_p)
         est = compute_estimation_stats(sc, stats, plan)
         k = 1
-        br = sinr_closed_form(sc, stats, est, plan, k)
+        br = user_column(sinr_all(sc, stats, est, plan), k)
 
         xi = [[dense_xi(stats, m, j) for j in range(K)] for m in range(M)]
         tr_xi_xi = lambda m, j, m2, j2: np.trace(xi[m][j] @ xi[m2][j2]).real
@@ -159,9 +165,9 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def eager_breakdown(scenario, stats, est_stats, plan, k):
-    """The SINR terms and groups as `sinr_closed_form` once built them eagerly
-    in one pass, transcribed verbatim: (i1, i2_terms, i3, sinr, ds, bu, ui,
-    an, no)."""
+    """The SINR terms and groups as the one-user `sinr_closed_form` once built
+    them eagerly in one pass, transcribed verbatim: (i1, i2_terms, i3, sinr,
+    ds, bu, ui, an, no)."""
     sc = scenario
     K = stats.K
     c = est_stats.c[:, k]
@@ -219,14 +225,18 @@ def eager_breakdown(scenario, stats, est_stats, plan, k):
     return i1, terms, i3, sinr, i1 ** 2, bu, ui, an, no
 
 
-def config_instance(name, seed, **overrides):
-    """Shipped config at its budget amplitude and random phases, as a sweep point sees it."""
+def config_instance(name, seed, phases="random", **overrides):
+    """Shipped config at its budget amplitude and random (or equal) phases, as a
+    sweep point sees it."""
     sc = replace(load_scenario(os.path.join(CONFIG_DIR, name)), **overrides)
     rl = sample_layout(sc, seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         a = amplitude_gain(sc, rl.alpha_bar)
-    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, sc.N)
+    if phases == "equal":
+        phases = np.zeros(sc.N)
+    else:
+        phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, sc.N)
     return sc, rl, assign_pilots(sc.K, sc.tau_p), RisState(phases=phases, a=a)
 
 
@@ -240,8 +250,9 @@ class TestLazyRegrouping:
         sc, rl, plan, state = config_instance(name, seed, **overrides)
         stats = compute_stats(rl, state)
         est = compute_estimation_stats(sc, stats, plan)
+        batched = sinr_all(sc, stats, est, plan)
         for k in range(sc.K):
-            br = sinr_closed_form(sc, stats, est, plan, k)
+            br = user_column(batched, k)
             g_bu, g_ui, g_an, g_no = sinr_groups(sc, stats, est, plan, k)
             i1, terms, i3, sinr, ds, bu, ui, an, no = eager_breakdown(sc, stats, est, plan, k)
             assert (br.i1, br.i3, br.sinr) == (i1, i3, sinr)
@@ -253,11 +264,52 @@ class TestLazyRegrouping:
         def fail(*args):
             raise AssertionError("the SE path built the SINR regrouping")
         monkeypatch.setattr(perf, "sinr_groups", fail)
+        kernel_calls = count_calls(monkeypatch, perf, "sinr_all")
         sc, rl, plan, state = config_instance("train_small.yaml", 0)
         se, est = evaluate_phases(sc, rl, plan, state.phases, state.a)
         assert se.shape == (sc.K,) and np.isfinite(se).all()
+        assert len(kernel_calls) == 1
         with pytest.raises(AssertionError, match="regrouping"):
             perf.sinr_groups(sc, compute_stats(rl, state), est, plan, 0)
+
+
+class TestVectorizedSinr:
+    @pytest.mark.parametrize("name,seed,phases,overrides", [
+        ("default.yaml", 0, "equal", {}), ("default.yaml", 1, "equal", {}),
+        ("default.yaml", 2, "equal", {}), ("default.yaml", 0, "random", {}),
+        ("default.yaml", 1, "random", {}), ("default.yaml", 2, "random", {}),
+        ("train_small.yaml", 0, "random", {}),
+        ("default.yaml", 3, "random", {"tau_p": 5}),   # cosets of three users
+        ("default.yaml", 3, "random", {"tau_p": 4}),   # cosets of four and three users
+        ("default.yaml", 3, "random", {"tau_p": 1}),   # one coset of 15: summed column by column
+        ("default.yaml", 0, "random", {"N_H": 24, "N_V": 24}),  # perfbench's wide_ris.yaml
+    ], ids=["default-equal-0", "default-equal-1", "default-equal-2", "default-random-0",
+            "default-random-1", "default-random-2", "train-small", "default-tau5",
+            "default-tau4", "default-tau1", "wide-ris"])
+    def test_bytes_match_per_user_transcription(self, name, seed, phases, overrides):
+        # every user's terms equal the one-user formula to the bit, not to round-off
+        sc, rl, plan, state = config_instance(name, seed, phases, **overrides)
+        stats = compute_stats(rl, state)
+        est = compute_estimation_stats(sc, stats, plan)
+        br = sinr_all(sc, stats, est, plan)
+        assert br.sinr.shape == (sc.K,)
+        for k in range(sc.K):
+            i1, terms, i3, sinr, ds, *_ = eager_breakdown(sc, stats, est, plan, k)
+            assert br.i1[k] == i1, k
+            for term in I2_TERM_NAMES:
+                assert br.i2_terms[term][k] == terms[term], (k, term)
+            assert br.i3[k] == i3, k
+            assert br.ds[k] == ds, k
+            assert br.sinr[k] == sinr, k
+
+    def test_ds_squares_like_python_float(self):
+        # float ** 2 (libm pow) and numpy's x * x differ in about 0.1% of values,
+        # too rarely for the instances above to see it
+        x = np.random.default_rng(0).uniform(0.0, 1e-3, 20_000)
+        differ = x[np.array([v ** 2 for v in x.tolist()]) != x * x]
+        assert differ.size > 0
+        br = perf.SinrBreakdown(i1=differ, i2_terms={}, i3=np.ones_like(differ))
+        assert br.ds.tolist() == [v ** 2 for v in differ.tolist()]
 
 
 class TestSpectralEfficiency:
@@ -265,8 +317,8 @@ class TestSpectralEfficiency:
     def se_at_sinrs(monkeypatch, sinrs, prelog=False, **scenario_kw):
         """evaluate_phases with user k's closed-form SINR replaced by sinrs[k]."""
         sc = Scenario(**{"M": 2, "K": len(sinrs), "N_H": 2, "N_V": 2, "tau_p": 1, **scenario_kw})
-        monkeypatch.setattr(perf, "sinr_closed_form",
-                            lambda scenario, stats, est, plan, k: SimpleNamespace(sinr=sinrs[k]))
+        monkeypatch.setattr(perf, "sinr_all",
+                            lambda scenario, stats, est, plan: SimpleNamespace(sinr=np.array(sinrs)))
         se, _ = evaluate_phases(sc, sample_layout(sc, 0), assign_pilots(sc.K, sc.tau_p),
                                 np.zeros(sc.N), 1.0, prelog)
         return se
@@ -290,7 +342,7 @@ class TestSpectralEfficiency:
         est = compute_estimation_stats(sc, stats, plan)
         se, _ = evaluate_phases(sc, rl, plan, state.phases, state.a)
         assert se.sum() == pytest.approx(
-            np.log2(1.0 + sinr_closed_form(sc, stats, est, plan, 0).sinr))
+            np.log2(1.0 + sinr_all(sc, stats, est, plan).sinr[0]))
 
     @pytest.mark.parametrize("prelog", [False, True])
     def test_per_user_se_is_log2_of_closed_form_sinr(self, prelog):
@@ -304,8 +356,8 @@ class TestSpectralEfficiency:
         assert_allclose(est.gamma, est_ref.gamma, rtol=0)
         assert_allclose(est.nmse, est_ref.nmse, rtol=0)
         factor = 1.0 - sc.tau_p / sc.tau_c if prelog else 1.0
-        expected = [factor * np.log2(1.0 + sinr_closed_form(sc, stats, est_ref, plan, k).sinr)
-                    for k in range(sc.K)]
+        sinr = sinr_all(sc, stats, est_ref, plan).sinr
+        expected = [factor * np.log2(1.0 + sinr[k]) for k in range(sc.K)]
         assert se.shape == (sc.K,)
         assert_allclose(se, expected, rtol=1e-12)
 

@@ -182,6 +182,16 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             Scenario(a_max=0.5)
 
+    def test_negative_pbt_rejected(self, tmp_path):
+        # Pbt (W per bit/s) is no power field, so the power-field check missed it
+        with pytest.raises(ValueError, match="Pbt must be >= 0"):
+            Scenario(Pbt=-1e-3)
+        path = tmp_path / "sc.yaml"
+        path.write_text("Pbt: -1.0e-3\n")
+        with pytest.raises(ValueError, match="Pbt must be >= 0"):
+            load_scenario(str(path))
+        assert Scenario(Pbt=0.0).Pbt == 0.0
+
     @pytest.mark.parametrize("field", ["rho_u", "sigma2", "a_max", "radius", "P0", "d_H"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_float_rejected(self, field, value):
