@@ -4,6 +4,7 @@ from .scenario import (
     NetworkRealization,
     Scenario,
     build_correlation_matrix,
+    build_correlation_square,
     dbm_to_watt,
     large_scale_gain,
     load_scenario,

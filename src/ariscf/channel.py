@@ -89,11 +89,20 @@ def compute_stats(realization: NetworkRealization, ris_state: RisState) -> Secon
     area = sc.element_area
     a = ris_state.a
 
+    R = realization.R
     phasor = ris_state.phasor
-    modulated = (phasor[:, None] * np.conj(phasor)[None, :]) * realization.R
+    modulated = (phasor[:, None] * np.conj(phasor)[None, :]) * R
     # t3 before W: its (N, N) temporaries are freed before W's are made
-    t3 = _real_trace(np.sum(modulated * (realization.R @ realization.R).T))
-    W = modulated @ realization.R
+    t3 = _real_trace(np.sum(modulated * realization.R2.T))
+    # W = (P o R) R as two real GEMMs: a complex one would run on an upcast
+    # copy of R. `modulated` is dropped before W exists, so at most 2.5
+    # complex N x N arrays are alive at once.
+    real, imag = modulated.real.copy(), modulated.imag.copy()
+    del modulated
+    W = np.empty(R.shape, dtype=complex)
+    W.real = real @ R
+    W.imag = imag @ R
+    del real, imag
     t1 = _real_trace(np.trace(W))
     t2 = _real_trace(np.sum(W * W.T))
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -56,6 +57,14 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _check_out_dir(path: str | None, flag: str) -> None:
+    """Refuse an output path whose directory is missing before any work is done."""
+    if path:
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            raise UsageError(f"{flag} {path!r}: directory {parent!r} does not exist")
+
+
 def _check_seed(seed: int, flag: str = "--seed") -> None:
     """Layout and oracle streams are keyed by non-negative integers only."""
     if seed < 0:
@@ -82,6 +91,7 @@ def cmd_validate(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
     _check_seed(args.seed)
+    _check_out_dir(args.out, "--out")
     if args.config is None:
         # built-in synthetic benchmark: conditioning guaranteed by construction
         realization, state, plan = oracle.benchmark_instance()
@@ -161,6 +171,7 @@ def _sweep_point(payload):
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    _check_out_dir(args.out, "--out")
     scenario = _load_or_default(args.config)
     valid = {f.name for f in fields(Scenario)}
     if args.param not in valid:
@@ -213,6 +224,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_train(args) -> int:
     _check_seed(args.seed)
+    _check_out_dir(args.out, "--out")
+    _check_out_dir(args.checkpoint, "--checkpoint")
     scenario = _load_or_default(args.config)
     overrides = {}
     if args.episodes:  # 0 = baseline only: keep the default, still check the other options

@@ -197,6 +197,25 @@ def _correlation_matrix(N_H, N_V, d_H, d_V, wavelength, indexing):
     return R
 
 
+def build_correlation_square(N_H: int, N_V: int, d_H: float, d_V: float,
+                             wavelength: float, indexing: str = "paper") -> np.ndarray:
+    """R @ R for the geometry of `build_correlation_matrix`, the factor of
+    t3 = tr((P o R) R^2) in `channel.compute_stats`.
+
+    Cached and read-only like R: the last geometry's square is kept, so a
+    sweep computes it once per geometry, not once per seed or phase vector.
+    """
+    return _correlation_square(N_H, N_V, d_H, d_V, wavelength, indexing)
+
+
+@lru_cache(maxsize=1)
+def _correlation_square(N_H, N_V, d_H, d_V, wavelength, indexing):
+    R = _correlation_matrix(N_H, N_V, d_H, d_V, wavelength, indexing)
+    R2 = R @ R
+    R2.flags.writeable = False
+    return R2
+
+
 def large_scale_gain(distance_m: float, exponent: float) -> float:
     """Power-law gain 1e-3 * d^(-exponent); distances below 1 m are clamped."""
     d = np.maximum(distance_m, MIN_DISTANCE)
@@ -224,6 +243,7 @@ class NetworkRealization:
     alpha: np.ndarray             # (M,)   AP-RIS gains
     alpha_bar: np.ndarray         # (K,)   RIS-user gains
     R: np.ndarray                 # (N, N) base correlation matrix
+    R2: np.ndarray                # (N, N) R @ R, shared per geometry like R
 
     @cached_property
     def R_factor(self) -> np.ndarray:
@@ -258,9 +278,8 @@ def sample_layout(scenario: Scenario, rng_seed: int) -> NetworkRealization:
     alpha = large_scale_gain(d_m, scenario.alpha1_exp)
     alpha_bar = large_scale_gain(d_k, scenario.alpha2_exp)
 
-    R = build_correlation_matrix(scenario.N_H, scenario.N_V, scenario.d_H,
-                                 scenario.d_V, scenario.wavelength,
-                                 scenario.grid_indexing)
+    geometry = (scenario.N_H, scenario.N_V, scenario.d_H, scenario.d_V,
+                scenario.wavelength, scenario.grid_indexing)
     return NetworkRealization(
         scenario=scenario,
         ap_positions=ap_positions,
@@ -268,5 +287,6 @@ def sample_layout(scenario: Scenario, rng_seed: int) -> NetworkRealization:
         beta=beta,
         alpha=alpha,
         alpha_bar=alpha_bar,
-        R=R,
+        R=build_correlation_matrix(*geometry),
+        R2=build_correlation_square(*geometry),
     )

@@ -1,23 +1,29 @@
-"""Shared test instances with hand-controlled large-scale gains, oracle block
-draws and the empirical SINR built from them, and a call counter for package
-functions."""
+"""Shared test instances with hand-controlled large-scale gains, shipped-config
+instances, oracle block draws and the empirical SINR built from them, and a
+call counter for package functions."""
 
+import os
 import sys
-from dataclasses import fields
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 
 from ariscf import oracle
 from ariscf.channel import compute_stats
-from ariscf.estimation import compute_estimation_stats
-from ariscf.scenario import NetworkRealization, Scenario, build_correlation_matrix
+from ariscf.estimation import assign_pilots, compute_estimation_stats
+from ariscf.ris import RisState, amplitude_gain
+from ariscf.scenario import (NetworkRealization, Scenario, build_correlation_matrix,
+                             build_correlation_square, load_scenario, sample_layout)
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def synthetic_realization(scenario: Scenario, beta: np.ndarray, alpha: np.ndarray,
                           alpha_bar: np.ndarray) -> NetworkRealization:
     """Realization with prescribed gains; the positions are placeholders."""
-    R = build_correlation_matrix(scenario.N_H, scenario.N_V, scenario.d_H,
-                                 scenario.d_V, scenario.wavelength, scenario.grid_indexing)
+    geometry = (scenario.N_H, scenario.N_V, scenario.d_H, scenario.d_V,
+                scenario.wavelength, scenario.grid_indexing)
     return NetworkRealization(
         scenario=scenario,
         ap_positions=np.zeros((scenario.M, 2)),
@@ -25,7 +31,8 @@ def synthetic_realization(scenario: Scenario, beta: np.ndarray, alpha: np.ndarra
         beta=np.asarray(beta, dtype=float),
         alpha=np.asarray(alpha, dtype=float),
         alpha_bar=np.asarray(alpha_bar, dtype=float),
-        R=R,
+        R=build_correlation_matrix(*geometry),
+        R2=build_correlation_square(*geometry),
     )
 
 
@@ -57,6 +64,21 @@ def moment_instance(tau_p: int = 1, phases_seed: int | None = None):
     sc, rl, phases = cascade_instance(tau_p=tau_p, a=4.0, rho_u=5.0,
                                       beta_scale=5e-4, phases_seed=phases_seed)
     return sc, rl, phases
+
+
+def config_instance(name, seed, phases="random", **overrides):
+    """Shipped config at its budget amplitude and random (or equal) phases, as a
+    sweep point sees it."""
+    sc = replace(load_scenario(os.path.join(CONFIG_DIR, name)), **overrides)
+    rl = sample_layout(sc, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        a = amplitude_gain(sc, rl.alpha_bar)
+    if phases == "equal":
+        phases = np.zeros(sc.N)
+    else:
+        phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, sc.N)
+    return sc, rl, assign_pilots(sc.K, sc.tau_p), RisState(phases=phases, a=a)
 
 
 def draw_trials(realization: NetworkRealization, ris_state, plan, n_trials: int,

@@ -1,13 +1,15 @@
 """Dense, test-only transcriptions of quantities the package keeps in
 factored form: the reflection matrix, the per-user RIS covariance, the
-Xi_{m,k} matrices and the main-text active-noise moment; and the SAC update
-with unstacked twin critics, the reference for the stacked one."""
+Xi_{m,k} matrices and the main-text active-noise moment; the second-order
+statistics as computed before the real-GEMM traces; and the SAC update with
+unstacked twin critics, the reference for the stacked one."""
 
 import json
 from dataclasses import asdict
 
 import numpy as np
 
+from ariscf.channel import _real_trace
 from ariscf.sac.agent import LOG_STD_MAX, LOG_STD_MIN, gaussian_tanh_log_prob, polyak_update
 from ariscf.sac.nets import DenseNet, make_optimizer, relu
 
@@ -53,6 +55,31 @@ def active_noise_moment_main_text(stats, m: int, k: int) -> float:
     tr_rbark = np.trace(R_bar_k(rl, k))
     return float(sc.N * sc.sigma2_bar * a ** 2 * rl.beta[m, k] * tr_rm
                  + sc.N ** 2 * sc.sigma2_bar * a ** 4 * (tr_rm2 + tr_rm ** 2) * tr_rbark)
+
+
+# ---------------- compute_stats before the real-GEMM traces ----------------
+
+def complex_gemm_stats(realization, ris_state):
+    """(t1, t2, t3, kappa, alpha_an) as `compute_stats` once formed them,
+    transcribed verbatim: W by a complex GEMM on an upcast R, and R @ R
+    recomputed on every call."""
+    sc = realization.scenario
+    area = sc.element_area
+    a = ris_state.a
+
+    phasor = ris_state.phasor
+    modulated = (phasor[:, None] * np.conj(phasor)[None, :]) * realization.R
+    t3 = _real_trace(np.sum(modulated * (realization.R @ realization.R).T))
+    W = modulated @ realization.R
+    t1 = _real_trace(np.trace(W))
+    t2 = _real_trace(np.sum(W * W.T))
+
+    xi_scale = (a * a * area * area) * np.outer(realization.alpha, realization.alpha_bar)
+    kappa = realization.beta + xi_scale * t1
+    tr_rm = realization.alpha * area * sc.N
+    wishart = (a ** 4) * (area ** 3) * np.outer(realization.alpha ** 2, realization.alpha_bar) * (t3 + sc.N * t1)
+    alpha_an = sc.sigma2_bar * ((a * a) * realization.beta * tr_rm[:, None] + wishart)
+    return t1, t2, t3, kappa, alpha_an
 
 
 # ---------------- SAC before the twin critics were stacked ----------------

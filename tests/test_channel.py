@@ -1,5 +1,6 @@
 """Oracle fading draws and the analytic channel moments."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,10 +19,11 @@ from ariscf.estimation import assign_pilots
 from ariscf.ris import RisState
 from ariscf.scenario import Scenario, sample_layout
 
-from _instances import cascade_instance, draw_trials
+from _instances import cascade_instance, config_instance, draw_trials
 from _reference import (
     R_bar_k,
     active_noise_moment_main_text,
+    complex_gemm_stats,
     dense_xi,
     reflection_matrix,
     tr_xi,
@@ -139,7 +141,7 @@ class TestSecondOrderStats:
     def test_identity_like_correlation_trace(self):
         # Psi = I and R = I make tr(Xi) = a^2 alpha_m alphabar_k (dH dV)^2 N
         sc, rl, _ = cascade_instance()
-        rl_eye = replace(rl, R=np.eye(sc.N))
+        rl_eye = replace(rl, R=np.eye(sc.N), R2=np.eye(sc.N))
         stats = compute_stats(rl_eye, RisState(phases=np.zeros(sc.N), a=2.0))
         expected = 4.0 * rl.alpha[0] * rl.alpha_bar[1] * sc.element_area ** 2 * sc.N
         assert tr_xi(stats, 0, 1) == pytest.approx(expected, rel=1e-12)
@@ -179,6 +181,46 @@ class TestSecondOrderStats:
         alt = active_noise_moment_main_text(stats, 0, 0)
         assert alt > 0
         assert abs(alt / stats.alpha_an[0, 0] - 1.0) > 1e-3
+
+
+# Shipped configs and perfbench's wide_ris.yaml (default.yaml with a 24 x 24 RIS)
+SHIPPED = [("train_small.yaml", {}), ("default.yaml", {}),
+           ("default.yaml", {"N_H": 24, "N_V": 24})]
+SHIPPED_IDS = ["train-small", "default", "wide-ris"]
+
+
+class TestRealGemmTraces:
+    # Two real GEMMs and a shared R @ R sum in another order than the complex
+    # GEMM once did. Fixed before any run: 1e-12, well above N eps ~ 1.3e-13 at
+    # N = 576. Whether they agree to the bit at small N depends on the BLAS
+    # kernel; the recorded perfbench outputs pin that.
+    REL = 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name,overrides", SHIPPED, ids=SHIPPED_IDS)
+    def test_traces_match_complex_gemm(self, name, overrides, seed):
+        sc, rl, _, state = config_instance(name, seed, **overrides)
+        stats = compute_stats(rl, state)
+        t1, t2, t3, kappa, alpha_an = complex_gemm_stats(rl, state)
+        assert stats.t1 == pytest.approx(t1, rel=self.REL)
+        assert stats.t2 == pytest.approx(t2, rel=self.REL)
+        assert stats.t3 == pytest.approx(t3, rel=self.REL)
+        assert_allclose(stats.kappa, kappa, rtol=self.REL, atol=0)
+        assert_allclose(stats.alpha_an, alpha_an, rtol=self.REL, atol=0)
+
+    def test_warm_call_peak_memory(self):
+        # At most 2.5 complex N x N arrays are alive at once: the real and
+        # imaginary planes of P o R plus W and one real GEMM result. Keeping
+        # P o R alive next to W, or upcasting R, reads 3 or more.
+        sc, rl, _, state = config_instance("default.yaml", 0, N_H=24, N_V=24)
+        compute_stats(rl, state)
+        tracemalloc.start()
+        try:
+            compute_stats(rl, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (16 * sc.N ** 2) <= 2.6
 
 
 class TestMoments:

@@ -310,6 +310,25 @@ class TestUsageErrors:
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["validate", "--trials", "10"], "--out"),
+        (["sweep", "--config", "{small}", "--param", "rho", "--values", "0.1"], "--out"),
+        (["train", "--config", "{train}", "--episodes", "1", "--steps", "5"], "--out"),
+        (["train", "--config", "{train}", "--episodes", "1", "--steps", "5",
+          "--out", "{curve}"], "--checkpoint"),
+    ], ids=["validate-out", "sweep-out", "train-out", "train-checkpoint"])
+    def test_missing_output_directory_exits_usage(self, argv, flag, tmp_path, small_config,
+                                                  train_config, capsys):
+        # refused before any work, so no file is written
+        paths = {"small": small_config, "train": train_config,
+                 "curve": str(tmp_path / "curve.csv")}
+        target = tmp_path / "missing" / "out"
+        code = run_cli(*(arg.format(**paths) for arg in argv), flag, str(target))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"error: {flag} "), err
+        assert not target.parent.exists() and not (tmp_path / "curve.csv").exists()
+
     def test_negative_pbt_in_config_exits_usage(self, tmp_path, capsys):
         config = tmp_path / "neg_pbt.yaml"
         config.write_text("M: 2\nK: 2\nN_H: 2\nN_V: 2\nPbt: -1.0e-3\n")

@@ -1,8 +1,5 @@
 """Closed-form SINR/SE/EE behavior."""
 
-import os
-import warnings
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,10 +10,10 @@ from ariscf import perf
 from ariscf.channel import compute_stats
 from ariscf.estimation import assign_pilots, compute_estimation_stats
 from ariscf.perf import energy_efficiency, evaluate_phases, sinr_all, sinr_groups
-from ariscf.ris import RisState, amplitude_gain, aris_power_consumption
-from ariscf.scenario import Scenario, load_scenario, sample_layout
+from ariscf.ris import RisState, aris_power_consumption
+from ariscf.scenario import Scenario, sample_layout
 
-from _instances import cascade_instance, count_calls, synthetic_realization
+from _instances import cascade_instance, config_instance, count_calls, synthetic_realization
 from _reference import dense_xi
 
 I2_TERM_NAMES = (
@@ -161,9 +158,6 @@ class TestLiteralAssembly:
         assert br.i3 == pytest.approx(i3, rel=1e-12)
 
 
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
-
-
 def eager_breakdown(scenario, stats, est_stats, plan, k):
     """The SINR terms and groups as the one-user `sinr_closed_form` once built
     them eagerly in one pass, transcribed verbatim: (i1, i2_terms, i3, sinr,
@@ -223,21 +217,6 @@ def eager_breakdown(scenario, stats, est_stats, plan, k):
 
     sinr = i1 ** 2 / (float(sum(terms.values())) + i3)
     return i1, terms, i3, sinr, i1 ** 2, bu, ui, an, no
-
-
-def config_instance(name, seed, phases="random", **overrides):
-    """Shipped config at its budget amplitude and random (or equal) phases, as a
-    sweep point sees it."""
-    sc = replace(load_scenario(os.path.join(CONFIG_DIR, name)), **overrides)
-    rl = sample_layout(sc, seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        a = amplitude_gain(sc, rl.alpha_bar)
-    if phases == "equal":
-        phases = np.zeros(sc.N)
-    else:
-        phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, sc.N)
-    return sc, rl, assign_pilots(sc.K, sc.tau_p), RisState(phases=phases, a=a)
 
 
 class TestLazyRegrouping:

@@ -1,12 +1,13 @@
 """Geometry, large-scale gains, and the RIS spatial correlation matrix."""
 
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ariscf import scenario
+from ariscf import cli, scenario
 from ariscf.scenario import (
     Scenario,
     build_correlation_matrix,
@@ -113,6 +114,47 @@ class TestCorrelationCache:
             sc.N_H, sc.N_V, sc.d_H, sc.d_V, sc.wavelength, sc.grid_indexing)
         assert uncached is not R2
         assert np.array_equal(R2, uncached)
+
+    def test_seeds_of_one_scenario_share_r_squared(self):
+        sc = Scenario(M=2, K=3, N_H=4, N_V=3)
+        rl0, rl1 = sample_layout(sc, 0), sample_layout(sc, 1)
+        assert rl0.R2 is rl1.R2
+        assert np.array_equal(rl0.R2, rl0.R @ rl0.R)
+
+    def test_r_squared_is_read_only(self):
+        R2 = sample_layout(Scenario(M=2, K=2, N_H=3, N_V=3), 0).R2
+        with pytest.raises(ValueError):
+            R2[0, 1] = 0.5
+        with pytest.raises(ValueError):
+            R2 *= 2.0
+
+    def test_new_geometry_gets_fresh_r_squared(self):
+        R2_old = sample_layout(Scenario(M=2, K=2, N_H=3, N_V=3), 0).R2
+        sc = Scenario(M=2, K=2, N_H=4, N_V=2, d_V=LAM / 3, grid_indexing="row_major")
+        rl = sample_layout(sc, 0)
+        assert rl.R2 is not R2_old and rl.R2.shape == (8, 8)
+        uncached = scenario._correlation_square.__wrapped__(
+            sc.N_H, sc.N_V, sc.d_H, sc.d_V, sc.wavelength, sc.grid_indexing)
+        assert uncached is not rl.R2
+        assert np.array_equal(rl.R2, uncached)
+        assert np.array_equal(rl.R2, rl.R @ rl.R)
+
+    def test_sweep_squares_r_once(self, monkeypatch, tmp_path):
+        # 2 values x 2 seeds of one geometry: four layouts, one R @ R
+        squares = []
+
+        def square(*geometry):
+            squares.append(geometry)
+            return uncached(*geometry)
+
+        uncached = scenario._correlation_square.__wrapped__
+        monkeypatch.setattr(scenario, "_correlation_square", lru_cache(maxsize=1)(square))
+        config = tmp_path / "small.yaml"
+        config.write_text("M: 2\nK: 2\nN_H: 3\nN_V: 3\nradius: 100.0\ntau_p: 2\n")
+        assert cli.main(["sweep", "--config", str(config), "--param", "rho_u",
+                         "--values", "0.01,1.0", "--seeds", "0,1",
+                         "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert len(squares) == 1
 
 
 class TestLargeScaleGain:
