@@ -12,11 +12,13 @@ from .scenario import (
 )
 from .ris import RisState, amplitude_gain, aris_output_power
 from .channel import (
+    PhaseTraces,
     SecondOrderStats,
     compute_stats,
     cross_moment_cyclic,
     cross_moments,
     fourth_moment,
+    phase_traces,
 )
 from .estimation import EstimationStats, PilotPlan, assign_pilots, compute_estimation_stats
 from .perf import (

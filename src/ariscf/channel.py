@@ -84,11 +84,25 @@ class SecondOrderStats:
         return self.xi_scale[m, k] * self.xi_scale[m2, k2] * self.t2
 
 
-def compute_stats(realization: NetworkRealization, ris_state: RisState) -> SecondOrderStats:
-    sc = realization.scenario
-    area = sc.element_area
-    a = ris_state.a
+@dataclass(frozen=True)
+class PhaseTraces:
+    """t1, t2 and t3 of `SecondOrderStats`, with the geometry and the phases
+    they were computed from, so that `compute_stats` can refuse a mismatch."""
 
+    geometry: tuple
+    phases: np.ndarray
+    t1: float
+    t2: float
+    t3: float
+
+
+def phase_traces(realization: NetworkRealization, ris_state: RisState) -> PhaseTraces:
+    """The O(N^3) stage of `compute_stats`: the traces of (P o R) R.
+
+    They depend on the RIS geometry (through R) and the phases alone, not on
+    the amplitude gain or any power, so a sweep over such a field can compute
+    them once per geometry and phase vector.
+    """
     R = realization.R
     phasor = ris_state.phasor
     modulated = (phasor[:, None] * np.conj(phasor)[None, :]) * R
@@ -105,6 +119,24 @@ def compute_stats(realization: NetworkRealization, ris_state: RisState) -> Secon
     del real, imag
     t1 = _real_trace(np.trace(W))
     t2 = _real_trace(np.sum(W * W.T))
+    return PhaseTraces(geometry=realization.scenario.geometry, phases=ris_state.phases,
+                       t1=t1, t2=t2, t3=t3)
+
+
+def compute_stats(realization: NetworkRealization, ris_state: RisState,
+                  traces: PhaseTraces | None = None) -> SecondOrderStats:
+    """Second-order statistics for one RIS state: `phase_traces` (unless
+    `traces` already holds them for this geometry and these phases), scaled
+    per link by a, alpha, alpha_bar, beta and the scenario scalars."""
+    if traces is None:
+        traces = phase_traces(realization, ris_state)
+    elif (traces.geometry != realization.scenario.geometry
+          or not np.array_equal(traces.phases, ris_state.phases)):
+        raise ValueError("traces were computed for another RIS geometry or other phases")
+    sc = realization.scenario
+    area = sc.element_area
+    a = ris_state.a
+    t1, t2, t3 = traces.t1, traces.t2, traces.t3
 
     xi_scale = (a * a * area * area) * np.outer(realization.alpha, realization.alpha_bar)
     kappa = realization.beta + xi_scale * t1

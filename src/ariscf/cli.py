@@ -14,6 +14,7 @@ import numpy as np
 import yaml
 
 from . import oracle
+from .channel import phase_traces
 from .estimation import assign_pilots
 from .perf import energy_efficiency, evaluate_phases
 from .ris import BudgetExhaustedWarning, RisState, amplitude_gain
@@ -157,15 +158,25 @@ def _point_phases(phases, N: int, seed: int) -> np.ndarray:
     return rng.uniform(0.0, 2.0 * np.pi, N)
 
 
-def _sweep_point(payload):
-    sc, label, seed, phases, prelog = payload
-    realization, a, plan = _instance(sc, seed)
-    phases = _point_phases(phases, sc.N, seed)
-    se, est = evaluate_phases(sc, realization, plan, phases, a, prelog)
-    se_total = float(se.sum())
-    ee = energy_efficiency(sc, realization, se_total, a)
-    return [label, str(seed), _fmt(se_total), _fmt(float(est.nmse.mean())), _fmt(a), _fmt(ee),
-            "1" if a != 0.0 else "0"]
+def _sweep_group(payload):
+    """Rows of the points of one (geometry, seed) group, in the order given.
+
+    A point's phases depend on (N, seed) alone and its traces on the geometry
+    and the phases, so the group draws both once, at its first point.
+    """
+    points, seed, phases, prelog = payload
+    rows, traces = [], None
+    for sc, label in points:
+        realization, a, plan = _instance(sc, seed)
+        if traces is None:
+            phases = _point_phases(phases, sc.N, seed)
+            traces = phase_traces(realization, RisState(phases=phases, a=a))
+        se, est = evaluate_phases(sc, realization, plan, phases, a, prelog, traces)
+        se_total = float(se.sum())
+        ee = energy_efficiency(sc, realization, se_total, a)
+        rows.append([label, str(seed), _fmt(se_total), _fmt(float(est.nmse.mean())), _fmt(a),
+                     _fmt(ee), "1" if a != 0.0 else "0"])
+    return rows
 
 
 def cmd_sweep(args) -> int:
@@ -199,13 +210,19 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"bad --values for {args.param}: {exc}") from exc
 
     phases = _load_phases(args.phases)
-    payloads = [(sc, label, seed, phases, args.prelog)
-                for sc, label in swept for seed in seeds]
+    # Geometries in order of first appearance, each with all its seeds: the
+    # one-slot R and R @ R caches then build each geometry once. Repeated
+    # values or seeds stay separate points of their group.
+    groups = {}
+    for sc, label in swept:
+        for seed in seeds:
+            groups.setdefault((sc.geometry, seed), []).append((sc, label))
+    payloads = [(points, seed, phases, args.prelog) for (_, seed), points in groups.items()]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_point, payloads))
+            rows = [row for group in pool.map(_sweep_group, payloads) for row in group]
     else:
-        rows = [_sweep_point(p) for p in payloads]
+        rows = [row for p in payloads for row in _sweep_group(p)]
     rows.sort(key=lambda r: (float(r[0]), int(r[1])))
 
     comments = [
@@ -290,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0", help="comma-separated layout seeds")
     p.add_argument("--phases", default="equal", help="equal | random | trained:<checkpoint>")
     p.add_argument("--prelog", action="store_true", help="apply the (1 - tau_p/tau_c) prelog")
-    p.add_argument("--jobs", type=int, default=1, help="parallel sweep-point workers")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers over the (geometry, seed) groups of sweep points")
     p.add_argument("--out", help="CSV path (stdout if omitted)")
     p.set_defaults(func=cmd_sweep)
 

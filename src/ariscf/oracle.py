@@ -53,7 +53,6 @@ def benchmark_instance():
 
     sc = Scenario(M=2, K=2, N_H=2, N_V=2, tau_p=1, rho=0.05, rho_u=5.0,
                   sigma2=1e-11, sigma2_bar=1e-11, a_max=4.0)
-    geometry = (sc.N_H, sc.N_V, sc.d_H, sc.d_V, sc.wavelength)
     realization = NetworkRealization(
         scenario=sc,
         ap_positions=np.zeros((sc.M, 2)),
@@ -61,8 +60,8 @@ def benchmark_instance():
         beta=5e-4 * np.array([[2e-8, 1.2e-8], [0.8e-8, 2.5e-8]]),
         alpha=np.array([3e-6, 2e-6]),
         alpha_bar=np.array([4e-4, 3e-4]) / sc.element_area,
-        R=build_correlation_matrix(*geometry),
-        R2=build_correlation_square(*geometry),
+        R=build_correlation_matrix(*sc.geometry),
+        R2=build_correlation_square(*sc.geometry),
     )
     state = RisState(phases=np.zeros(sc.N), a=4.0)
     return realization, state, assign_pilots(sc.K, sc.tau_p)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SecondOrderStats, compute_stats
+from .channel import PhaseTraces, SecondOrderStats, compute_stats
 from .estimation import EstimationStats, PilotPlan, compute_estimation_stats
 from .ris import RisState, aris_power_consumption
 from .scenario import NetworkRealization, Scenario
@@ -175,12 +175,15 @@ def sinr_groups(scenario: Scenario, stats: SecondOrderStats,
 
 
 def evaluate_phases(scenario: Scenario, realization: NetworkRealization, plan: PilotPlan,
-                    phases: np.ndarray, a: float, prelog: bool = False):
+                    phases: np.ndarray, a: float, prelog: bool = False,
+                    traces: PhaseTraces | None = None):
     """Closed-form per-user SE (K,) and the LMMSE statistics for one RIS phase vector.
 
     SE_k = log2(1 + SINR_k), times the (1 - tau_p/tau_c) prelog when `prelog`.
+    `traces`, from `channel.phase_traces` of this geometry and these phases,
+    skips their recomputation.
     """
-    stats = compute_stats(realization, RisState(phases=phases, a=a))
+    stats = compute_stats(realization, RisState(phases=phases, a=a), traces=traces)
     est = compute_estimation_stats(scenario, stats, plan)
     se = np.log2(1.0 + sinr_all(scenario, stats, est, plan).sinr)
     if prelog:

@@ -78,6 +78,11 @@ class Scenario:
     def element_area(self) -> float:
         return self.d_H * self.d_V
 
+    @property
+    def geometry(self) -> tuple:
+        """The RIS fields that R depends on, in `build_correlation_matrix`'s argument order."""
+        return (self.N_H, self.N_V, self.d_H, self.d_V, self.wavelength, self.grid_indexing)
+
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
@@ -90,6 +95,8 @@ class Scenario:
         for name in POWER_FIELDS + ("Pbt",):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if self.rho == 0:
+            raise ValueError("rho must be > 0: LMMSE estimation needs pilot power")
         if not 0 < self.xi <= 1:
             raise ValueError("xi must be in (0, 1]")
         if not 0 < self.zeta <= 1:
@@ -278,8 +285,6 @@ def sample_layout(scenario: Scenario, rng_seed: int) -> NetworkRealization:
     alpha = large_scale_gain(d_m, scenario.alpha1_exp)
     alpha_bar = large_scale_gain(d_k, scenario.alpha2_exp)
 
-    geometry = (scenario.N_H, scenario.N_V, scenario.d_H, scenario.d_V,
-                scenario.wavelength, scenario.grid_indexing)
     return NetworkRealization(
         scenario=scenario,
         ap_positions=ap_positions,
@@ -287,6 +292,6 @@ def sample_layout(scenario: Scenario, rng_seed: int) -> NetworkRealization:
         beta=beta,
         alpha=alpha,
         alpha_bar=alpha_bar,
-        R=build_correlation_matrix(*geometry),
-        R2=build_correlation_square(*geometry),
+        R=build_correlation_matrix(*scenario.geometry),
+        R2=build_correlation_square(*scenario.geometry),
     )

@@ -22,8 +22,6 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 def synthetic_realization(scenario: Scenario, beta: np.ndarray, alpha: np.ndarray,
                           alpha_bar: np.ndarray) -> NetworkRealization:
     """Realization with prescribed gains; the positions are placeholders."""
-    geometry = (scenario.N_H, scenario.N_V, scenario.d_H, scenario.d_V,
-                scenario.wavelength, scenario.grid_indexing)
     return NetworkRealization(
         scenario=scenario,
         ap_positions=np.zeros((scenario.M, 2)),
@@ -31,8 +29,8 @@ def synthetic_realization(scenario: Scenario, beta: np.ndarray, alpha: np.ndarra
         beta=np.asarray(beta, dtype=float),
         alpha=np.asarray(alpha, dtype=float),
         alpha_bar=np.asarray(alpha_bar, dtype=float),
-        R=build_correlation_matrix(*geometry),
-        R2=build_correlation_square(*geometry),
+        R=build_correlation_matrix(*scenario.geometry),
+        R2=build_correlation_square(*scenario.geometry),
     )
 
 

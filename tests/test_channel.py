@@ -14,6 +14,7 @@ from ariscf.channel import (
     cross_moment_cyclic,
     cross_moments,
     fourth_moment,
+    phase_traces,
 )
 from ariscf.estimation import assign_pilots
 from ariscf.ris import RisState
@@ -181,6 +182,36 @@ class TestSecondOrderStats:
         alt = active_noise_moment_main_text(stats, 0, 0)
         assert alt > 0
         assert abs(alt / stats.alpha_an[0, 0] - 1.0) > 1e-3
+
+
+class TestPhaseTraces:
+    def test_given_traces_equal_computed_ones(self):
+        # traces computed at one amplitude serve another: the bytes match
+        sc, rl, phases = cascade_instance()
+        traces = phase_traces(rl, RisState(phases=phases, a=0.5))
+        fresh = compute_stats(rl, RisState(phases=phases, a=2.0))
+        given = compute_stats(rl, RisState(phases=phases, a=2.0), traces=traces)
+        assert (given.t1, given.t2, given.t3) == (fresh.t1, fresh.t2, fresh.t3)
+        assert np.array_equal(given.kappa, fresh.kappa)
+        assert np.array_equal(given.alpha_an, fresh.alpha_an)
+
+    def test_traces_of_other_phases_rejected(self):
+        sc, rl, phases = cascade_instance()
+        traces = phase_traces(rl, RisState(phases=phases, a=2.0))
+        moved = phases.copy()
+        moved[-1] += 0.5
+        with pytest.raises(ValueError, match="other phases"):
+            compute_stats(rl, RisState(phases=moved, a=2.0), traces=traces)
+
+    def test_traces_of_other_geometry_rejected(self):
+        # same N and phases, another element spacing
+        sc, rl, phases = cascade_instance()
+        traces = phase_traces(rl, RisState(phases=phases, a=2.0))
+        sc2 = replace(sc, d_H=2.0 * sc.d_H)
+        rl2 = sample_layout(sc2, 0)
+        assert sc2.N == sc.N
+        with pytest.raises(ValueError, match="another RIS geometry"):
+            compute_stats(rl2, RisState(phases=phases, a=2.0), traces=traces)
 
 
 # Shipped configs and perfbench's wide_ris.yaml (default.yaml with a 24 x 24 RIS)

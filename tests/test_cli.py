@@ -40,6 +40,13 @@ def small_config(tmp_path):
 
 
 @pytest.fixture
+def zero_rho_config(tmp_path):
+    path = tmp_path / "zero_rho.yaml"
+    path.write_text("M: 2\nK: 2\nN_H: 2\nN_V: 2\nradius: 150.0\ntau_p: 1\nrho: 0\n")
+    return str(path)
+
+
+@pytest.fixture
 def train_config(tmp_path):
     path = tmp_path / "train.yaml"
     path.write_text(
@@ -91,15 +98,32 @@ class TestSweep:
         assert len(keys) == 4
 
     def test_byte_identical_rerun_and_parallel(self, tmp_path, small_config):
-        outs = []
-        for name, jobs in (("a.csv", "1"), ("b.csv", "1"), ("c.csv", "2")):
-            out = tmp_path / name
-            code = run_cli("sweep", "--config", small_config, "--param", "N_H",
-                           "--values", "1,2,3", "--seeds", "0,1", "--jobs", jobs,
-                           "--out", str(out))
-            assert code == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1] == outs[2]
+        # an N_H sweep has one group per point; a rho_u sweep shares each
+        # seed's group (and its traces) across the values
+        for param, values, phases in (("N_H", "1,2,3", "equal"),
+                                      ("rho_u", "0.01,0.1,1.0", "random")):
+            outs = []
+            for name, jobs in (("a.csv", "1"), ("b.csv", "1"), ("c.csv", "2")):
+                out = tmp_path / f"{param}-{name}"
+                code = run_cli("sweep", "--config", small_config, "--param", param,
+                               "--values", values, "--seeds", "0,1", "--phases", phases,
+                               "--jobs", jobs, "--out", str(out))
+                assert code == 0
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1] == outs[2]
+
+    def test_repeated_values_and_seeds_keep_their_rows(self, tmp_path, small_config):
+        # four points of one (geometry, seed) group give four equal rows
+        rows = {}
+        for values, seeds in (("0.1", "0"), ("0.1,0.1", "0,0")):
+            out = tmp_path / f"{values}-{seeds}.csv"
+            assert run_cli("sweep", "--config", small_config, "--param", "rho_u",
+                           "--values", values, "--seeds", seeds, "--phases", "random",
+                           "--out", str(out)) == 0
+            rows[values] = [l for l in out.read_text().splitlines()
+                            if not l.startswith(("#", "param_value"))]
+        assert len(rows["0.1"]) == 1
+        assert rows["0.1,0.1"] == rows["0.1"] * 4
 
     def test_infeasible_value_flagged(self, tmp_path):
         cfg = tmp_path / "c.yaml"
@@ -294,14 +318,20 @@ class TestUsageErrors:
         ["train", "--config", "{train}", "--episodes", "1", "--steps", "100", "--lr", "nan"],
         ["train", "--config", "{train}", "--episodes", "1", "--steps", "100", "--lr", "inf"],
         ["sweep", "--config", "{default}", "--param", "Pbt", "--values=-1e-3", "--seeds", "0"],
+        ["sweep", "--config", "{shipped_small}", "--param", "rho", "--values", "0"],
+        ["train", "--config", "{zero_rho}", "--episodes", "0"],
     ], ids=["seeds-x", "trained-missing", "trials-0", "trials-negative", "steps-0",
             "episodes-negative", "lr-negative", "n_h-0", "tau_p-above-tau_c",
             "bad-value-after-good", "validate-seed-negative", "train-seed-negative",
             "sweep-seed-negative", "jobs-0", "jobs-negative", "baseline-steps-negative",
-            "baseline-lr-negative", "value-nan", "lr-nan", "lr-inf", "pbt-negative"])
-    def test_bad_input_exits_usage(self, argv, tmp_path, small_config, train_config, capsys):
-        paths = {"small": small_config, "train": train_config,
+            "baseline-lr-negative", "value-nan", "lr-nan", "lr-inf", "pbt-negative",
+            "sweep-rho-0", "train-rho-0"])
+    def test_bad_input_exits_usage(self, argv, tmp_path, small_config, train_config,
+                                   zero_rho_config, capsys):
+        # rho = 0 leaves LMMSE without pilot power: it once gave NaN SE with exit 0
+        paths = {"small": small_config, "train": train_config, "zero_rho": zero_rho_config,
                  "default": os.path.join(CONFIG_DIR, "default.yaml"),
+                 "shipped_small": os.path.join(CONFIG_DIR, "small.yaml"),
                  "missing": str(tmp_path / "missing.npz")}
         out = tmp_path / "out.csv"
         code = run_cli(*(arg.format(**paths) for arg in argv), "--out", str(out))
@@ -349,6 +379,19 @@ class TestEvaluationCost:
                        "--values", "0.1,0.2", "--seeds", "0,1") == 0
         assert len(stats_calls) == 4
         assert factor_calls == []
+
+    @pytest.mark.parametrize("param,values,traces", [
+        ("rho", "0.1,0.2", 2),     # one (geometry, seed) group per seed
+        ("N_H", "1,2", 4),         # one group per point
+    ])
+    def test_sweep_computes_traces_once_per_group(self, monkeypatch, small_config,
+                                                  param, values, traces):
+        trace_calls = count_calls(monkeypatch, channel, "phase_traces")
+        stats_calls = count_calls(monkeypatch, channel, "compute_stats")
+        assert run_cli("sweep", "--config", small_config, "--param", param,
+                       "--values", values, "--seeds", "0,1", "--phases", "random") == 0
+        assert len(trace_calls) == traces
+        assert len(stats_calls) == 4
 
     def test_train_never_factors_r(self, monkeypatch, tmp_path, train_config):
         factor_calls = count_calls(monkeypatch, scenario, "psd_factor")
