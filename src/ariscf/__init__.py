@@ -4,10 +4,10 @@ from .scenario import (
     NetworkRealization,
     Scenario,
     build_correlation_matrix,
-    build_correlation_square,
     dbm_to_watt,
     large_scale_gain,
     load_scenario,
+    ris_correlation,
     sample_layout,
 )
 from .ris import RisState, amplitude_gain, aris_output_power

@@ -140,9 +140,12 @@ def _load_phases(spec: str):
     if spec.startswith("trained:"):
         path = spec.split(":", 1)[1]
         try:
-            return load_checkpoint(path)["best_phases"]
+            phases = load_checkpoint(path)["best_phases"]
         except (OSError, ValueError, KeyError) as exc:
             raise UsageError(f"cannot load checkpoint {path!r}: {exc}") from exc
+        if phases.ndim != 1 or phases.dtype.kind != "f" or not np.isfinite(phases).all():
+            raise UsageError(f"checkpoint {path!r}: best_phases must be a 1-D finite float vector")
+        return phases
     raise UsageError(f"--phases must be equal, random, or trained:<path>, got {spec!r}")
 
 
@@ -211,8 +214,8 @@ def cmd_sweep(args) -> int:
 
     phases = _load_phases(args.phases)
     # Geometries in order of first appearance, each with all its seeds: the
-    # one-slot R and R @ R caches then build each geometry once. Repeated
-    # values or seeds stay separate points of their group.
+    # one-slot `ris_correlation` cache then builds each geometry once.
+    # Repeated values or seeds stay separate points of their group.
     groups = {}
     for sc, label in swept:
         for seed in seeds:

@@ -14,7 +14,6 @@ from .scenario import Scenario
 class PilotPlan:
     """Pilot assignment: which of the tau_p orthonormal pilots each user sends."""
 
-    tau_p: int
     pilot_of: np.ndarray      # (K,) pilot index per user
 
     def coset(self, k: int) -> np.ndarray:
@@ -30,7 +29,7 @@ def assign_pilots(K: int, tau_p: int) -> PilotPlan:
     """Round-robin assignment pilot_of[k] = k mod tau_p (0-indexed users)."""
     if tau_p < 1:
         raise ValueError("tau_p must be >= 1")
-    return PilotPlan(tau_p=tau_p, pilot_of=np.arange(K) % tau_p)
+    return PilotPlan(pilot_of=np.arange(K) % tau_p)
 
 
 @dataclass(frozen=True)

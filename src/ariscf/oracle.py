@@ -48,11 +48,11 @@ def benchmark_instance():
     geometry sampled from a config cannot guarantee that conditioning.
     """
     from .estimation import assign_pilots
-    from .scenario import (NetworkRealization, Scenario, build_correlation_matrix,
-                           build_correlation_square)
+    from .scenario import NetworkRealization, Scenario, ris_correlation
 
     sc = Scenario(M=2, K=2, N_H=2, N_V=2, tau_p=1, rho=0.05, rho_u=5.0,
                   sigma2=1e-11, sigma2_bar=1e-11, a_max=4.0)
+    R, R2 = ris_correlation(sc.geometry)
     realization = NetworkRealization(
         scenario=sc,
         ap_positions=np.zeros((sc.M, 2)),
@@ -60,8 +60,7 @@ def benchmark_instance():
         beta=5e-4 * np.array([[2e-8, 1.2e-8], [0.8e-8, 2.5e-8]]),
         alpha=np.array([3e-6, 2e-6]),
         alpha_bar=np.array([4e-4, 3e-4]) / sc.element_area,
-        R=build_correlation_matrix(*sc.geometry),
-        R2=build_correlation_square(*sc.geometry),
+        R=R, R2=R2,
     )
     state = RisState(phases=np.zeros(sc.N), a=4.0)
     return realization, state, assign_pilots(sc.K, sc.tau_p)
@@ -330,7 +329,6 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
     M, K, N = sc.M, sc.K, sc.N
     stats = compute_stats(realization, ris_state)
     est = compute_estimation_stats(sc, stats, plan)
-    sizes = _chunk_sizes(n_trials)
 
     def row(name: str, empirical, analytic: float, stderr: float) -> IdentityCheck:
         empirical = float(np.real(empirical))
@@ -350,16 +348,6 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
     A = A + np.conj(A).T
     amp0 = np.sqrt(realization.alpha[0] * sc.element_area)
     W_emp = np.zeros((N, N), dtype=complex)
-    for chunk, size in enumerate(sizes):
-        x = correlated_normal(_stream(master_seed, chunk + 1, _TAG_WISHART), (size, N),
-                              realization.R_factor, amp0)
-        W_emp += _wishart_sum(x, A)
-    W_emp /= n_trials
-    W_ana = R0 @ A @ R0 + np.trace(A @ R0) * R0
-    rows = [IdentityCheck(
-        name="wishart", empirical=float(np.linalg.norm(W_emp)), analytic=float(np.linalg.norm(W_ana)),
-        rel_err=float(np.linalg.norm(W_emp - W_ana) / np.linalg.norm(W_ana)),
-        stderr_rel=0.0, n_trials=int(n_trials), tol=TOLERANCES["wishart"])]
 
     # (M, K) per-link accumulators, and one scalar accumulator per named row.
     kappa, fourth, gamma, err_var = _Mean(), _Mean(), _Mean(), _Mean()
@@ -397,10 +385,20 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
             add("corollary1", o0 * np.conj(o1))
         sinr.add(blk)
 
-    for chunk, size in enumerate(sizes):
-        # The block dies with the call, so only one is alive while the next is drawn.
+    for chunk, size in enumerate(_chunk_sizes(n_trials)):
+        # The block dies with the call, so only one is alive while the next is drawn,
+        # and none while the Wishart draws are.
         accumulate(_sample_block(realization, ris_state, plan, master_seed, chunk, size))
+        x = correlated_normal(_stream(master_seed, chunk + 1, _TAG_WISHART), (size, N),
+                              realization.R_factor, amp0)
+        W_emp += _wishart_sum(x, A)
 
+    W_emp /= n_trials
+    W_ana = R0 @ A @ R0 + np.trace(A @ R0) * R0
+    rows = [IdentityCheck(
+        name="wishart", empirical=float(np.linalg.norm(W_emp)), analytic=float(np.linalg.norm(W_ana)),
+        rel_err=float(np.linalg.norm(W_emp - W_ana) / np.linalg.norm(W_ana)),
+        stderr_rel=0.0, n_trials=int(n_trials), tol=TOLERANCES["wishart"])]
     kappa_mean, kappa_se = kappa.mean, kappa.stderr
     fourth_mean, fourth_se = fourth.mean, fourth.stderr
     for m in range(M):

@@ -41,17 +41,6 @@ class SinrBreakdown:
         return self.ds / (self.i2 + self.i3)
 
 
-def _user_inputs(stats: SecondOrderStats, est_stats: EstimationStats, plan: PilotPlan, k: int):
-    """User k's LMMSE columns, its coset split, and the coset sums that the
-    groups read: (c, gamma, coset, contam, others, u, kappa_coset)."""
-    c = est_stats.c[:, k]
-    coset = plan.coset(k)
-    u = c @ stats.xi_scale                           # (K,) sum_m c_m s_{m,j}
-    kappa_coset = stats.kappa[:, coset].sum(axis=1)  # (M,) coset channel power per AP
-    others = np.flatnonzero(np.arange(stats.K) != k)
-    return c, est_stats.gamma[:, k], coset, coset[coset != k], others, u, kappa_coset
-
-
 def _row_sums(x: np.ndarray) -> np.ndarray:
     """(n, ...) -> (n,): each user's block summed in C order, pairwise as numpy sums a 1-D array."""
     return x.reshape(len(x), x[0].size).sum(axis=1)
@@ -150,7 +139,12 @@ def sinr_groups(scenario: Scenario, stats: SecondOrderStats,
     s = stats.xi_scale
     t2 = stats.t2
     rho_tau = sc.rho * sc.tau_p
-    c, gamma, coset, contam, others, u, kappa_coset = _user_inputs(stats, est_stats, plan, k)
+    c = est_stats.c[:, k]
+    coset = plan.coset(k)
+    u = c @ s                                  # (K,) sum_m c_m s_{m,j}
+    kappa_coset = kappa[:, coset].sum(axis=1)  # (M,) coset channel power per AP
+    others = np.flatnonzero(np.arange(stats.K) != k)
+    gamma, contam = est_stats.gamma[:, k], coset[coset != k]
     c2 = c * c
     u_coset = float(u[coset].sum())
     pilot_noise = (stats.alpha_an + sc.sigma2 * kappa) / rho_tau  # (M, K)

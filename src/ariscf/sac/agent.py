@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -115,10 +116,8 @@ class SacAgent:
                      "std_eff": std_eff, "u": u, "cache": cache}
         return action, log_prob, internals
 
-    def act(self, obs: np.ndarray, rng: np.random.Generator, deterministic: bool = False) -> np.ndarray:
+    def act(self, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         mean, log_std, _, _ = self.policy_stats(obs[None])
-        if deterministic:
-            return np.tanh(mean[0])
         std_eff = np.exp(log_std) * self.config.exploration_noise
         u = mean + std_eff * rng.standard_normal(mean.shape)
         return np.tanh(u[0])
@@ -301,19 +300,31 @@ def save_checkpoint(path: str, result: TrainResult) -> None:
 
 
 def load_checkpoint(path: str) -> dict:
-    """Load a checkpoint; returns config, best phases, and the raw weight arrays."""
-    data = np.load(path, allow_pickle=False)
-    version = int(data["version"])
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    out = {
-        "config": SacConfig(**json.loads(str(data["config_json"]))),
-        "obs_dim": int(data["obs_dim"]),
-        "act_dim": int(data["act_dim"]),
-        "best_phases": np.asarray(data["best_phases"]),
-        "best_sum_se": float(data["best_sum_se"]),
-        "master_seed": int(data["master_seed"]),
-        "weights": {key: np.asarray(data[key]) for key in data.files
-                    if key.endswith(tuple(f"_{p}{i}" for p in "wb" for i in range(3)))},
-    }
-    return out
+    """Load a checkpoint; returns config, best phases, and the raw weight arrays.
+
+    A file that is no npz archive, or whose fields or config cannot be read,
+    raises ValueError.
+    """
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (zipfile.BadZipFile, EOFError) as exc:
+        raise ValueError(f"not a readable npz archive: {exc}") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError("not an npz archive")
+    try:
+        version = int(data["version"])
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        return {
+            "config": SacConfig(**json.loads(str(data["config_json"]))),
+            "obs_dim": int(data["obs_dim"]),
+            "act_dim": int(data["act_dim"]),
+            "best_phases": np.asarray(data["best_phases"]),
+            "best_sum_se": float(data["best_sum_se"]),
+            "master_seed": int(data["master_seed"]),
+            "weights": {key: np.asarray(data[key]) for key in data.files
+                        if key.endswith(tuple(f"_{p}{i}" for p in "wb" for i in range(3)))},
+        }
+    except TypeError as exc:
+        # a field of the wrong shape or type, or config keys SacConfig does not take
+        raise ValueError(f"unreadable field: {exc}") from exc

@@ -124,7 +124,8 @@ def load_scenario(path: str) -> Scenario:
 
     Keys match Scenario field names. Power fields may instead be given in dBm
     with an `_dbm` suffix (converted on load). `carrier_frequency` (Hz) is
-    accepted as an alternative to `wavelength`.
+    accepted as an alternative to `wavelength`. A field given in two
+    spellings is an error.
     """
     with open(path) as fh:
         raw = yaml.safe_load(fh)
@@ -135,23 +136,42 @@ def load_scenario(path: str) -> Scenario:
     return scenario_from_dict(raw)
 
 
+def _integer(key: str, value) -> int:
+    """An INT_FIELDS value: an int, an integral float or a numeric string."""
+    if isinstance(value, int):
+        return value
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(number)
+
+
 def scenario_from_dict(raw: dict) -> Scenario:
     known = {f.name for f in fields(Scenario)}
     kwargs = {}
     for key, value in raw.items():
+        # YAML reads true/yes/on as bools, which int() and float() would take as 1
+        if isinstance(value, bool):
+            raise ValueError(f"{key} must not be a boolean, got {value!r}")
         if key == "carrier_frequency":
-            kwargs["wavelength"] = SPEED_OF_LIGHT / float(value)
+            name, value = "wavelength", float(value)
+            if value <= 0:
+                raise ValueError(f"carrier_frequency must be > 0, got {value!r}")
+            value = SPEED_OF_LIGHT / value
         elif key.endswith("_dbm") and key[:-4] in POWER_FIELDS:
-            kwargs[key[:-4]] = dbm_to_watt(float(value))
+            name, value = key[:-4], dbm_to_watt(float(value))
         elif key in INT_FIELDS:
-            kwargs[key] = int(value)
+            name, value = key, _integer(key, value)
         elif key == "grid_indexing":
-            kwargs[key] = str(value)
+            name, value = key, str(value)
         elif key in known:
             # YAML 1.1 reads exponents like 1.0e6 as strings; coerce
-            kwargs[key] = float(value)
+            name, value = key, float(value)
         else:
             raise ValueError(f"unknown config key: {key!r}")
+        if name in kwargs:
+            raise ValueError(f"{name} is given twice: {key!r} spells it a second time")
+        kwargs[name] = value
     return Scenario(**kwargs)
 
 
@@ -180,18 +200,10 @@ def build_correlation_matrix(N_H: int, N_V: int, d_H: float, d_V: float,
                              wavelength: float, indexing: str = "paper") -> np.ndarray:
     """Base spatial correlation of the RIS: [R]_(n1,n2) = sinc(2 ||u_n1 - u_n2|| / wavelength).
 
-    R depends on the geometry alone, so the last one built is cached and
-    returned read-only; a sweep visits all seeds of one geometry in a row.
+    Squared distances summed axis by axis, then np.sinc's steps in place: the
+    bytes of np.sinc(2 sqrt(sum(diff ** 2, -1)) / wavelength) without its
+    (N, N, 3) difference cube.
     """
-    # positional arguments only: lru_cache keys on how the defaults are spelled
-    return _correlation_matrix(N_H, N_V, d_H, d_V, wavelength, indexing)
-
-
-@lru_cache(maxsize=1)
-def _correlation_matrix(N_H, N_V, d_H, d_V, wavelength, indexing):
-    # Squared distances summed axis by axis, then np.sinc's steps in place:
-    # the bytes of np.sinc(2 sqrt(sum(diff ** 2, -1)) / wavelength) without
-    # its (N, N, 3) difference cube.
     pos = element_positions(N_H, N_V, d_H, d_V, indexing)
     R = sum(np.subtract.outer(p, p) ** 2 for p in pos.T)
     np.sqrt(R, out=R)
@@ -200,27 +212,17 @@ def _correlation_matrix(N_H, N_V, d_H, d_V, wavelength, indexing):
     R *= np.pi
     R[R == 0] = np.finfo(R.dtype).eps
     np.divide(np.sin(R), R, out=R)
-    R.flags.writeable = False
     return R
 
 
-def build_correlation_square(N_H: int, N_V: int, d_H: float, d_V: float,
-                             wavelength: float, indexing: str = "paper") -> np.ndarray:
-    """R @ R for the geometry of `build_correlation_matrix`, the factor of
-    t3 = tr((P o R) R^2) in `channel.compute_stats`.
-
-    Cached and read-only like R: the last geometry's square is kept, so a
-    sweep computes it once per geometry, not once per seed or phase vector.
-    """
-    return _correlation_square(N_H, N_V, d_H, d_V, wavelength, indexing)
-
-
 @lru_cache(maxsize=1)
-def _correlation_square(N_H, N_V, d_H, d_V, wavelength, indexing):
-    R = _correlation_matrix(N_H, N_V, d_H, d_V, wavelength, indexing)
+def ris_correlation(geometry: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """R and R @ R of one `Scenario.geometry`, read-only. The last geometry's pair
+    is kept: a sweep visits all seeds of one geometry in a row."""
+    R = build_correlation_matrix(*geometry)
     R2 = R @ R
-    R2.flags.writeable = False
-    return R2
+    R.flags.writeable = R2.flags.writeable = False
+    return R, R2
 
 
 def large_scale_gain(distance_m: float, exponent: float) -> float:
@@ -285,6 +287,7 @@ def sample_layout(scenario: Scenario, rng_seed: int) -> NetworkRealization:
     alpha = large_scale_gain(d_m, scenario.alpha1_exp)
     alpha_bar = large_scale_gain(d_k, scenario.alpha2_exp)
 
+    R, R2 = ris_correlation(scenario.geometry)
     return NetworkRealization(
         scenario=scenario,
         ap_positions=ap_positions,
@@ -292,6 +295,5 @@ def sample_layout(scenario: Scenario, rng_seed: int) -> NetworkRealization:
         beta=beta,
         alpha=alpha,
         alpha_bar=alpha_bar,
-        R=build_correlation_matrix(*scenario.geometry),
-        R2=build_correlation_square(*scenario.geometry),
+        R=R, R2=R2,
     )

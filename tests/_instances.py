@@ -13,8 +13,8 @@ from ariscf import oracle
 from ariscf.channel import compute_stats
 from ariscf.estimation import assign_pilots, compute_estimation_stats
 from ariscf.ris import RisState, amplitude_gain
-from ariscf.scenario import (NetworkRealization, Scenario, build_correlation_matrix,
-                             build_correlation_square, load_scenario, sample_layout)
+from ariscf.scenario import (NetworkRealization, Scenario, load_scenario, ris_correlation,
+                             sample_layout)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -22,6 +22,7 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 def synthetic_realization(scenario: Scenario, beta: np.ndarray, alpha: np.ndarray,
                           alpha_bar: np.ndarray) -> NetworkRealization:
     """Realization with prescribed gains; the positions are placeholders."""
+    R, R2 = ris_correlation(scenario.geometry)
     return NetworkRealization(
         scenario=scenario,
         ap_positions=np.zeros((scenario.M, 2)),
@@ -29,8 +30,7 @@ def synthetic_realization(scenario: Scenario, beta: np.ndarray, alpha: np.ndarra
         beta=np.asarray(beta, dtype=float),
         alpha=np.asarray(alpha, dtype=float),
         alpha_bar=np.asarray(alpha_bar, dtype=float),
-        R=build_correlation_matrix(*scenario.geometry),
-        R2=build_correlation_square(*scenario.geometry),
+        R=R, R2=R2,
     )
 
 

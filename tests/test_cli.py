@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, CSV determinism."""
 
+import json
 import os
 import subprocess
 import sys
@@ -358,6 +359,42 @@ class TestUsageErrors:
         assert code == 2
         assert len(err) == 1 and err[0].startswith(f"error: {flag} "), err
         assert not target.parent.exists() and not (tmp_path / "curve.csv").exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "npy", "version-shape", "config-extra-key",
+                                        "phases-2d", "phases-nan"])
+    def test_unreadable_checkpoint_exits_usage(self, damage, tmp_path, train_config, capsys):
+        # each once ended in a traceback with exit 1
+        ckpt = tmp_path / "ckpt.npz"
+        assert run_cli("train", "--config", train_config, "--episodes", "1", "--steps", "10",
+                       "--out", str(tmp_path / "curve.csv"), "--checkpoint", str(ckpt)) == 0
+        if damage == "truncated":
+            ckpt.write_bytes(ckpt.read_bytes()[:3000])
+        elif damage == "npy":
+            with np.load(ckpt) as data:
+                phases = data["best_phases"]
+            with open(ckpt, "wb") as fh:
+                np.save(fh, phases)
+        else:
+            with np.load(ckpt) as data:
+                arrays = dict(data)
+            if damage == "version-shape":
+                arrays["version"] = np.array([arrays["version"]] * 2)
+            elif damage == "config-extra-key":
+                config = json.loads(str(arrays["config_json"]))
+                arrays["config_json"] = np.array(json.dumps({**config, "bogus": 1}))
+            elif damage == "phases-2d":
+                arrays["best_phases"] = arrays["best_phases"].reshape(2, -1)  # size still N
+            else:
+                arrays["best_phases"] = np.full_like(arrays["best_phases"], np.nan)
+            np.savez(ckpt, **arrays)
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        code = run_cli("sweep", "--config", train_config, "--param", "rho", "--values", "0.1",
+                       "--phases", f"trained:{ckpt}", "--out", str(out))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not out.exists()
 
     def test_negative_pbt_in_config_exits_usage(self, tmp_path, capsys):
         config = tmp_path / "neg_pbt.yaml"

@@ -1,7 +1,6 @@
 """Geometry, large-scale gains, and the RIS spatial correlation matrix."""
 
 from dataclasses import replace
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from ariscf.scenario import (
     scenario_from_dict,
 )
 
+from _instances import count_calls
 from _reference import R_bar_k
 
 LAM = Scenario().wavelength
@@ -110,8 +110,7 @@ class TestCorrelationCache:
         sc = Scenario(M=2, K=2, N_H=4, N_V=2, d_V=LAM / 3, grid_indexing="row_major")
         R2 = sample_layout(sc, 0).R
         assert R2 is not R1 and R2.shape == (8, 8)
-        uncached = scenario._correlation_matrix.__wrapped__(
-            sc.N_H, sc.N_V, sc.d_H, sc.d_V, sc.wavelength, sc.grid_indexing)
+        uncached = build_correlation_matrix(*sc.geometry)
         assert uncached is not R2
         assert np.array_equal(R2, uncached)
 
@@ -133,28 +132,30 @@ class TestCorrelationCache:
         sc = Scenario(M=2, K=2, N_H=4, N_V=2, d_V=LAM / 3, grid_indexing="row_major")
         rl = sample_layout(sc, 0)
         assert rl.R2 is not R2_old and rl.R2.shape == (8, 8)
-        uncached = scenario._correlation_square.__wrapped__(
-            sc.N_H, sc.N_V, sc.d_H, sc.d_V, sc.wavelength, sc.grid_indexing)
+        _, uncached = scenario.ris_correlation.__wrapped__(sc.geometry)
         assert uncached is not rl.R2
         assert np.array_equal(rl.R2, uncached)
         assert np.array_equal(rl.R2, rl.R @ rl.R)
 
     def test_sweep_squares_r_once(self, monkeypatch, tmp_path):
-        # 2 values x 2 seeds of one geometry: four layouts, one R @ R
-        squares = []
-
-        def square(*geometry):
-            squares.append(geometry)
-            return uncached(*geometry)
-
-        uncached = scenario._correlation_square.__wrapped__
-        monkeypatch.setattr(scenario, "_correlation_square", lru_cache(maxsize=1)(square))
+        # 2 values x 2 seeds of one geometry: four layouts, one cache miss,
+        # which builds R and squares it
+        builds = count_calls(monkeypatch, scenario, "build_correlation_matrix")
+        scenario.ris_correlation.cache_clear()
         config = tmp_path / "small.yaml"
         config.write_text("M: 2\nK: 2\nN_H: 3\nN_V: 3\nradius: 100.0\ntau_p: 2\n")
         assert cli.main(["sweep", "--config", str(config), "--param", "rho_u",
                          "--values", "0.01,1.0", "--seeds", "0,1",
                          "--out", str(tmp_path / "sweep.csv")]) == 0
-        assert len(squares) == 1
+        assert len(builds) == 1
+
+    def test_plain_build_keeps_cached_pair(self):
+        # building R for another geometry does not evict the scenario's pair
+        sc = Scenario(M=2, K=3, N_H=4, N_V=3)
+        rl0 = sample_layout(sc, 0)
+        build_correlation_matrix(2, 2, LAM / 2, LAM / 2, LAM)
+        rl1 = sample_layout(sc, 1)
+        assert rl0.R is rl1.R and rl0.R2 is rl1.R2
 
 
 class TestLargeScaleGain:
@@ -268,6 +269,30 @@ class TestScenarioConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             scenario_from_dict({"bogus": 1})
+
+    @pytest.mark.parametrize("text,message", [
+        ("N_H: 2.7\n", "N_H must be an integer, got 2.7"),
+        ("M: true\n", "M must not be a boolean, got True"),
+        ("rho_u: yes\n", "rho_u must not be a boolean, got True"),
+        ("carrier_frequency: 0\n", "carrier_frequency must be > 0"),
+        ("carrier_frequency: -1.9e+9\n", "carrier_frequency must be > 0"),
+        ("rho: 0.1\nrho_dbm: 40.0\n", "rho is given twice: 'rho_dbm'"),
+        ("carrier_frequency: 3.0e+9\nwavelength: 0.1\n", "wavelength is given twice: 'wavelength'"),
+    ], ids=["fractional-int", "bool-int", "bool-float", "zero-frequency", "negative-frequency",
+            "power-two-spellings", "wavelength-two-spellings"])
+    def test_bad_value_rejected(self, tmp_path, text, message):
+        # each was once truncated, coerced, kept last or a ZeroDivisionError
+        path = tmp_path / "sc.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_scenario(str(path))
+
+    def test_integral_values_accepted(self, tmp_path):
+        path = tmp_path / "sc.yaml"
+        path.write_text('M: 3\nN_H: 8.0\nN_V: "8"\ntau_p: 1.0e+1\n')
+        sc = load_scenario(str(path))
+        assert (sc.M, sc.N_H, sc.N_V, sc.tau_p) == (3, 8, 8, 10)
+        assert all(type(v) is int for v in (sc.M, sc.N_H, sc.N_V, sc.tau_p))
 
     def test_yaml_roundtrip(self, tmp_path):
         path = tmp_path / "sc.yaml"
