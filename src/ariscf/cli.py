@@ -59,8 +59,11 @@ def _fmt(x) -> str:
 
 
 def _check_out_dir(path: str | None, flag: str) -> None:
-    """Refuse an output path whose directory is missing before any work is done."""
+    """Refuse an output path that is a directory, or whose directory is missing,
+    before any work is done."""
     if path:
+        if os.path.isdir(path):
+            raise UsageError(f"{flag} {path!r} is a directory")
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
             raise UsageError(f"{flag} {path!r}: directory {parent!r} does not exist")

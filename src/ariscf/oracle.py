@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,62 +157,6 @@ class _Mean:
 
 
 # ---------------------------------------------------------------------------
-# empirical SINR
-
-@dataclass(frozen=True)
-class EmpiricalSinr:
-    """Sample estimates of the SINR expectation groups for one user."""
-
-    sinr: float
-    ds: float
-    bu: float
-    ui: np.ndarray          # (K,) per-interferer power, zero at k
-    an: float
-    no: float
-    stderr: dict            # standard error per group; "ui" is (K,) like `ui`
-
-
-class _SinrGroups:
-    """Block accumulators of the MRC SINR expectation groups of user k.
-
-    With qhat_k = c_k * y_k and T_j = qhat_k^H q_j, the groups are
-    ds = rho_u |E T_k|^2, bu = rho_u (E|T_k|^2 - |E T_k|^2), ui_j = rho_u E|T_j|^2
-    for j != k, an = E|qhat_k^H p|^2 and no = E|qhat_k^H w|^2.
-    """
-
-    def __init__(self, c_k: np.ndarray, k: int):
-        self.c_k, self.k = c_k, k
-        self.T, self.T2 = _Mean(), _Mean()   # T_k and (K,) |T_j|^2
-        self.an, self.no = _Mean(), _Mean()
-
-    def add(self, blk: _Block):
-        qh = np.conj(self.c_k[None, :] * blk.y[:, :, self.k])   # (B, M)
-        T = np.einsum("tm,tmj->tj", qh, blk.q)                   # (B, K)
-        self.T.add(T[:, self.k])
-        self.T2.add(np.abs(T) ** 2)
-        self.an.add(np.abs(np.einsum("tm,tm->t", qh, blk.p_data)) ** 2)
-        self.no.add(np.abs(np.einsum("tm,tm->t", qh, blk.w_data)) ** 2)
-
-    def result(self, rho_u: float) -> EmpiricalSinr:
-        k = self.k
-        mean_T = complex(self.T.mean)
-        ds = rho_u * abs(mean_T) ** 2
-        bu = rho_u * (float(self.T2.mean[k]) - abs(mean_T) ** 2)
-        ui, ui_stderr = rho_u * self.T2.mean, rho_u * self.T2.stderr
-        ui[k] = ui_stderr[k] = 0.0
-        an, no = float(self.an.mean), float(self.no.mean)
-        stderr = {
-            "ds": 2.0 * rho_u * abs(mean_T) * float(self.T.stderr),
-            "bu": rho_u * float(self.T2.stderr[k]),
-            "ui": ui_stderr,
-            "an": float(self.an.stderr),
-            "no": float(self.no.stderr),
-        }
-        return EmpiricalSinr(sinr=ds / (bu + float(ui.sum()) + an + no), ds=ds, bu=bu, ui=ui,
-                             an=an, no=no, stderr=stderr)
-
-
-# ---------------------------------------------------------------------------
 # exact references for the MRC noise groups
 
 def exact_ap_noise_power(scenario, est_stats: EstimationStats, k: int) -> float:
@@ -330,17 +275,6 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
     stats = compute_stats(realization, ris_state)
     est = compute_estimation_stats(sc, stats, plan)
 
-    def row(name: str, empirical, analytic: float, stderr: float) -> IdentityCheck:
-        empirical = float(np.real(empirical))
-        if analytic == 0.0:
-            rel, stderr_rel = abs(empirical), stderr
-        else:
-            rel = abs(empirical - analytic) / abs(analytic)
-            stderr_rel = stderr / abs(analytic)
-        return IdentityCheck(name=name, empirical=empirical, analytic=float(analytic),
-                             rel_err=float(rel), stderr_rel=float(stderr_rel),
-                             n_trials=int(n_trials), tol=TOLERANCES[_family(name)])
-
     # Wishart identity on R_m(0) with a fixed deterministic Hermitian A.
     R0 = realization.R_m(0)
     a_rng = _stream(master_seed, 0, _TAG_WISHART)
@@ -349,41 +283,44 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
     amp0 = np.sqrt(realization.alpha[0] * sc.element_area)
     W_emp = np.zeros((N, N), dtype=complex)
 
-    # (M, K) per-link accumulators, and one scalar accumulator per named row.
-    kappa, fourth, gamma, err_var = _Mean(), _Mean(), _Mean(), _Mean()
-    scalar: dict[str, _Mean] = {}
-
-    def add(name: str, values: np.ndarray):
-        scalar.setdefault(name, _Mean()).add(values)
-
-    sinr = _SinrGroups(est.c[:, 0], 0)
+    # One accumulator per entry: (M, K) for the per-link families, (K,) for
+    # user 0's |T_j|^2, scalar otherwise.
+    acc: defaultdict[str, _Mean] = defaultdict(_Mean)
+    c0 = est.c[:, 0]
 
     def accumulate(blk: _Block):
         q = blk.q
-        kappa.add(np.abs(q) ** 2)
-        fourth.add(np.abs(q) ** 4)
+        acc["kappa"].add(np.abs(q) ** 2)
+        acc["fourth"].add(np.abs(q) ** 4)
         if M > 1 and K > 1:
-            add("cross[mk|m'k']", np.abs(q[:, 0, 0] * np.conj(q[:, 1, 1])) ** 2)
-            add("cyclic", np.conj(q[:, 0, 0]) * q[:, 0, 1] * np.conj(q[:, 1, 1]) * q[:, 1, 0])
+            acc["cross[mk|m'k']"].add(np.abs(q[:, 0, 0] * np.conj(q[:, 1, 1])) ** 2)
+            acc["cyclic"].add(np.conj(q[:, 0, 0]) * q[:, 0, 1] * np.conj(q[:, 1, 1]) * q[:, 1, 0])
         if M > 1:
-            add("cross[mk|m'k]", np.abs(q[:, 0, 0] * np.conj(q[:, 1, 0])) ** 2)
-            add("uncorrelated", q[:, 0, 0] * np.conj(q[:, 1, 0]))
+            acc["cross[mk|m'k]"].add(np.abs(q[:, 0, 0] * np.conj(q[:, 1, 0])) ** 2)
+            acc["uncorrelated"].add(q[:, 0, 0] * np.conj(q[:, 1, 0]))
         if K > 1:
-            add("cross[mk|mk']", np.abs(q[:, 0, 0] * np.conj(q[:, 0, 1])) ** 2)
-        add("alpha_an", np.abs(np.conj(blk.pbar[:, 0, plan.pilot_of[0]]) * q[:, 0, 0]) ** 2)
-        add("aris_power", ris_state.a ** 2 * (sc.rho_u * np.sum(np.abs(blk.z) ** 2, axis=(1, 2))
-                                              + np.sum(np.abs(blk.v_data) ** 2, axis=1)))
+            acc["cross[mk|mk']"].add(np.abs(q[:, 0, 0] * np.conj(q[:, 0, 1])) ** 2)
+        acc["alpha_an"].add(np.abs(np.conj(blk.pbar[:, 0, plan.pilot_of[0]]) * q[:, 0, 0]) ** 2)
+        acc["aris_power"].add(ris_state.a ** 2 * (sc.rho_u * np.sum(np.abs(blk.z) ** 2, axis=(1, 2))
+                                                  + np.sum(np.abs(blk.v_data) ** 2, axis=1)))
 
         qhat = est.c[None] * blk.y
         err = q - qhat
-        gamma.add(np.abs(qhat) ** 2)
-        err_var.add(np.abs(err) ** 2)
-        add("orthogonality", np.conj(qhat[:, 0, 0]) * err[:, 0, 0])
+        acc["gamma"].add(np.abs(qhat) ** 2)
+        acc["err_var"].add(np.abs(err) ** 2)
+        acc["orthogonality"].add(np.conj(qhat[:, 0, 0]) * err[:, 0, 0])
         if M > 1:
             o0 = np.conj(qhat[:, 0, 0]) * q[:, 0, 0] - est.gamma[0, 0]
             o1 = np.conj(qhat[:, 1, 0]) * q[:, 1, 0] - est.gamma[1, 0]
-            add("corollary1", o0 * np.conj(o1))
-        sinr.add(blk)
+            acc["corollary1"].add(o0 * np.conj(o1))
+
+        # MRC groups of user 0: T_j = qhat_0^H q_j, and the two noise projections.
+        qh = np.conj(c0[None, :] * blk.y[:, :, 0])   # (B, M)
+        T = np.einsum("tm,tmj->tj", qh, q)           # (B, K)
+        acc["T_0"].add(T[:, 0])
+        acc["|T_j|^2"].add(np.abs(T) ** 2)
+        acc["sinr_an_exact"].add(np.abs(np.einsum("tm,tm->t", qh, blk.p_data)) ** 2)
+        acc["sinr_no_exact"].add(np.abs(np.einsum("tm,tm->t", qh, blk.w_data)) ** 2)
 
     for chunk, size in enumerate(_chunk_sizes(n_trials)):
         # The block dies with the call, so only one is alive while the next is drawn,
@@ -399,54 +336,69 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
         name="wishart", empirical=float(np.linalg.norm(W_emp)), analytic=float(np.linalg.norm(W_ana)),
         rel_err=float(np.linalg.norm(W_emp - W_ana) / np.linalg.norm(W_ana)),
         stderr_rel=0.0, n_trials=int(n_trials), tol=TOLERANCES["wishart"])]
-    kappa_mean, kappa_se = kappa.mean, kappa.stderr
-    fourth_mean, fourth_se = fourth.mean, fourth.stderr
+
+    mean = {key: a.mean for key, a in acc.items()}
+    se = {key: a.stderr for key, a in acc.items()}
+
+    def row(name: str, analytic: float, empirical=None, stderr=None):
+        """Append one row; without an empirical value it reads the entry `name`."""
+        if empirical is None:
+            empirical, stderr = mean[name], se[name]
+        empirical = float(np.real(empirical))
+        if analytic == 0.0:
+            rel, stderr_rel = abs(empirical), stderr
+        else:
+            rel = abs(empirical - analytic) / abs(analytic)
+            stderr_rel = stderr / abs(analytic)
+        rows.append(IdentityCheck(name=name, empirical=empirical, analytic=float(analytic),
+                                  rel_err=float(rel), stderr_rel=float(stderr_rel),
+                                  n_trials=int(n_trials), tol=TOLERANCES[_family(name)]))
+
     for m in range(M):
         for k in range(K):
-            rows.append(row(f"kappa[{m},{k}]", kappa_mean[m, k], stats.kappa[m, k], kappa_se[m, k]))
-            rows.append(row(f"fourth[{m},{k}]", fourth_mean[m, k], fourth_moment(stats, m, k), fourth_se[m, k]))
-
-    def scalar_row(name: str, analytic: float):
-        rows.append(row(name, scalar[name].mean, analytic, scalar[name].stderr))
-
+            row(f"kappa[{m},{k}]", stats.kappa[m, k], mean["kappa"][m, k], se["kappa"][m, k])
+            row(f"fourth[{m},{k}]", fourth_moment(stats, m, k), mean["fourth"][m, k], se["fourth"][m, k])
     if M > 1 and K > 1:
-        scalar_row("cross[mk|m'k']", cross_moments(stats, 0, 1, 0, 1))
-        scalar_row("cyclic", cross_moment_cyclic(stats, 0, 1, 0, 1))
+        row("cross[mk|m'k']", cross_moments(stats, 0, 1, 0, 1))
+        row("cyclic", cross_moment_cyclic(stats, 0, 1, 0, 1))
     if M > 1:
-        scalar_row("cross[mk|m'k]", cross_moments(stats, 0, 1, 0, 0))
-        acc = scalar["uncorrelated"]
+        row("cross[mk|m'k]", cross_moments(stats, 0, 1, 0, 0))
         scale = float(np.sqrt(stats.kappa[0, 0] * stats.kappa[1, 0]))
-        rows.append(row("uncorrelated", abs(acc.mean) / scale, 0.0, acc.stderr / scale))
+        row("uncorrelated", 0.0, abs(mean["uncorrelated"]) / scale, se["uncorrelated"] / scale)
     if K > 1:
-        scalar_row("cross[mk|mk']", cross_moments(stats, 0, 0, 0, 1))
-    scalar_row("alpha_an", stats.alpha_an[0, 0])
-    scalar_row("aris_power", aris_output_power(sc, realization, ris_state.a))
+        row("cross[mk|mk']", cross_moments(stats, 0, 0, 0, 1))
+    row("alpha_an", stats.alpha_an[0, 0])
+    row("aris_power", aris_output_power(sc, realization, ris_state.a))
 
-    gamma_mean, gamma_se = gamma.mean, gamma.stderr
-    err_mean, err_se = err_var.mean, err_var.stderr
     for m in range(M):
         for k in range(K):
-            rows.append(row(f"gamma[{m},{k}]", gamma_mean[m, k], est.gamma[m, k], gamma_se[m, k]))
-            rows.append(row(f"err_var[{m},{k}]", err_mean[m, k], stats.kappa[m, k] - est.gamma[m, k],
-                            err_se[m, k]))
-            rows.append(row(f"nmse[{m},{k}]", err_mean[m, k] / kappa_mean[m, k], est.nmse[m, k], 0.0))
-    acc = scalar["orthogonality"]
+            row(f"gamma[{m},{k}]", est.gamma[m, k], mean["gamma"][m, k], se["gamma"][m, k])
+            row(f"err_var[{m},{k}]", stats.kappa[m, k] - est.gamma[m, k], mean["err_var"][m, k],
+                se["err_var"][m, k])
+            row(f"nmse[{m},{k}]", est.nmse[m, k], mean["err_var"][m, k] / mean["kappa"][m, k], 0.0)
     scale = float(np.sqrt(est.gamma[0, 0] * (stats.kappa[0, 0] - est.gamma[0, 0])))
-    rows.append(row("orthogonality", abs(acc.mean) / scale, 0.0, acc.stderr / scale))
+    row("orthogonality", 0.0, abs(mean["orthogonality"]) / scale, se["orthogonality"] / scale)
     if M > 1:
         coset = plan.coset(0)
-        scalar_row("corollary1", (est.c[0, 0] * est.c[1, 0] * stats.t2
-                                  * stats.xi_scale[0, 0] * float(stats.xi_scale[1, coset].sum())))
+        row("corollary1", (est.c[0, 0] * est.c[1, 0] * stats.t2
+                           * stats.xi_scale[0, 0] * float(stats.xi_scale[1, coset].sum())))
 
+    # SINR groups of user 0: ds = rho_u |E T_0|^2, bu = rho_u (E|T_0|^2 - |E T_0|^2),
+    # ui_j = rho_u E|T_j|^2 for j != 0, an = E|qhat_0^H p|^2, no = E|qhat_0^H w|^2.
+    rho_u = sc.rho_u
+    mean_T = complex(mean["T_0"])
+    ds = rho_u * abs(mean_T) ** 2
+    bu = rho_u * (float(mean["|T_j|^2"][0]) - abs(mean_T) ** 2)
+    ui, ui_se = rho_u * mean["|T_j|^2"], rho_u * se["|T_j|^2"]
+    ui[0] = 0.0
+    an, no = float(mean["sinr_an_exact"]), float(mean["sinr_no_exact"])
     br = sinr_all(sc, stats, est, plan)
-    bu, ui, _, _ = sinr_groups(sc, stats, est, plan, 0)
-    emp = sinr.result(sc.rho_u)
-    rows.append(row("sinr_ds", emp.ds, br.ds[0], emp.stderr["ds"]))
-    rows.append(row("sinr_bu", emp.bu, bu, emp.stderr["bu"]))
-    rows.extend(row(f"sinr_ui[{kp}]", emp.ui[kp], ui[kp], emp.stderr["ui"][kp])
-                for kp in range(1, K))
-    rows.append(row("sinr_an_exact", emp.an, exact_active_noise_power(stats, est, plan, 0),
-                    emp.stderr["an"]))
-    rows.append(row("sinr_no_exact", emp.no, exact_ap_noise_power(sc, est, 0), emp.stderr["no"]))
-    rows.append(row("sinr_total", emp.sinr, br.sinr[0], 0.0))
+    bu_ana, ui_ana, _, _ = sinr_groups(sc, stats, est, plan, 0)
+    row("sinr_ds", br.ds[0], ds, 2.0 * rho_u * abs(mean_T) * float(se["T_0"]))
+    row("sinr_bu", bu_ana, bu, rho_u * float(se["|T_j|^2"][0]))
+    for kp in range(1, K):
+        row(f"sinr_ui[{kp}]", ui_ana[kp], ui[kp], ui_se[kp])
+    row("sinr_an_exact", exact_active_noise_power(stats, est, plan, 0))
+    row("sinr_no_exact", exact_ap_noise_power(sc, est, 0))
+    row("sinr_total", br.sinr[0], ds / (bu + float(ui.sum()) + an + no), 0.0)
     return rows

@@ -31,10 +31,13 @@ class SinrBreakdown:
 
     @property
     def i2(self) -> np.ndarray:
-        """Each user's eight addends added by Python's sum(), as the one-user
-        formula adds them; from Python 3.12 on, sum() compensates float
-        round-off, so a left-to-right numpy add would differ there."""
-        return np.array([sum(v) for v in zip(*(t.tolist() for t in self.i2_terms.values()))])
+        """Each user's eight addends added left to right from 0.0, as the one-user
+        formula adds them. Not the builtin sum(): from Python 3.12 on it
+        compensates float round-off, so the bytes would depend on the interpreter."""
+        total = np.zeros(len(self.i1))
+        for term in self.i2_terms.values():
+            total = total + term
+        return total
 
     @property
     def sinr(self) -> np.ndarray:

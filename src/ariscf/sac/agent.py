@@ -296,7 +296,8 @@ def save_checkpoint(path: str, result: TrainResult) -> None:
         for i, (w, b) in enumerate(zip(net.weights, net.biases)):
             arrays[f"{name}_w{i}"] = w
             arrays[f"{name}_b{i}"] = b
-    np.savez(path, **arrays)
+    with open(path, "wb") as fh:   # a path given to np.savez gains ".npz" if it lacks one
+        np.savez(fh, **arrays)
 
 
 def load_checkpoint(path: str) -> dict:

@@ -1,11 +1,11 @@
 """Shared test instances with hand-controlled large-scale gains, shipped-config
-instances, oracle block draws and the empirical SINR built from them, and a
-call counter for package functions."""
+instances, oracle block draws and an empirical SINR reduced from them apart from
+the identity suite, and a call counter for package functions."""
 
 import os
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -88,16 +88,57 @@ def draw_trials(realization: NetworkRealization, ris_state, plan, n_trials: int,
                             for f in fields(oracle._Block)})
 
 
+@dataclass(frozen=True)
+class EmpiricalSinr:
+    """Sample estimates of the SINR expectation groups of user 0."""
+
+    sinr: float
+    ds: float
+    bu: float
+    ui: np.ndarray          # (K,) per-interferer power, zero at user 0
+    an: float
+    no: float
+    stderr: dict            # standard error per group; "ui" is (K,) like `ui`
+
+
 def empirical_sinr(realization: NetworkRealization, ris_state, plan, n_trials: int,
-                   master_seed: int):
-    """Monte Carlo SINR groups of user 0: the oracle's block draws reduced by
-    the same accumulator, in the same block order, as its sinr_* rows."""
+                   master_seed: int) -> EmpiricalSinr:
+    """Monte Carlo SINR groups of user 0 from the oracle's block draws, reduced
+    here on their own rather than by the identity suite.
+
+    With qhat_0 = c_0 * y_0 and T_j = qhat_0^H q_j, the groups are
+    ds = rho_u |E T_0|^2, bu = rho_u (E|T_0|^2 - |E T_0|^2), ui_j = rho_u E|T_j|^2
+    for j != 0, an = E|qhat_0^H p|^2 and no = E|qhat_0^H w|^2.
+    """
     sc = realization.scenario
     est = compute_estimation_stats(sc, compute_stats(realization, ris_state), plan)
-    groups = oracle._SinrGroups(est.c[:, 0], 0)
+    c0 = est.c[:, 0]
+    t0, t_sq, an_acc, no_acc = oracle._Mean(), oracle._Mean(), oracle._Mean(), oracle._Mean()
     for chunk, size in enumerate(oracle._chunk_sizes(n_trials)):
-        groups.add(oracle._sample_block(realization, ris_state, plan, master_seed, chunk, size))
-    return groups.result(sc.rho_u)
+        blk = oracle._sample_block(realization, ris_state, plan, master_seed, chunk, size)
+        qh = np.conj(c0[None, :] * blk.y[:, :, 0])
+        T = np.einsum("tm,tmj->tj", qh, blk.q)
+        t0.add(T[:, 0])
+        t_sq.add(np.abs(T) ** 2)
+        an_acc.add(np.abs(np.einsum("tm,tm->t", qh, blk.p_data)) ** 2)
+        no_acc.add(np.abs(np.einsum("tm,tm->t", qh, blk.w_data)) ** 2)
+
+    rho_u = sc.rho_u
+    mean_T = complex(t0.mean)
+    ds = rho_u * abs(mean_T) ** 2
+    bu = rho_u * (float(t_sq.mean[0]) - abs(mean_T) ** 2)
+    ui, ui_stderr = rho_u * t_sq.mean, rho_u * t_sq.stderr
+    ui[0] = ui_stderr[0] = 0.0
+    an, no = float(an_acc.mean), float(no_acc.mean)
+    stderr = {
+        "ds": 2.0 * rho_u * abs(mean_T) * float(t0.stderr),
+        "bu": rho_u * float(t_sq.stderr[0]),
+        "ui": ui_stderr,
+        "an": float(an_acc.stderr),
+        "no": float(no_acc.stderr),
+    }
+    return EmpiricalSinr(sinr=ds / (bu + float(ui.sum()) + an + no), ds=ds, bu=bu, ui=ui,
+                         an=an, no=no, stderr=stderr)
 
 
 def count_calls(monkeypatch, module, name: str) -> list:

@@ -272,6 +272,17 @@ class TestTrain:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_checkpoint_written_at_exact_path(self, tmp_path, train_config):
+        # np.savez given a path adds ".npz": `--checkpoint ck/model` once wrote
+        # ck/model.npz, and `--phases trained:ck/model` then exited 2
+        ckpt = tmp_path / "ck" / "model"
+        ckpt.parent.mkdir()
+        assert run_cli("train", "--config", train_config, "--episodes", "1", "--steps", "10",
+                       "--out", str(tmp_path / "curve.csv"), "--checkpoint", str(ckpt)) == 0
+        assert [p.name for p in ckpt.parent.iterdir()] == ["model"]
+        assert run_cli("sweep", "--config", train_config, "--param", "rho", "--values", "0.1",
+                       "--phases", f"trained:{ckpt}", "--out", str(tmp_path / "s.csv")) == 0
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path, train_config):
         out = tmp_path / "curve.csv"
@@ -293,6 +304,16 @@ class TestTrain:
         assert proc.returncode == 3
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("training diverged:"), proc.stderr
+
+
+# Each command's output-path flag, with what the command needs to run.
+OUTPUT_FLAGS = pytest.mark.parametrize("argv,flag", [
+    (["validate", "--trials", "10"], "--out"),
+    (["sweep", "--config", "{small}", "--param", "rho", "--values", "0.1"], "--out"),
+    (["train", "--config", "{train}", "--episodes", "1", "--steps", "5"], "--out"),
+    (["train", "--config", "{train}", "--episodes", "1", "--steps", "5",
+      "--out", "{curve}"], "--checkpoint"),
+], ids=["validate-out", "sweep-out", "train-out", "train-checkpoint"])
 
 
 class TestUsageErrors:
@@ -341,13 +362,7 @@ class TestUsageErrors:
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv,flag", [
-        (["validate", "--trials", "10"], "--out"),
-        (["sweep", "--config", "{small}", "--param", "rho", "--values", "0.1"], "--out"),
-        (["train", "--config", "{train}", "--episodes", "1", "--steps", "5"], "--out"),
-        (["train", "--config", "{train}", "--episodes", "1", "--steps", "5",
-          "--out", "{curve}"], "--checkpoint"),
-    ], ids=["validate-out", "sweep-out", "train-out", "train-checkpoint"])
+    @OUTPUT_FLAGS
     def test_missing_output_directory_exits_usage(self, argv, flag, tmp_path, small_config,
                                                   train_config, capsys):
         # refused before any work, so no file is written
@@ -359,6 +374,22 @@ class TestUsageErrors:
         assert code == 2
         assert len(err) == 1 and err[0].startswith(f"error: {flag} "), err
         assert not target.parent.exists() and not (tmp_path / "curve.csv").exists()
+
+    @OUTPUT_FLAGS
+    def test_output_path_is_directory_exits_usage(self, argv, flag, tmp_path, small_config,
+                                                  train_config, capsys):
+        # --out once ran all the work, then died in an IsADirectoryError traceback
+        # with exit 1; --checkpoint silently wrote <dir>.npz with exit 0
+        paths = {"small": small_config, "train": train_config,
+                 "curve": str(tmp_path / "curve.csv")}
+        target = tmp_path / "outdir"
+        target.mkdir()
+        code = run_cli(*(arg.format(**paths) for arg in argv), flag, str(target))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"error: {flag} "), err
+        assert not any(target.iterdir()) and not (tmp_path / "curve.csv").exists()
+        assert not (tmp_path / "outdir.npz").exists()
 
     @pytest.mark.parametrize("damage", ["truncated", "npy", "version-shape", "config-extra-key",
                                         "phases-2d", "phases-nan"])

@@ -128,7 +128,8 @@ class TestEmpiricalSinr:
         assert r.ds == pytest.approx(br.ds[0], rel=0.03)
 
     def test_same_accumulation_as_identity_suite(self):
-        # the test helper reduces the oracle's blocks exactly as the sinr_* rows do
+        # the test helper reduces the oracle's blocks on its own, with the same
+        # expressions and block order as the sinr_* rows, so they agree to the bit
         sc = Scenario(M=3, K=4, N_H=2, N_V=2, tau_p=2)
         rl = sample_layout(sc, 0)
         state = RisState(phases=np.random.default_rng(0).uniform(0, 2 * np.pi, sc.N), a=2.0)

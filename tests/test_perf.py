@@ -1,5 +1,6 @@
 """Closed-form SINR/SE/EE behavior."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -215,7 +216,10 @@ def eager_breakdown(scenario, stats, est_stats, plan, k):
     an = float(stats.alpha_an[:, k].sum())
     no = sc.sigma2 * float(kappa[:, k].sum())
 
-    sinr = i1 ** 2 / (float(sum(terms.values())) + i3)
+    i2 = 0.0
+    for value in terms.values():   # left to right: sum() compensates round-off from 3.12 on
+        i2 += value
+    sinr = i1 ** 2 / (i2 + i3)
     return i1, terms, i3, sinr, i1 ** 2, bu, ui, an, no
 
 
@@ -289,6 +293,24 @@ class TestVectorizedSinr:
         assert differ.size > 0
         br = perf.SinrBreakdown(i1=differ, i2_terms={}, i3=np.ones_like(differ))
         assert br.ds.tolist() == [v ** 2 for v in differ.tolist()]
+
+    def test_i2_adds_left_to_right(self):
+        # each user's eight addends, in term order from 0.0, with plain float adds;
+        # math.fsum (and sum() from Python 3.12 on) round some of these differently
+        n = 4000
+        rng = np.random.default_rng(0)
+        terms = {name: rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 8, n)
+                 for name in I2_TERM_NAMES}
+        expected = []
+        for k in range(n):
+            total = 0.0
+            for name in I2_TERM_NAMES:
+                total += float(terms[name][k])
+            expected.append(total)
+        assert any(e != math.fsum(float(terms[name][k]) for name in I2_TERM_NAMES)
+                   for k, e in enumerate(expected))
+        br = perf.SinrBreakdown(i1=np.ones(n), i2_terms=terms, i3=np.ones(n))
+        assert br.i2.tolist() == expected
 
 
 class TestSpectralEfficiency:
