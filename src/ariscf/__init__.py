@@ -26,7 +26,7 @@ from .perf import (
     energy_efficiency,
     evaluate_phases,
     sinr_all,
-    sinr_groups,
+    sinr_user,
 )
 
 __version__ = "0.1.0"

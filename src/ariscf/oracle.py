@@ -16,7 +16,7 @@ from .channel import (
     fourth_moment,
 )
 from .estimation import EstimationStats, PilotPlan, compute_estimation_stats
-from .perf import sinr_all, sinr_groups
+from .perf import sinr_user
 from .ris import RisState, aris_output_power
 from .scenario import NetworkRealization
 
@@ -392,13 +392,12 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
     ui, ui_se = rho_u * mean["|T_j|^2"], rho_u * se["|T_j|^2"]
     ui[0] = 0.0
     an, no = float(mean["sinr_an_exact"]), float(mean["sinr_no_exact"])
-    br = sinr_all(sc, stats, est, plan)
-    bu_ana, ui_ana, _, _ = sinr_groups(sc, stats, est, plan, 0)
-    row("sinr_ds", br.ds[0], ds, 2.0 * rho_u * abs(mean_T) * float(se["T_0"]))
+    ds_ana, sinr_ana, bu_ana, ui_ana, _, _ = sinr_user(sc, stats, est, plan, 0)
+    row("sinr_ds", ds_ana, ds, 2.0 * rho_u * abs(mean_T) * float(se["T_0"]))
     row("sinr_bu", bu_ana, bu, rho_u * float(se["|T_j|^2"][0]))
     for kp in range(1, K):
         row(f"sinr_ui[{kp}]", ui_ana[kp], ui[kp], ui_se[kp])
     row("sinr_an_exact", exact_active_noise_power(stats, est, plan, 0))
     row("sinr_no_exact", exact_ap_noise_power(sc, est, 0))
-    row("sinr_total", br.sinr[0], ds / (bu + float(ui.sum()) + an + no), 0.0)
+    row("sinr_total", sinr_ana, ds / (bu + float(ui.sum()) + an + no), 0.0)
     return rows

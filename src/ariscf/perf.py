@@ -14,11 +14,8 @@ from .scenario import NetworkRealization, Scenario
 
 @dataclass(frozen=True)
 class SinrBreakdown:
-    """All terms of the uplink SINR of every user, as (K,) arrays.
-
-    `i2_terms` holds the eight interference addends; `sinr_groups` writes the
-    same denominator regrouped by physical origin for Monte Carlo comparison.
-    """
+    """All terms of the uplink SINR of every user, as (K,) arrays; `i2_terms`
+    holds the eight interference addends."""
 
     i1: np.ndarray
     i2_terms: dict
@@ -26,27 +23,15 @@ class SinrBreakdown:
 
     @property
     def ds(self) -> np.ndarray:
-        """Desired-signal power, squared with Python's float pow (libm), not x*x."""
-        return np.array([x ** 2 for x in self.i1.tolist()])
+        return self.i1 * self.i1
 
     @property
     def i2(self) -> np.ndarray:
-        """Each user's eight addends added left to right from 0.0, as the one-user
-        formula adds them. Not the builtin sum(): from Python 3.12 on it
-        compensates float round-off, so the bytes would depend on the interpreter."""
-        total = np.zeros(len(self.i1))
-        for term in self.i2_terms.values():
-            total = total + term
-        return total
+        return np.sum(list(self.i2_terms.values()), axis=0)
 
     @property
     def sinr(self) -> np.ndarray:
         return self.ds / (self.i2 + self.i3)
-
-
-def _row_sums(x: np.ndarray) -> np.ndarray:
-    """(n, ...) -> (n,): each user's block summed in C order, pairwise as numpy sums a 1-D array."""
-    return x.reshape(len(x), x[0].size).sum(axis=1)
 
 
 def sinr_all(scenario: Scenario, stats: SecondOrderStats,
@@ -58,98 +43,79 @@ def sinr_all(scenario: Scenario, stats: SecondOrderStats,
     pilot sharing and separately checkable against the Monte Carlo oracle; the
     noise floor keeps the perfect-estimation reading sum(alpha) + sigma2 sum(kappa).
 
-    Each user's values are bit for bit those of the formula evaluated for
-    that user alone, so numpy must add in the same order:
-    - user-major (K, M) copies make each user's AP sum a contiguous row, which
-      numpy sums pairwise, as it sums one (M,) column;
-    - each user's product with a column-indexed (M, K') slice of the moments
-      is laid out (user, AP), that slice's memory order, and one with a whole
-      (M, K) moment (AP, user); each is summed in its layout order;
-    - the coset's channel power adds one member at a time;
-    - `u` and the contamination means are one matrix-vector product per user.
+    Sums over other users are row sums weighted by `mask`, `mask - I` or `1 - I`:
+    a total minus the diagonal cancels when a user's own channel dominates.
     """
     sc = scenario
-    s = stats.xi_scale
-    M, K = s.shape
-    t2 = stats.t2
+    s, kappa, alpha_an, t2 = stats.xi_scale, stats.kappa, stats.alpha_an, stats.t2
     rho_tau = sc.rho * sc.tau_p
-    c = est_stats.c
-    kT = np.ascontiguousarray(stats.kappa.T)        # (K, M) user-major
-    aT = np.ascontiguousarray(stats.alpha_an.T)
-    gT = np.ascontiguousarray(est_stats.gamma.T)
-    c2 = np.ascontiguousarray(c.T) ** 2
-    u = np.array([c[:, k] @ s for k in range(K)])   # (K, K) [k, j] = sum_m c_{m,k} s_{m,j}
-    s2 = np.ascontiguousarray(s.T) ** 2
-
-    kappa_coset = np.empty_like(kT)                  # (K, M) coset channel power per AP
-    u_coset, xi_sq = np.empty(K), np.empty(K)
-    mean_sq, contam_kappa = np.zeros(K), np.zeros(K)
-    mask = plan.coset_mask()
-    size = mask.sum(axis=1)
-    for g in set(size.tolist()):                     # round-robin pilots: at most two sizes
-        users = np.flatnonzero(size == g)
-        coset = np.nonzero(mask[users])[1].reshape(len(users), g)  # (n, g) ascending
-        acc = kT[coset[:, 0]]
-        for i in range(1, g):
-            acc += kT[coset[:, i]]
-        kappa_coset[users] = acc
-        u_coset[users] = u[users[:, None], coset].sum(axis=1)
-        xi_sq[users] = _row_sums(c2[users][:, None, :] * s2[coset])
-        if g > 1:
-            contam = coset[coset != users[:, None]].reshape(len(users), g - 1)
-            v = np.array([kT[j] @ c[:, k] for k, j in zip(users, contam)])  # (n, g-1)
-            mean_sq[users] = (v ** 2).sum(axis=1)
-            contam_kappa[users] = _row_sums((c2[users] * kT[users])[:, None, :] * kT[contam])
-    off_diagonal = ~np.eye(K, dtype=bool)
-    inter = (c2[:, None, :] * kT[None, :, :]) * kappa_coset[:, None, :]  # (K, K, M) [k, j, m]
+    c, gamma = est_stats.c, est_stats.gamma
+    c2 = c * c
+    mask = plan.coset_mask().astype(float)       # (K, K) [k, j]: j shares k's pilot
+    contam, others = mask - np.eye(len(mask)), 1.0 - np.eye(len(mask))
+    u = c.T @ s                                  # (K, K) [k, j] = sum_m c_{m,k} s_{m,j}
+    kc = c.T @ kappa                             # (K, K) [k, j] = sum_m c_{m,k} kappa_{m,j}
 
     terms = {
         # Xi-coherent double sum over APs and all user pairs
-        "coherent_xi": t2 * (u.sum(axis=1) * u_coset),
+        "coherent_xi": t2 * (u.sum(axis=1) * (u * mask).sum(axis=1)),
         # per-AP estimate-variance square (beamforming uncertainty)
-        "gamma_sq": (gT ** 2).sum(axis=1),
+        "gamma_sq": (gamma * gamma).sum(axis=0),
         # non-coherent inter-user interference
-        "inter_user_kappa": _row_sums(inter[off_diagonal].reshape(K, K - 1, M)),
+        "inter_user_kappa": (((c2 * (kappa @ mask.T)).T @ kappa) * others).sum(axis=1),
         # RIS-noise leakage through the pilot projection
-        "active_noise_pilot": _row_sums(c2[:, :, None] * stats.alpha_an[None]) / rho_tau,
+        "active_noise_pilot": (c2.T @ alpha_an).sum(axis=1) / rho_tau,
         # AP-noise leakage through the pilot projection
-        "ap_noise_pilot": sc.sigma2 * _row_sums(c2[:, :, None] * stats.kappa[None]) / rho_tau,
+        "ap_noise_pilot": sc.sigma2 * (c2.T @ kappa).sum(axis=1) / rho_tau,
         # coherent contamination bias power
-        "contamination_mean_sq": mean_sq,
+        "contamination_mean_sq": (kc * kc * contam).sum(axis=1),
         # contamination cross term kappa_k * kappa_k'
-        "contamination_kappa": contam_kappa,
+        "contamination_kappa": (((c2 * kappa).T @ kappa) * contam).sum(axis=1),
         # per-AP tr(Xi^2) excess over the coset
-        "contamination_xi_sq": t2 * xi_sq,
+        "contamination_xi_sq": t2 * ((c2.T @ s ** 2) * mask).sum(axis=1),
     }
-    terms = {name: sc.rho_u * value for name, value in terms.items()}
-
-    i1 = np.sqrt(sc.rho_u) * gT.sum(axis=1)
-    i3 = aT.sum(axis=1) + sc.sigma2 * kT.sum(axis=1)
-    return SinrBreakdown(i1=i1, i2_terms=terms, i3=i3)
+    return SinrBreakdown(i1=np.sqrt(sc.rho_u) * gamma.sum(axis=0),
+                         i2_terms={name: sc.rho_u * value for name, value in terms.items()},
+                         i3=alpha_an.sum(axis=0) + sc.sigma2 * kappa.sum(axis=0))
 
 
-def sinr_groups(scenario: Scenario, stats: SecondOrderStats,
-                est_stats: EstimationStats, plan: PilotPlan, k: int):
-    """User k's SINR denominator regrouped into the expectation groups of the
-    derivation: (bu, ui, an, no), i.e. beamforming uncertainty, the (K,)
-    per-interferer powers (zero at k), active RIS noise and AP noise.
+def sinr_user(scenario: Scenario, stats: SecondOrderStats,
+              est_stats: EstimationStats, plan: PilotPlan, k: int):
+    """User k's SINR written for that user alone: (ds, sinr, bu, ui, an, no).
 
-    They sum to user k's i2 + i3 of `sinr_all` up to round-off; the Monte Carlo
-    oracle compares them group by group. The SE path never builds them.
+    ds and sinr equal those of `sinr_all` up to round-off: here ds squares a
+    float and the eight addends add left to right from 0.0. bu, ui, an, no
+    regroup the denominator into the expectation groups of the derivation:
+    beamforming uncertainty, the (K,) per-interferer powers (zero at k),
+    active RIS noise and AP noise. Only the Monte Carlo oracle asks for them.
     """
     sc = scenario
-    kappa = stats.kappa
-    s = stats.xi_scale
-    t2 = stats.t2
+    kappa, s, t2 = stats.kappa, stats.xi_scale, stats.t2
     rho_tau = sc.rho * sc.tau_p
-    c = est_stats.c[:, k]
+    c, gamma = est_stats.c[:, k], est_stats.gamma[:, k]
     coset = plan.coset(k)
+    contam = coset[coset != k]
+    others = np.flatnonzero(np.arange(stats.K) != k)
     u = c @ s                                  # (K,) sum_m c_m s_{m,j}
     kappa_coset = kappa[:, coset].sum(axis=1)  # (M,) coset channel power per AP
-    others = np.flatnonzero(np.arange(stats.K) != k)
-    gamma, contam = est_stats.gamma[:, k], coset[coset != k]
     c2 = c * c
     u_coset = float(u[coset].sum())
+    an = float(stats.alpha_an[:, k].sum())
+    no = sc.sigma2 * float(kappa[:, k].sum())
+    i2 = 0.0
+    for value in (
+        t2 * float(u.sum() * u_coset),
+        float(np.sum(gamma ** 2)),
+        float(np.sum(c2[:, None] * kappa[:, others] * kappa_coset[:, None])),
+        float(np.sum(c2[:, None] * stats.alpha_an)) / rho_tau,
+        sc.sigma2 * float(np.sum(c2[:, None] * kappa)) / rho_tau,
+        float(np.sum((kappa[:, contam].T @ c) ** 2)),
+        float(np.sum((c2 * kappa[:, k])[:, None] * kappa[:, contam])),
+        t2 * float(np.sum(c2[:, None] * s[:, coset] ** 2)),
+    ):
+        i2 += sc.rho_u * value
+    ds = float(np.sqrt(sc.rho_u) * gamma.sum()) ** 2
+
     pilot_noise = (stats.alpha_an + sc.sigma2 * kappa) / rho_tau  # (M, K)
     bu = sc.rho_u * float(
         t2 * u[k] * u_coset
@@ -166,9 +132,7 @@ def sinr_groups(scenario: Scenario, stats: SecondOrderStats,
             common += float((c @ kappa[:, kp]) ** 2) \
                 + t2 * float(np.sum(c2 * s[:, kp] ** 2))
         ui[kp] = sc.rho_u * common
-    an = float(stats.alpha_an[:, k].sum())
-    no = sc.sigma2 * float(kappa[:, k].sum())
-    return bu, ui, an, no
+    return ds, ds / (i2 + (an + no)), bu, ui, an, no
 
 
 def evaluate_phases(scenario: Scenario, realization: NetworkRealization, plan: PilotPlan,

@@ -117,10 +117,7 @@ class SacAgent:
         return action, log_prob, internals
 
     def act(self, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        mean, log_std, _, _ = self.policy_stats(obs[None])
-        std_eff = np.exp(log_std) * self.config.exploration_noise
-        u = mean + std_eff * rng.standard_normal(mean.shape)
-        return np.tanh(u[0])
+        return self.policy_sample(obs[None], rng.standard_normal((1, self.act_dim)))[0][0]
 
     # ---------------- critics ----------------
 

@@ -128,7 +128,7 @@ def load_scenario(path: str) -> Scenario:
     spellings is an error.
     """
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
+        raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

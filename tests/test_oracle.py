@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from ariscf import oracle
 from ariscf.channel import complex_normal, compute_stats
 from ariscf.estimation import assign_pilots, compute_estimation_stats
-from ariscf.perf import sinr_all, sinr_groups
+from ariscf.perf import sinr_all, sinr_user
 from ariscf.ris import RisState
 from ariscf.scenario import Scenario, sample_layout
 
@@ -28,12 +28,12 @@ ORACLE_COVERAGE = {
     "estimation.EstimationStats.c": "nmse",
     "estimation.EstimationStats.gamma": "gamma",
     "estimation.EstimationStats.nmse": "nmse",
-    "perf.SinrBreakdown.ds": "sinr_ds",
-    "perf.sinr_groups.bu": "sinr_bu",
-    "perf.sinr_groups.ui": "sinr_ui",
-    "perf.sinr_groups.an": "sinr_an_exact",
-    "perf.sinr_groups.no": "sinr_no_exact",
-    "perf.SinrBreakdown.sinr": "sinr_total",
+    "perf.sinr_user.ds": "sinr_ds",
+    "perf.sinr_user.bu": "sinr_bu",
+    "perf.sinr_user.ui": "sinr_ui",
+    "perf.sinr_user.an": "sinr_an_exact",
+    "perf.sinr_user.no": "sinr_no_exact",
+    "perf.sinr_user.sinr": "sinr_total",
 }
 
 
@@ -215,14 +215,13 @@ class TestIdentitySuite:
         stats = compute_stats(rl, state)
         est = compute_estimation_stats(sc, stats, plan)
         assert est.c.min() > 0.99  # validity regime
-        ds = sinr_all(sc, stats, est, plan).ds[0]
-        bu, ui, an, no = sinr_groups(sc, stats, est, plan, 0)
+        ds, _, bu, ui, an, no = sinr_user(sc, stats, est, plan, 0)
         r = empirical_sinr(rl, state, plan, 400_000, master_seed=11)
-        assert r.ds == pytest.approx(ds, rel=0.05)
-        assert r.bu == pytest.approx(bu, rel=0.05)
-        assert r.ui[1] == pytest.approx(ui[1], rel=0.05)
-        assert r.an == pytest.approx(an, rel=0.05)
-        assert r.no == pytest.approx(no, rel=0.05)
+        assert r.ds == pytest.approx(ds, rel=0.05, abs=0)
+        assert r.bu == pytest.approx(bu, rel=0.05, abs=0)
+        assert r.ui[1] == pytest.approx(ui[1], rel=0.05, abs=0)
+        assert r.an == pytest.approx(an, rel=0.05, abs=0)
+        assert r.no == pytest.approx(no, rel=0.05, abs=0)
 
     def test_exact_noise_groups_any_regime(self):
         # moderate estimation quality: the exact references still match
@@ -261,7 +260,7 @@ class TestIdentitySuite:
             "ris.aris_output_power",
             "estimation.EstimationStats.c", "estimation.EstimationStats.gamma",
             "estimation.EstimationStats.nmse",
-            "perf.SinrBreakdown.ds", "perf.sinr_groups.bu", "perf.sinr_groups.ui",
-            "perf.sinr_groups.an", "perf.sinr_groups.no", "perf.SinrBreakdown.sinr",
+            "perf.sinr_user.ds", "perf.sinr_user.bu", "perf.sinr_user.ui",
+            "perf.sinr_user.an", "perf.sinr_user.no", "perf.sinr_user.sinr",
         }
         assert public == set(ORACLE_COVERAGE)

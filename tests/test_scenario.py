@@ -1,9 +1,12 @@
 """Geometry, large-scale gains, and the RIS spatial correlation matrix."""
 
+import glob
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 from numpy.testing import assert_allclose
 
 from ariscf import cli, scenario
@@ -22,6 +25,9 @@ from _instances import count_calls
 from _reference import R_bar_k
 
 LAM = Scenario().wavelength
+REPO = os.path.join(os.path.dirname(__file__), "..")
+SHIPPED_CONFIGS = sorted(os.path.relpath(p, REPO) for pattern in ("configs", "perfbench/configs")
+                         for p in glob.glob(os.path.join(REPO, pattern, "*.yaml")))
 
 
 class TestCorrelationMatrix:
@@ -300,6 +306,17 @@ class TestScenarioConfig:
         sc = load_scenario(str(path))
         assert sc.M == 4
         assert sc.sigma2 == pytest.approx(1e-10)
+
+    @pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+    def test_libyaml_and_python_loaders_agree(self, monkeypatch, config):
+        # libyaml's CSafeLoader when PyYAML has it, else the pure-Python SafeLoader;
+        # the hash also tells an int from an integral float
+        path = os.path.join(REPO, config)
+        fast = load_scenario(path)
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        slow = load_scenario(path)
+        assert slow == fast
+        assert slow.config_hash() == fast.config_hash()
 
     def test_config_hash_stable(self):
         assert Scenario().config_hash() == Scenario().config_hash()
