@@ -20,7 +20,7 @@ from .channel import (
     fourth_moment,
     phase_traces,
 )
-from .estimation import EstimationStats, PilotPlan, assign_pilots, compute_estimation_stats
+from .estimation import EstimationStats, compute_estimation_stats
 from .perf import (
     SinrBreakdown,
     energy_efficiency,

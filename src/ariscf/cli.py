@@ -15,7 +15,6 @@ import yaml
 
 from . import oracle
 from .channel import phase_traces
-from .estimation import assign_pilots
 from .perf import energy_efficiency, evaluate_phases
 from .ris import BudgetExhaustedWarning, RisState, amplitude_gain
 from .sac.agent import SacConfig, TrainingDiverged, save_checkpoint, load_checkpoint, train
@@ -76,7 +75,7 @@ def _check_seed(seed: int, flag: str = "--seed") -> None:
 
 
 def _instance(scenario: Scenario, seed: int):
-    """Layout, amplitude gain and pilot plan for one seed.
+    """Layout and amplitude gain for one seed.
 
     The gain is 0.0 exactly when the power budget is exhausted; callers read
     that value, so the budget warning is silenced here.
@@ -85,7 +84,7 @@ def _instance(scenario: Scenario, seed: int):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BudgetExhaustedWarning)
         a = amplitude_gain(scenario, realization.alpha_bar)
-    return realization, a, assign_pilots(scenario.K, scenario.tau_p)
+    return realization, a
 
 
 # ---------------------------------------------------------------------------
@@ -98,15 +97,15 @@ def cmd_validate(args) -> int:
     _check_out_dir(args.out, "--out")
     if args.config is None:
         # built-in synthetic benchmark: conditioning guaranteed by construction
-        realization, state, plan = oracle.benchmark_instance()
+        realization, state = oracle.benchmark_instance()
         scenario = realization.scenario
     else:
         scenario = _load_or_default(args.config)
-        realization, a, plan = _instance(scenario, args.seed)
+        realization, a = _instance(scenario, args.seed)
         state = RisState(phases=np.zeros(scenario.N), a=a)
 
-    rows = oracle.verify_moment_identities(realization, state, plan,
-                                           n_trials=args.trials, master_seed=args.seed)
+    rows = oracle.verify_moment_identities(realization, state, n_trials=args.trials,
+                                           master_seed=args.seed)
     authoritative = args.trials >= oracle.MIN_AUTHORITATIVE_TRIALS
     comments = [
         f"config_sha256={scenario.config_hash()}",
@@ -173,13 +172,13 @@ def _sweep_group(payload):
     points, seed, phases, prelog = payload
     rows, traces = [], None
     for sc, label in points:
-        realization, a, plan = _instance(sc, seed)
+        realization, a = _instance(sc, seed)
         if traces is None:
             phases = _point_phases(phases, sc.N, seed)
             traces = phase_traces(realization, RisState(phases=phases, a=a))
-        se, est = evaluate_phases(sc, realization, plan, phases, a, prelog, traces)
+        se, est = evaluate_phases(realization, phases, a, prelog, traces)
         se_total = float(se.sum())
-        ee = energy_efficiency(sc, realization, se_total, a)
+        ee = energy_efficiency(realization, se_total, a)
         rows.append([label, str(seed), _fmt(se_total), _fmt(float(est.nmse.mean())), _fmt(a),
                      _fmt(ee), "1" if a != 0.0 else "0"])
     return rows
@@ -264,8 +263,8 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         raise UsageError(f"bad training options: {exc}") from exc
 
-    realization, a, plan = _instance(scenario, args.seed)
-    env = RisEnv(scenario, realization, plan, a, prelog=args.prelog)
+    realization, a = _instance(scenario, args.seed)
+    env = RisEnv(realization, a, prelog=args.prelog)
     comments = [f"config_sha256={scenario.config_hash()}", f"master_seed={args.seed}"]
     baseline = env.equal_phase_se
     if args.episodes == 0:

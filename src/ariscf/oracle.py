@@ -15,7 +15,7 @@ from .channel import (
     cross_moments,
     fourth_moment,
 )
-from .estimation import EstimationStats, PilotPlan, compute_estimation_stats
+from .estimation import EstimationStats, compute_estimation_stats
 from .perf import sinr_user
 from .ris import RisState, aris_output_power
 from .scenario import NetworkRealization
@@ -42,13 +42,12 @@ def _chunk_sizes(n_trials: int):
 
 
 def benchmark_instance():
-    """Built-in small validation instance: (realization, ris_state, plan).
+    """Built-in small validation instance: (realization, ris_state).
 
     Synthetic gains keep the cascaded path dominant, so the quartic trace
     identities sit well above their estimator noise at 1e5-1e6 trials;
     geometry sampled from a config cannot guarantee that conditioning.
     """
-    from .estimation import assign_pilots
     from .scenario import NetworkRealization, Scenario, ris_correlation
 
     sc = Scenario(M=2, K=2, N_H=2, N_V=2, tau_p=1, rho=0.05, rho_u=5.0,
@@ -64,7 +63,7 @@ def benchmark_instance():
         R=R, R2=R2,
     )
     state = RisState(phases=np.zeros(sc.N), a=4.0)
-    return realization, state, assign_pilots(sc.K, sc.tau_p)
+    return realization, state
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +80,7 @@ class _Block:
     pbar: np.ndarray     # (B, M, n_pilots) projected pilot-phase RIS noise
 
 
-def _sample_block(realization: NetworkRealization, ris_state: RisState, plan: PilotPlan,
+def _sample_block(realization: NetworkRealization, ris_state: RisState,
                   master_seed: int, chunk: int, size: int) -> _Block:
     sc = realization.scenario
     M, K, N = sc.M, sc.K, sc.N
@@ -105,7 +104,7 @@ def _sample_block(realization: NetworkRealization, ris_state: RisState, plan: Pi
                           np.sqrt(realization.alpha_bar * area)[:, None])
     q = draw(_TAG_G, (size, M, K), np.sqrt(realization.beta)) + a * (hp @ z.transpose(0, 2, 1))
 
-    n_pilots = int(np.max(plan.pilot_of)) + 1
+    n_pilots = min(K, sc.tau_p)
     v_p = draw(_TAG_VP, (size, n_pilots, N), np.sqrt(sc.sigma2_bar))
     pbar = a * (hp @ v_p.transpose(0, 2, 1))
     v_d = draw(_TAG_VD, (size, N), np.sqrt(sc.sigma2_bar))
@@ -116,7 +115,7 @@ def _sample_block(realization: NetworkRealization, ris_state: RisState, plan: Pi
 
     w_p = draw(_TAG_WP, (size, M, n_pilots), np.sqrt(sc.sigma2))
     rt = np.sqrt(sc.rho * sc.tau_p)
-    y = q @ plan.coset_mask().T.astype(float) + (pbar[:, :, plan.pilot_of] + w_p[:, :, plan.pilot_of]) / rt
+    y = q @ sc.coset_mask.T.astype(float) + (pbar + w_p)[:, :, sc.pilot_of] / rt
     w_data = draw(_TAG_WD, (size, M), np.sqrt(sc.sigma2))
     return _Block(q=q, y=y, p_data=p_data, w_data=w_data, z=z, v_data=v_d, pbar=pbar)
 
@@ -159,16 +158,16 @@ class _Mean:
 # ---------------------------------------------------------------------------
 # exact references for the MRC noise groups
 
-def exact_ap_noise_power(scenario, est_stats: EstimationStats, k: int) -> float:
+def exact_ap_noise_power(stats, est_stats: EstimationStats, k: int) -> float:
     """E{|sum_m qhat*_{m,k} w_m|^2} = sigma2 sum_m gamma_{m,k}.
 
     Exact at any estimation quality; the closed-form noise floor replaces
     gamma by kappa, which is tight only for near-perfect estimation.
     """
-    return scenario.sigma2 * float(est_stats.gamma[:, k].sum())
+    return stats.realization.scenario.sigma2 * float(est_stats.gamma[:, k].sum())
 
 
-def exact_active_noise_power(stats, est_stats: EstimationStats, plan: PilotPlan, k: int) -> float:
+def exact_active_noise_power(stats, est_stats: EstimationStats, k: int) -> float:
     """Exact E{|sum_m qhat*_{m,k} p_m|^2}.
 
     Includes the estimate shrinkage, the pilot-noise quartic, and the
@@ -180,7 +179,7 @@ def exact_active_noise_power(stats, est_stats: EstimationStats, plan: PilotPlan,
     a2 = stats.ris_state.a ** 2
     area = sc.element_area
     c = est_stats.c[:, k]
-    coset = plan.coset(k)
+    coset = np.flatnonzero(sc.coset_mask[k])
     rho_tau = sc.rho * sc.tau_p
     s2b = sc.sigma2_bar
 
@@ -263,7 +262,7 @@ def _family(name: str) -> str:
 
 
 def verify_moment_identities(realization: NetworkRealization, ris_state: RisState,
-                             plan: PilotPlan, n_trials: int, master_seed: int) -> list[IdentityCheck]:
+                             n_trials: int, master_seed: int) -> list[IdentityCheck]:
     """Run every closed-form-vs-empirical identity on one (small) instance.
 
     One row per identity and link: empirical value, closed form, relative
@@ -273,7 +272,7 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
     sc = realization.scenario
     M, K, N = sc.M, sc.K, sc.N
     stats = compute_stats(realization, ris_state)
-    est = compute_estimation_stats(sc, stats, plan)
+    est = compute_estimation_stats(stats)
 
     # Wishart identity on R_m(0) with a fixed deterministic Hermitian A.
     R0 = realization.R_m(0)
@@ -300,7 +299,7 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
             acc["uncorrelated"].add(q[:, 0, 0] * np.conj(q[:, 1, 0]))
         if K > 1:
             acc["cross[mk|mk']"].add(np.abs(q[:, 0, 0] * np.conj(q[:, 0, 1])) ** 2)
-        acc["alpha_an"].add(np.abs(np.conj(blk.pbar[:, 0, plan.pilot_of[0]]) * q[:, 0, 0]) ** 2)
+        acc["alpha_an"].add(np.abs(np.conj(blk.pbar[:, 0, sc.pilot_of[0]]) * q[:, 0, 0]) ** 2)
         acc["aris_power"].add(ris_state.a ** 2 * (sc.rho_u * np.sum(np.abs(blk.z) ** 2, axis=(1, 2))
                                                   + np.sum(np.abs(blk.v_data) ** 2, axis=1)))
 
@@ -325,7 +324,7 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
     for chunk, size in enumerate(_chunk_sizes(n_trials)):
         # The block dies with the call, so only one is alive while the next is drawn,
         # and none while the Wishart draws are.
-        accumulate(_sample_block(realization, ris_state, plan, master_seed, chunk, size))
+        accumulate(_sample_block(realization, ris_state, master_seed, chunk, size))
         x = correlated_normal(_stream(master_seed, chunk + 1, _TAG_WISHART), (size, N),
                               realization.R_factor, amp0)
         W_emp += _wishart_sum(x, A)
@@ -368,7 +367,7 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
     if K > 1:
         row("cross[mk|mk']", cross_moments(stats, 0, 0, 0, 1))
     row("alpha_an", stats.alpha_an[0, 0])
-    row("aris_power", aris_output_power(sc, realization, ris_state.a))
+    row("aris_power", aris_output_power(realization, ris_state.a))
 
     for m in range(M):
         for k in range(K):
@@ -379,7 +378,7 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
     scale = float(np.sqrt(est.gamma[0, 0] * (stats.kappa[0, 0] - est.gamma[0, 0])))
     row("orthogonality", 0.0, abs(mean["orthogonality"]) / scale, se["orthogonality"] / scale)
     if M > 1:
-        coset = plan.coset(0)
+        coset = np.flatnonzero(sc.coset_mask[0])
         row("corollary1", (est.c[0, 0] * est.c[1, 0] * stats.t2
                            * stats.xi_scale[0, 0] * float(stats.xi_scale[1, coset].sum())))
 
@@ -392,12 +391,12 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
     ui, ui_se = rho_u * mean["|T_j|^2"], rho_u * se["|T_j|^2"]
     ui[0] = 0.0
     an, no = float(mean["sinr_an_exact"]), float(mean["sinr_no_exact"])
-    ds_ana, sinr_ana, bu_ana, ui_ana, _, _ = sinr_user(sc, stats, est, plan, 0)
+    ds_ana, sinr_ana, bu_ana, ui_ana, _, _ = sinr_user(stats, est, 0)
     row("sinr_ds", ds_ana, ds, 2.0 * rho_u * abs(mean_T) * float(se["T_0"]))
     row("sinr_bu", bu_ana, bu, rho_u * float(se["|T_j|^2"][0]))
     for kp in range(1, K):
         row(f"sinr_ui[{kp}]", ui_ana[kp], ui[kp], ui_se[kp])
-    row("sinr_an_exact", exact_active_noise_power(stats, est, plan, 0))
-    row("sinr_no_exact", exact_ap_noise_power(sc, est, 0))
+    row("sinr_an_exact", exact_active_noise_power(stats, est, 0))
+    row("sinr_no_exact", exact_ap_noise_power(stats, est, 0))
     row("sinr_total", sinr_ana, ds / (bu + float(ui.sum()) + an + no), 0.0)
     return rows

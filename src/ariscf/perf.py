@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PhaseTraces, SecondOrderStats, compute_stats
-from .estimation import EstimationStats, PilotPlan, compute_estimation_stats
+from .estimation import EstimationStats, compute_estimation_stats
 from .ris import RisState, aris_power_consumption
-from .scenario import NetworkRealization, Scenario
+from .scenario import NetworkRealization
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,7 @@ class SinrBreakdown:
         return self.ds / (self.i2 + self.i3)
 
 
-def sinr_all(scenario: Scenario, stats: SecondOrderStats,
-             est_stats: EstimationStats, plan: PilotPlan) -> SinrBreakdown:
+def sinr_all(stats: SecondOrderStats, est_stats: EstimationStats) -> SinrBreakdown:
     """Uplink SINR terms of every user under MRC on the LMMSE estimates.
 
     All statistics are S-CSI only. The contamination addends run over the
@@ -46,12 +45,12 @@ def sinr_all(scenario: Scenario, stats: SecondOrderStats,
     Sums over other users are row sums weighted by `mask`, `mask - I` or `1 - I`:
     a total minus the diagonal cancels when a user's own channel dominates.
     """
-    sc = scenario
+    sc = stats.realization.scenario
     s, kappa, alpha_an, t2 = stats.xi_scale, stats.kappa, stats.alpha_an, stats.t2
     rho_tau = sc.rho * sc.tau_p
     c, gamma = est_stats.c, est_stats.gamma
     c2 = c * c
-    mask = plan.coset_mask().astype(float)       # (K, K) [k, j]: j shares k's pilot
+    mask = sc.coset_mask.astype(float)           # (K, K) [k, j]: j shares k's pilot
     contam, others = mask - np.eye(len(mask)), 1.0 - np.eye(len(mask))
     u = c.T @ s                                  # (K, K) [k, j] = sum_m c_{m,k} s_{m,j}
     kc = c.T @ kappa                             # (K, K) [k, j] = sum_m c_{m,k} kappa_{m,j}
@@ -79,8 +78,7 @@ def sinr_all(scenario: Scenario, stats: SecondOrderStats,
                          i3=alpha_an.sum(axis=0) + sc.sigma2 * kappa.sum(axis=0))
 
 
-def sinr_user(scenario: Scenario, stats: SecondOrderStats,
-              est_stats: EstimationStats, plan: PilotPlan, k: int):
+def sinr_user(stats: SecondOrderStats, est_stats: EstimationStats, k: int):
     """User k's SINR written for that user alone: (ds, sinr, bu, ui, an, no).
 
     ds and sinr equal those of `sinr_all` up to round-off: here ds squares a
@@ -89,11 +87,11 @@ def sinr_user(scenario: Scenario, stats: SecondOrderStats,
     beamforming uncertainty, the (K,) per-interferer powers (zero at k),
     active RIS noise and AP noise. Only the Monte Carlo oracle asks for them.
     """
-    sc = scenario
+    sc = stats.realization.scenario
     kappa, s, t2 = stats.kappa, stats.xi_scale, stats.t2
     rho_tau = sc.rho * sc.tau_p
     c, gamma = est_stats.c[:, k], est_stats.gamma[:, k]
-    coset = plan.coset(k)
+    coset = np.flatnonzero(sc.coset_mask[k])
     contam = coset[coset != k]
     others = np.flatnonzero(np.arange(stats.K) != k)
     u = c @ s                                  # (K,) sum_m c_m s_{m,j}
@@ -135,9 +133,8 @@ def sinr_user(scenario: Scenario, stats: SecondOrderStats,
     return ds, ds / (i2 + (an + no)), bu, ui, an, no
 
 
-def evaluate_phases(scenario: Scenario, realization: NetworkRealization, plan: PilotPlan,
-                    phases: np.ndarray, a: float, prelog: bool = False,
-                    traces: PhaseTraces | None = None):
+def evaluate_phases(realization: NetworkRealization, phases: np.ndarray, a: float,
+                    prelog: bool = False, traces: PhaseTraces | None = None):
     """Closed-form per-user SE (K,) and the LMMSE statistics for one RIS phase vector.
 
     SE_k = log2(1 + SINR_k), times the (1 - tau_p/tau_c) prelog when `prelog`.
@@ -145,22 +142,21 @@ def evaluate_phases(scenario: Scenario, realization: NetworkRealization, plan: P
     skips their recomputation.
     """
     stats = compute_stats(realization, RisState(phases=phases, a=a), traces=traces)
-    est = compute_estimation_stats(scenario, stats, plan)
-    se = np.log2(1.0 + sinr_all(scenario, stats, est, plan).sinr)
+    est = compute_estimation_stats(stats)
+    se = np.log2(1.0 + sinr_all(stats, est).sinr)
     if prelog:
-        se *= 1.0 - scenario.tau_p / scenario.tau_c
+        se *= 1.0 - realization.scenario.tau_p / realization.scenario.tau_c
     return se, est
 
 
-def energy_efficiency(scenario: Scenario, realization: NetworkRealization,
-                      sum_se_value: float, a: float) -> float:
+def energy_efficiency(realization: NetworkRealization, sum_se_value: float, a: float) -> float:
     """Delivered bits per Joule: B * sum SE / total power.
 
     Total power = K zeta rho_u + per-AP backhaul (fixed P0 plus traffic share;
     each AP carries sum SE / M, so the traffic term totals B * sum_SE * Pbt)
     + the active-RIS draw N(P_c + P_dc) + output power / xi.
     """
-    sc = scenario
+    sc = realization.scenario
     backhaul = sc.M * sc.P0 + sc.B * sum_se_value * sc.Pbt
-    p_total = sc.K * sc.zeta * sc.rho_u + backhaul + aris_power_consumption(sc, realization, a)
+    p_total = sc.K * sc.zeta * sc.rho_u + backhaul + aris_power_consumption(realization, a)
     return sc.B * sum_se_value / p_total

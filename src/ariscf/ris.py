@@ -58,17 +58,17 @@ def amplitude_gain(scenario: Scenario, alpha_bar: np.ndarray) -> float:
     return min(a, scenario.a_max)
 
 
-def aris_output_power(scenario: Scenario, realization: NetworkRealization, a: float) -> float:
+def aris_output_power(realization: NetworkRealization, a: float) -> float:
     """Total power reflected by the surface: a^2 N (rho_u d_H d_V sum_k alpha_bar_k + sigma2_bar)."""
-    load = (scenario.rho_u * scenario.element_area * float(np.sum(realization.alpha_bar))
-            + scenario.sigma2_bar)
-    return a * a * scenario.N * load
+    sc = realization.scenario
+    load = sc.rho_u * sc.element_area * float(np.sum(realization.alpha_bar)) + sc.sigma2_bar
+    return a * a * sc.N * load
 
 
-def aris_power_consumption(scenario: Scenario, realization: NetworkRealization, a: float) -> float:
+def aris_power_consumption(realization: NetworkRealization, a: float) -> float:
     """Power drawn by the surface: N (P_c + P_dc) + output power / amplifier efficiency.
 
     Equals P_aris exactly when `a` comes from the un-clamped budget branch.
     """
-    return (scenario.N * (scenario.P_c + scenario.P_dc)
-            + aris_output_power(scenario, realization, a) / scenario.xi)
+    sc = realization.scenario
+    return sc.N * (sc.P_c + sc.P_dc) + aris_output_power(realization, a) / sc.xi

@@ -143,13 +143,12 @@ class SacAgent:
     def q_loss_and_grads(self, obs, act, rew, next_obs):
         """Both critics regress on the shared target r + discount * V_target(s').
 
-        Returns [(loss_1, grad_1), (loss_2, grad_2)]."""
+        Returns the (2,) losses and the (2, P) gradients of the stacked critics."""
         target = rew + self.config.discount * self.value_target(next_obs)[:, 0]
         q, cache = self.critics.forward(np.concatenate([obs, act], axis=1))
         delta = q[..., 0] - target
         losses = 0.5 * np.mean(delta ** 2, axis=-1)
-        grads = self.critics.backward(cache, (delta / delta.shape[-1])[..., None])
-        return list(zip(losses.tolist(), grads))
+        return losses, self.critics.backward(cache, (delta / delta.shape[-1])[..., None])
 
     def policy_loss_and_grads(self, obs: np.ndarray, eps_hat: np.ndarray, stats=None):
         """L = mean(log pi(a~|s) - minQ(s, a~)), gradients through both paths.
@@ -183,9 +182,10 @@ class SacAgent:
 
         stats = self.policy_stats(obs)
         v_loss, v_grads = self.value_loss_and_grads(obs, eps_v, stats)
-        (q1_loss, q1_grads), (q2_loss, q2_grads) = self.q_loss_and_grads(obs, act, rew, next_obs)
+        q_losses, q_grads = self.q_loss_and_grads(obs, act, rew, next_obs)
         p_loss, p_grads = self.policy_loss_and_grads(obs, eps_p, stats)
 
+        q1_loss, q2_loss = q_losses.tolist()
         losses = {"value": v_loss, "q1": q1_loss, "q2": q2_loss, "policy": p_loss}
         if not all(np.isfinite(list(losses.values()))):
             snapshot = {f"losses_{net}": np.asarray(loss) for net, loss in losses.items()}
@@ -193,7 +193,7 @@ class SacAgent:
                             q1=self.q1.params.copy(), q2=self.q2.params.copy())
             raise TrainingDiverged(f"non-finite loss: {losses}", snapshot)
         self.opt_value.step(v_grads)
-        self.opt_critics.step(np.stack([q1_grads, q2_grads]))
+        self.opt_critics.step(q_grads)
         self.opt_policy.step(p_grads)
         polyak_update(self.value_target, self.value, self.config.polyak)
         return losses
@@ -303,26 +303,27 @@ def load_checkpoint(path: str) -> dict:
     A file that is no npz archive, or whose fields or config cannot be read,
     raises ValueError.
     """
-    try:
-        data = np.load(path, allow_pickle=False)
-    except (zipfile.BadZipFile, EOFError) as exc:
-        raise ValueError(f"not a readable npz archive: {exc}") from exc
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise ValueError("not an npz archive")
-    try:
-        version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        return {
-            "config": SacConfig(**json.loads(str(data["config_json"]))),
-            "obs_dim": int(data["obs_dim"]),
-            "act_dim": int(data["act_dim"]),
-            "best_phases": np.asarray(data["best_phases"]),
-            "best_sum_se": float(data["best_sum_se"]),
-            "master_seed": int(data["master_seed"]),
-            "weights": {key: np.asarray(data[key]) for key in data.files
-                        if key.endswith(tuple(f"_{p}{i}" for p in "wb" for i in range(3)))},
-        }
-    except TypeError as exc:
-        # a field of the wrong shape or type, or config keys SacConfig does not take
-        raise ValueError(f"unreadable field: {exc}") from exc
+    with open(path, "rb") as fh:   # np.load(path) would leave the file open on a damaged archive
+        try:
+            data = np.load(fh, allow_pickle=False)
+        except (zipfile.BadZipFile, EOFError) as exc:
+            raise ValueError(f"not a readable npz archive: {exc}") from exc
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not an npz archive")
+        try:
+            version = int(data["version"])
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {version}")
+            return {
+                "config": SacConfig(**json.loads(str(data["config_json"]))),
+                "obs_dim": int(data["obs_dim"]),
+                "act_dim": int(data["act_dim"]),
+                "best_phases": np.asarray(data["best_phases"]),
+                "best_sum_se": float(data["best_sum_se"]),
+                "master_seed": int(data["master_seed"]),
+                "weights": {key: np.asarray(data[key]) for key in data.files
+                            if key.endswith(tuple(f"_{p}{i}" for p in "wb" for i in range(3)))},
+            }
+        except TypeError as exc:
+            # a field of the wrong shape or type, or config keys SacConfig does not take
+            raise ValueError(f"unreadable field: {exc}") from exc

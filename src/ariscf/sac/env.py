@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..estimation import PilotPlan
 from ..perf import evaluate_phases
-from ..scenario import NetworkRealization, Scenario
+from ..scenario import NetworkRealization
 
 
 def action_to_phases(action_squashed: np.ndarray) -> np.ndarray:
@@ -24,23 +23,20 @@ class RisEnv:
     at all-zero phases, the reference the variances are scaled by.
     """
 
-    def __init__(self, scenario: Scenario, realization: NetworkRealization,
-                 plan: PilotPlan, a: float, prelog: bool = False):
-        self.scenario = scenario
+    def __init__(self, realization: NetworkRealization, a: float, prelog: bool = False):
+        sc = realization.scenario
         self.realization = realization
-        self.plan = plan
         self.a = float(a)
         self.prelog = prelog
-        self.obs_dim = scenario.N + scenario.M * scenario.K
-        self.act_dim = scenario.N
-        self.phases = np.zeros(scenario.N)
+        self.obs_dim = sc.N + sc.M * sc.K
+        self.act_dim = sc.N
+        self.phases = np.zeros(sc.N)
         self.equal_phase_se, ref = self._evaluate(self.phases)
         self._gamma_ref = np.where(ref > 0, ref, 1.0)
 
     def _evaluate(self, phases: np.ndarray):
         """(sum SE, estimate variances (M, K)) at the given phases."""
-        se, est = evaluate_phases(self.scenario, self.realization, self.plan, phases,
-                                  self.a, self.prelog)
+        se, est = evaluate_phases(self.realization, phases, self.a, self.prelog)
         return float(se.sum()), est.gamma
 
     def _observe(self, gamma: np.ndarray) -> np.ndarray:
@@ -48,7 +44,7 @@ class RisEnv:
 
     def reset(self, rng: np.random.Generator):
         """Draw uniform random phases; returns (obs, sum SE at those phases)."""
-        self.phases = rng.uniform(0.0, 2.0 * np.pi, self.scenario.N)
+        self.phases = rng.uniform(0.0, 2.0 * np.pi, self.act_dim)
         sum_se, gamma = self._evaluate(self.phases)
         return self._observe(gamma), sum_se
 

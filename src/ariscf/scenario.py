@@ -79,6 +79,17 @@ class Scenario:
         return self.d_H * self.d_V
 
     @property
+    def pilot_of(self) -> np.ndarray:
+        """(K,) pilot index per user, round-robin: user k sends pilot k mod tau_p."""
+        return np.arange(self.K) % self.tau_p
+
+    @property
+    def coset_mask(self) -> np.ndarray:
+        """(K, K) boolean, [k, j] true iff user j shares user k's pilot."""
+        pilot_of = self.pilot_of
+        return pilot_of[:, None] == pilot_of[None, :]
+
+    @property
     def geometry(self) -> tuple:
         """The RIS fields that R depends on, in `build_correlation_matrix`'s argument order."""
         return (self.N_H, self.N_V, self.d_H, self.d_V, self.wavelength, self.grid_indexing)

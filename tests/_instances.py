@@ -11,7 +11,7 @@ import numpy as np
 
 from ariscf import oracle
 from ariscf.channel import compute_stats
-from ariscf.estimation import assign_pilots, compute_estimation_stats
+from ariscf.estimation import compute_estimation_stats
 from ariscf.ris import RisState, amplitude_gain
 from ariscf.scenario import (NetworkRealization, Scenario, load_scenario, ris_correlation,
                              sample_layout)
@@ -76,13 +76,12 @@ def config_instance(name, seed, phases="random", **overrides):
         phases = np.zeros(sc.N)
     else:
         phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, sc.N)
-    return sc, rl, assign_pilots(sc.K, sc.tau_p), RisState(phases=phases, a=a)
+    return sc, rl, RisState(phases=phases, a=a)
 
 
-def draw_trials(realization: NetworkRealization, ris_state, plan, n_trials: int,
-                master_seed: int):
+def draw_trials(realization: NetworkRealization, ris_state, n_trials: int, master_seed: int):
     """The oracle's block draws for `n_trials` trials, joined along the trial axis."""
-    blocks = [oracle._sample_block(realization, ris_state, plan, master_seed, chunk, size)
+    blocks = [oracle._sample_block(realization, ris_state, master_seed, chunk, size)
               for chunk, size in enumerate(oracle._chunk_sizes(n_trials))]
     return oracle._Block(**{f.name: np.concatenate([getattr(b, f.name) for b in blocks])
                             for f in fields(oracle._Block)})
@@ -101,7 +100,7 @@ class EmpiricalSinr:
     stderr: dict            # standard error per group; "ui" is (K,) like `ui`
 
 
-def empirical_sinr(realization: NetworkRealization, ris_state, plan, n_trials: int,
+def empirical_sinr(realization: NetworkRealization, ris_state, n_trials: int,
                    master_seed: int) -> EmpiricalSinr:
     """Monte Carlo SINR groups of user 0 from the oracle's block draws, reduced
     here on their own rather than by the identity suite.
@@ -111,11 +110,11 @@ def empirical_sinr(realization: NetworkRealization, ris_state, plan, n_trials: i
     for j != 0, an = E|qhat_0^H p|^2 and no = E|qhat_0^H w|^2.
     """
     sc = realization.scenario
-    est = compute_estimation_stats(sc, compute_stats(realization, ris_state), plan)
+    est = compute_estimation_stats(compute_stats(realization, ris_state))
     c0 = est.c[:, 0]
     t0, t_sq, an_acc, no_acc = oracle._Mean(), oracle._Mean(), oracle._Mean(), oracle._Mean()
     for chunk, size in enumerate(oracle._chunk_sizes(n_trials)):
-        blk = oracle._sample_block(realization, ris_state, plan, master_seed, chunk, size)
+        blk = oracle._sample_block(realization, ris_state, master_seed, chunk, size)
         qh = np.conj(c0[None, :] * blk.y[:, :, 0])
         T = np.einsum("tm,tmj->tj", qh, blk.q)
         t0.add(T[:, 0])

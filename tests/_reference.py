@@ -145,13 +145,13 @@ class UnstackedSac:
     def q_loss_and_grads(self, obs, act, rew, next_obs):
         target = rew + self.config.discount * dense_forward(self.value_target, next_obs)[0][:, 0]
         x = np.concatenate([obs, act], axis=1)
-        out = []
+        losses, grads = [], []
         for net in (self.q1, self.q2):
             q, cache = dense_forward(net, x)
             delta = q[:, 0] - target
-            grads, _ = dense_backward(net, cache, (delta / delta.size)[:, None])
-            out.append((0.5 * float(np.mean(delta ** 2)), grads))
-        return out
+            losses.append(0.5 * float(np.mean(delta ** 2)))
+            grads.append(dense_backward(net, cache, (delta / delta.size)[:, None])[0])
+        return np.array(losses), grads
 
     def policy_loss_and_grads(self, obs, eps_hat):
         action, log_prob, (mean, log_std_raw, u, cache) = self.policy_sample(obs, eps_hat)
@@ -175,7 +175,8 @@ class UnstackedSac:
         eps_v = rng.standard_normal((obs.shape[0], self.act_dim))
         eps_p = rng.standard_normal((obs.shape[0], self.act_dim))
         v_loss, v_grads = self.value_loss_and_grads(obs, eps_v)
-        (q1_loss, q1_grads), (q2_loss, q2_grads) = self.q_loss_and_grads(obs, act, rew, next_obs)
+        q_losses, (q1_grads, q2_grads) = self.q_loss_and_grads(obs, act, rew, next_obs)
+        q1_loss, q2_loss = q_losses.tolist()
         p_loss, p_grads = self.policy_loss_and_grads(obs, eps_p)
         for name, grads in (("value", v_grads), ("q1", q1_grads), ("q2", q2_grads),
                             ("policy", p_grads)):

@@ -7,12 +7,13 @@ most of the suite's runtime (a few minutes overall).
 
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
 from ariscf import oracle
 from ariscf.channel import compute_stats
-from ariscf.estimation import assign_pilots, compute_estimation_stats
+from ariscf.estimation import compute_estimation_stats
 from ariscf.perf import evaluate_phases, sinr_all
 from ariscf.ris import RisState, amplitude_gain, aris_power_consumption, unclamped_amplitude_gain
 from ariscf.sac.agent import SacConfig, train
@@ -40,14 +41,14 @@ def test_criterion_1_moment_identities():
     # cascade-dominated instance: every Xi-dependent identity is detectable
     sc, rl, phases = moment_instance(tau_p=1)
     rows_a = oracle.verify_moment_identities(rl, RisState(phases=phases, a=4.0),
-                                             assign_pilots(2, 1), 1_000_000, master_seed=101)
+                                             1_000_000, master_seed=101)
     # sampled-geometry instance at N = 8, singleton cosets, strong pilots
     sc_b = Scenario(M=3, K=3, N_H=2, N_V=4, tau_p=3, radius=100.0, rho=10.0,
                     rho_u=0.1, a_max=1e6)
     rl_b = sample_layout(sc_b, 1)
     a_b = amplitude_gain(sc_b, rl_b.alpha_bar)
     rows_b = oracle.verify_moment_identities(rl_b, RisState(phases=np.zeros(8), a=a_b),
-                                             assign_pilots(3, 3), 1_000_000, master_seed=102)
+                                             1_000_000, master_seed=102)
     for tag, rows in (("cascade", rows_a), ("layout", rows_b)):
         failures += [f"{tag}:{r.name}={r.rel_err:.3f}[{r.status}]" for r in rows
                      if r.status != "pass" or r.rel_err > 0.05]
@@ -63,7 +64,7 @@ def test_criterion_2_lmmse_closed_forms():
     estimate-error correlation below 0.01."""
     sc, rl, phases = cascade_instance(tau_p=1)
     rows = oracle.verify_moment_identities(rl, RisState(phases=phases, a=2.0),
-                                           assign_pilots(2, 1), 100_000, master_seed=7)
+                                           100_000, master_seed=7)
     families = ("gamma", "err_var", "nmse")
     checked = [r for r in rows if r.name.split("[")[0] in families]
     orth = [r for r in rows if r.name == "orthogonality"]
@@ -87,11 +88,10 @@ def test_criterion_3_sinr_oracle_equivalence():
     details, ok = [], True
     for label, (sc, rl, phases), a in configs:
         state = RisState(phases=phases, a=a)
-        plan = assign_pilots(sc.K, sc.tau_p)
         stats = compute_stats(rl, state)
-        est = compute_estimation_stats(sc, stats, plan)
-        closed = sinr_all(sc, stats, est, plan).sinr[0]
-        emp = empirical_sinr(rl, state, plan, 1_000_000, master_seed=31).sinr
+        est = compute_estimation_stats(stats)
+        closed = sinr_all(stats, est).sinr[0]
+        emp = empirical_sinr(rl, state, 1_000_000, master_seed=31).sinr
         rel = abs(emp - closed) / closed
         details.append(f"{label}:{rel:.4f}")
         ok &= rel <= 0.05
@@ -105,13 +105,12 @@ def test_criterion_4_pilot_contamination_floor():
     """NMSE falls with pilot power, then plateaus at 1 - kappa/sum(coset kappa)."""
     sc, rl, phases = cascade_instance(tau_p=1)  # K=2 sharing one pilot
     state = RisState(phases=phases, a=2.0)
-    stats = compute_stats(rl, state)
-    plan = assign_pilots(2, 1)
     nmse = []
     for rho in np.logspace(-6, 6, 25):
         sc2 = Scenario(M=2, K=2, N_H=2, N_V=2, tau_p=1, rho=float(rho), rho_u=sc.rho_u,
                        sigma2=sc.sigma2, sigma2_bar=sc.sigma2_bar, a_max=sc.a_max)
-        nmse.append(compute_estimation_stats(sc2, stats, plan).nmse[0, 0])
+        stats = compute_stats(replace(rl, scenario=sc2), state)
+        nmse.append(compute_estimation_stats(stats).nmse[0, 0])
     floor = 1.0 - stats.kappa[0, 0] / stats.kappa[0, :].sum()
     decreasing = all(a > b for a, b in zip(nmse, nmse[1:]))
     plateaued = abs(nmse[-1] - nmse[-2]) < 1e-3 * nmse[-1]
@@ -125,7 +124,6 @@ def test_criterion_5_equal_phase_nmse_optimality():
     """Equal phases give NMSE no worse than 100 random phase vectors on each
     of 5 random realizations, for every link; zero violations allowed."""
     sc = Scenario(M=3, K=4, N_H=4, N_V=4, tau_p=4, radius=200.0, a_max=1e6)
-    plan = assign_pilots(sc.K, sc.tau_p)
     violations = 0
     rng = np.random.default_rng(55)
     for seed in range(5):
@@ -133,12 +131,10 @@ def test_criterion_5_equal_phase_nmse_optimality():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             a = amplitude_gain(sc, rl.alpha_bar)
-        eq = compute_estimation_stats(sc, compute_stats(rl, RisState(phases=np.zeros(sc.N), a=a)),
-                                      plan).nmse
+        eq = compute_estimation_stats(compute_stats(rl, RisState(phases=np.zeros(sc.N), a=a))).nmse
         for _ in range(100):
             ph = rng.uniform(0, 2 * np.pi, sc.N)
-            rand = compute_estimation_stats(sc, compute_stats(rl, RisState(phases=ph, a=a)),
-                                            plan).nmse
+            rand = compute_estimation_stats(compute_stats(rl, RisState(phases=ph, a=a))).nmse
             violations += int(np.any(eq > rand + 1e-12))
     ok = report(5, "equal-phase NMSE optimality", violations == 0,
                 f"violations={violations}/500")
@@ -153,7 +149,7 @@ def test_criterion_6_amplitude_budget_round_trip():
         sc = Scenario(M=3, K=4, N_H=2, N_V=2, a_max=1e12)
         rl = sample_layout(sc, seed)
         a = amplitude_gain(sc, rl.alpha_bar)
-        round_trip_ok &= abs(aris_power_consumption(sc, rl, a) - sc.P_aris) <= 1e-12 * sc.P_aris
+        round_trip_ok &= abs(aris_power_consumption(rl, a) - sc.P_aris) <= 1e-12 * sc.P_aris
 
     alpha_bar = np.full(4, 1e-7)
     lam = Scenario().wavelength
@@ -188,7 +184,7 @@ def test_criterion_7_sum_se_unimodal_in_n():
             a = amplitude_gain(sc, rl.alpha_bar)
         if a_unc >= sc.a_max:
             switch_candidates.append(n)
-        se, _ = evaluate_phases(sc, rl, assign_pilots(3, 3), np.zeros(sc.N), a)
+        se, _ = evaluate_phases(rl, np.zeros(sc.N), a)
         ses.append(se.sum())
     signs = np.sign(np.diff(ses))
     single_change = int(np.sum(np.diff(signs) != 0)) == 1 and signs[0] > 0 and signs[-1] < 0
@@ -208,8 +204,8 @@ def test_criterion_8_sac_gradient_checks():
     fd = fd_grad(agent.value, lambda: agent.value_loss_and_grads(obs, eps)[0])
     rels["value"] = np.linalg.norm(g - fd) / np.linalg.norm(fd)
     for idx, net in ((0, agent.q1), (1, agent.q2)):
-        g = agent.q_loss_and_grads(obs, act, rew, nxt)[idx][1]
-        fd = fd_grad(net, lambda: agent.q_loss_and_grads(obs, act, rew, nxt)[idx][0])
+        g = agent.q_loss_and_grads(obs, act, rew, nxt)[1][idx]
+        fd = fd_grad(net, lambda: agent.q_loss_and_grads(obs, act, rew, nxt)[0][idx])
         rels[f"q{idx + 1}"] = np.linalg.norm(g - fd) / np.linalg.norm(fd)
     _, g = agent.policy_loss_and_grads(obs, eps)
     fd = fd_grad(agent.policy, lambda: agent.policy_loss_and_grads(obs, eps)[0])
@@ -228,10 +224,9 @@ def test_criterion_9_sac_optimization_quality():
     sc1 = Scenario(M=1, K=1, N_H=1, N_V=1, tau_p=1, radius=100.0, a_max=1e6)
     rl1 = sample_layout(sc1, 3)
     a1 = amplitude_gain(sc1, rl1.alpha_bar)
-    plan1 = assign_pilots(1, 1)
-    grid = [evaluate_phases(sc1, rl1, plan1, np.array([p]), a1)[0].sum()
+    grid = [evaluate_phases(rl1, np.array([p]), a1)[0].sum()
             for p in np.linspace(0, 2 * np.pi, 360, endpoint=False)]
-    env1 = RisEnv(sc1, rl1, plan1, a1)
+    env1 = RisEnv(rl1, a1)
     res1 = train(env1, SacConfig(episodes=8, episode_len=50, batch=16, buffer_capacity=2000),
                  master_seed=1)
     toy_ok = res1.best_sum_se >= (1 - 0.02) * max(grid)
@@ -240,12 +235,11 @@ def test_criterion_9_sac_optimization_quality():
     sc = Scenario(M=4, K=3, N_H=4, N_V=4, tau_p=2, radius=200.0, a_max=1e6)
     rl = sample_layout(sc, 123)
     a = amplitude_gain(sc, rl.alpha_bar)
-    plan = assign_pilots(sc.K, sc.tau_p)
     rng = np.random.default_rng(2024)
-    best_random = max(evaluate_phases(sc, rl, plan, rng.uniform(0, 2 * np.pi, sc.N), a)[0].sum()
+    best_random = max(evaluate_phases(rl, rng.uniform(0, 2 * np.pi, sc.N), a)[0].sum()
                       for _ in range(100))
-    equal_se = evaluate_phases(sc, rl, plan, np.zeros(sc.N), a)[0].sum()
-    env = RisEnv(sc, rl, plan, a)
+    equal_se = evaluate_phases(rl, np.zeros(sc.N), a)[0].sum()
+    env = RisEnv(rl, a)
     res = train(env, SacConfig(episodes=120, episode_len=100), master_seed=7)
     curve = np.array(res.episode_rewards)
     decile = max(1, curve.size // 10)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,7 +193,7 @@ class TestSweep:
 
 class TestSweepTrends:
     def _column(self, path, name):
-        lines = [l for l in open(path).read().splitlines() if not l.startswith("#")]
+        lines = [l for l in Path(path).read_text().splitlines() if not l.startswith("#")]
         header = lines[0].split(",")
         idx = header.index(name)
         return [(float(l.split(",")[0]), int(l.split(",")[1]), float(l.split(",")[idx]))

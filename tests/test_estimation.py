@@ -1,4 +1,6 @@
-"""Pilot plan and LMMSE closed forms."""
+"""Pilot assignment and LMMSE closed forms."""
+
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
@@ -6,28 +8,45 @@ from numpy.testing import assert_allclose
 
 from ariscf.channel import compute_stats
 from ariscf import oracle
-from ariscf.estimation import assign_pilots, compute_estimation_stats
+from ariscf.estimation import compute_estimation_stats
 from ariscf.ris import RisState
 from ariscf.scenario import Scenario
 
 from _instances import cascade_instance, draw_trials, synthetic_realization
 
 
+def coset(sc: Scenario, k: int) -> np.ndarray:
+    """Users sharing user k's pilot, k included."""
+    return np.flatnonzero(sc.coset_mask[k])
+
+
 class TestPilotPlan:
+    """`Scenario.pilot_of` and `Scenario.coset_mask`: the round-robin assignment."""
+
     def test_round_robin_cosets(self):
-        plan = assign_pilots(4, 2)
-        assert list(plan.coset(0)) == [0, 2]
-        assert list(plan.coset(1)) == [1, 3]
-        assert all(k in plan.coset(k) for k in range(4))
+        sc = Scenario(K=4, tau_p=2)
+        assert list(sc.pilot_of) == [0, 1, 0, 1]
+        assert list(coset(sc, 0)) == [0, 2]
+        assert list(coset(sc, 1)) == [1, 3]
+        assert all(k in coset(sc, k) for k in range(4))
 
     def test_full_pilots_no_contamination(self):
-        plan = assign_pilots(15, 15)
-        assert all(plan.coset(k).size == 1 for k in range(15))
+        sc = Scenario(K=15, tau_p=15)
+        assert all(coset(sc, k).size == 1 for k in range(15))
 
     def test_cosets_partition_users(self):
-        plan = assign_pilots(7, 3)
-        seen = np.concatenate([plan.coset(p) for p in range(3)])
+        sc = Scenario(K=7, tau_p=3)
+        seen = np.concatenate([coset(sc, p) for p in range(3)])
         assert sorted(seen) == list(range(7))
+
+    def test_derived_not_fields(self):
+        # neither is a field, so config_hash and the loader never see them
+        sc = Scenario(K=4, tau_p=2)
+        assert not {"pilot_of", "coset_mask"} & set(asdict(sc))
+        for name in ("pilot_of", "coset_mask"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(sc, name, np.zeros(4))
+        assert list(replace(sc, tau_p=4).pilot_of) == [0, 1, 2, 3]
 
 
 class TestLmmseCoefficient:
@@ -38,8 +57,7 @@ class TestLmmseCoefficient:
         rl = synthetic_realization(sc, beta=np.array([[1e-8]]),
                                    alpha=np.array([1e-9]), alpha_bar=np.array([1e-9]))
         stats = compute_stats(rl, RisState(phases=np.zeros(1), a=0.0))
-        plan = assign_pilots(1, 1)
-        est = compute_estimation_stats(sc, stats, plan)
+        est = compute_estimation_stats(stats)
         assert est.c[0, 0] == pytest.approx(0.5, rel=1e-12)
         assert est.nmse[0, 0] == pytest.approx(0.5)
 
@@ -50,14 +68,15 @@ class TestLmmseCoefficient:
             sc2 = Scenario(**{**{f: getattr(sc, f) for f in (
                 "M", "K", "N_H", "N_V", "tau_p", "rho_u", "sigma2", "sigma2_bar", "a_max")},
                 "rho": rho})
-            stats = compute_stats(rl, state)
-            est = compute_estimation_stats(sc2, stats, assign_pilots(2, 1))
+            stats = compute_stats(replace(rl, scenario=sc2), state)
+            est = compute_estimation_stats(stats)
             floor = stats.kappa[0, 0] / stats.kappa[0, :].sum()
             assert est.c[0, 0] < floor
         # contaminated c approaches kappa_k / sum(coset kappa) from below
         assert est.c[0, 0] == pytest.approx(floor, rel=1e-3)
-        # singleton coset approaches 1
-        est1 = compute_estimation_stats(sc2, stats, assign_pilots(2, 2))
+        # singleton coset approaches 1 (two pilots: rho tau_p doubles)
+        rl1 = replace(rl, scenario=replace(sc2, tau_p=2))
+        est1 = compute_estimation_stats(compute_stats(rl1, state))
         assert est1.c[0, 0] == pytest.approx(1.0, rel=1e-3)
         assert est1.nmse[0, 0] < 1e-3
 
@@ -66,7 +85,7 @@ class TestLmmseCoefficient:
         sc, rl, phases = cascade_instance(tau_p=1)
         state = RisState(phases=phases, a=2.0)
         stats = compute_stats(rl, state)
-        est = compute_estimation_stats(sc, stats, assign_pilots(2, 1))
+        est = compute_estimation_stats(stats)
         m, k = 0, 0
         area = sc.d_H * sc.d_V
         t1 = 0.0
@@ -83,7 +102,7 @@ class TestLmmseCoefficient:
     def test_invariant_ranges_and_decomposition(self):
         sc, rl, phases = cascade_instance(tau_p=1)
         stats = compute_stats(rl, RisState(phases=phases, a=2.0))
-        est = compute_estimation_stats(sc, stats, assign_pilots(2, 1))
+        est = compute_estimation_stats(stats)
         assert ((est.c > 0) & (est.c < 1)).all()
         assert_allclose(est.gamma, stats.kappa * est.c, rtol=1e-12)
         assert_allclose(est.nmse, 1.0 - est.c, rtol=1e-12)
@@ -93,15 +112,14 @@ class TestLmmseCoefficient:
     def test_nmse_decreasing_in_rho_with_floor(self):
         sc, rl, phases = cascade_instance(tau_p=1)
         state = RisState(phases=phases, a=2.0)
-        stats = compute_stats(rl, state)
-        plan = assign_pilots(2, 1)
         rhos = np.logspace(-6, 4, 24)
         vals = []
         for rho in rhos:
             sc2 = Scenario(M=2, K=2, N_H=2, N_V=2, tau_p=1, rho=float(rho),
                            rho_u=sc.rho_u, sigma2=sc.sigma2, sigma2_bar=sc.sigma2_bar,
                            a_max=sc.a_max)
-            vals.append(compute_estimation_stats(sc2, stats, plan).nmse[0, 0])
+            stats = compute_stats(replace(rl, scenario=sc2), state)
+            vals.append(compute_estimation_stats(stats).nmse[0, 0])
         assert all(v1 > v2 for v1, v2 in zip(vals, vals[1:]))
         floor = 1.0 - stats.kappa[0, 0] / stats.kappa[0, :].sum()
         assert vals[-1] == pytest.approx(floor, rel=1e-4)
@@ -109,9 +127,8 @@ class TestLmmseCoefficient:
 
     def test_nmse_phase_rotation_invariant(self):
         sc, rl, phases = cascade_instance(tau_p=1)
-        plan = assign_pilots(2, 1)
-        e1 = compute_estimation_stats(sc, compute_stats(rl, RisState(phases=phases, a=2.0)), plan)
-        e2 = compute_estimation_stats(sc, compute_stats(rl, RisState(phases=phases + 0.77, a=2.0)), plan)
+        e1 = compute_estimation_stats(compute_stats(rl, RisState(phases=phases, a=2.0)))
+        e2 = compute_estimation_stats(compute_stats(rl, RisState(phases=phases + 0.77, a=2.0)))
         assert_allclose(e1.nmse, e2.nmse, rtol=1e-12)
 
 
@@ -123,15 +140,14 @@ class TestEstimateChannels:
         sc, rl, _ = cascade_instance(tau_p=2, rho=1e4)
         state = RisState(phases=np.zeros(sc.N), a=2.0)
         stats = compute_stats(rl, state)
-        plan = assign_pilots(2, 2)
-        est = compute_estimation_stats(sc, stats, plan)
-        blk = oracle._sample_block(rl, state, plan, 0, 0, 1)
+        est = compute_estimation_stats(stats)
+        blk = oracle._sample_block(rl, state, 0, 0, 1)
         q, q_hat = blk.q[0], est.c * blk.y[0]
         assert np.abs(q - q_hat).max() / np.abs(q).min() < 1e-2
         # the identity suite's estimates are the same c * y
         rows = {r.name: r.empirical for r in oracle.verify_moment_identities(
-            rl, state, plan, oracle.CHUNK_TRIALS, master_seed=0)}
-        y = oracle._sample_block(rl, state, plan, 0, 0, oracle.CHUNK_TRIALS).y
+            rl, state, oracle.CHUNK_TRIALS, master_seed=0)}
+        y = oracle._sample_block(rl, state, 0, 0, oracle.CHUNK_TRIALS).y
         gamma_rows = [[rows[f"gamma[{m},{k}]"] for k in range(sc.K)] for m in range(sc.M)]
         assert_allclose(gamma_rows, np.mean(np.abs(est.c * y) ** 2, axis=0), rtol=1e-12)
 
@@ -139,10 +155,9 @@ class TestEstimateChannels:
         sc, rl, phases = cascade_instance(tau_p=1)
         state = RisState(phases=phases, a=2.0)
         stats = compute_stats(rl, state)
-        plan = assign_pilots(2, 1)
-        est = compute_estimation_stats(sc, stats, plan)
+        est = compute_estimation_stats(stats)
         n = 6000
-        blk = draw_trials(rl, state, plan, n, master_seed=4)
+        blk = draw_trials(rl, state, n, master_seed=4)
         qh = est.c * blk.y
         ee = blk.q - qh
         assert_allclose(np.mean(np.abs(qh) ** 2, axis=0), est.gamma, rtol=0.08)

@@ -1,5 +1,6 @@
 """Closed-form SINR/SE/EE behavior."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from ariscf import perf
 from ariscf.channel import compute_stats
-from ariscf.estimation import assign_pilots, compute_estimation_stats
+from ariscf.estimation import compute_estimation_stats
 from ariscf.perf import energy_efficiency, evaluate_phases, sinr_all, sinr_user
 from ariscf.ris import RisState, aris_power_consumption
 from ariscf.scenario import Scenario, sample_layout
@@ -31,12 +32,11 @@ def user_column(br, k):
                            i3=br.i3[k], ds=br.ds[k], i2=br.i2[k], sinr=br.sinr[k])
 
 
-def breakdown(sc, rl, phases, a, tau_p, k=0):
+def breakdown(rl, phases, a, k=0):
     state = RisState(phases=phases, a=a)
     stats = compute_stats(rl, state)
-    plan = assign_pilots(sc.K, tau_p)
-    est = compute_estimation_stats(sc, stats, plan)
-    return user_column(sinr_all(sc, stats, est, plan), k), stats, est, plan
+    est = compute_estimation_stats(stats)
+    return user_column(sinr_all(stats, est), k), stats, est
 
 
 class TestSinrBreakdown:
@@ -44,13 +44,13 @@ class TestSinrBreakdown:
         sc, rl, phases = cascade_instance(tau_p=1)
         sc0 = Scenario(M=2, K=2, N_H=2, N_V=2, tau_p=1, rho=sc.rho, rho_u=0.0,
                        sigma2=sc.sigma2, sigma2_bar=sc.sigma2_bar, a_max=sc.a_max)
-        br, *_ = breakdown(sc0, rl, phases, 2.0, 1)
+        br, *_ = breakdown(replace(rl, scenario=sc0), phases, 2.0)
         assert br.sinr == 0.0
         assert br.i1 == 0.0
 
     def test_terms_nonnegative_and_named(self):
         sc, rl, phases = cascade_instance(tau_p=1)
-        br, *_ = breakdown(sc, rl, phases, 2.0, 1)
+        br, *_ = breakdown(rl, phases, 2.0)
         assert set(br.i2_terms) == set(I2_TERM_NAMES)
         assert all(v >= 0 for v in br.i2_terms.values())
         assert br.i3 > 0
@@ -62,8 +62,8 @@ class TestSinrBreakdown:
         for tau_p in (1, 2):
             sc, rl, phases = cascade_instance(tau_p=tau_p)
             for k in range(sc.K):
-                br, stats, est, plan = breakdown(sc, rl, phases, 2.0, tau_p, k=k)
-                _, _, bu, ui, an, no = sinr_user(sc, stats, est, plan, k)
+                br, stats, est = breakdown(rl, phases, 2.0, k=k)
+                _, _, bu, ui, an, no = sinr_user(stats, est, k)
                 assert bu + ui.sum() + an + no == pytest.approx(
                     br.i2 + br.i3, rel=1e-12, abs=0)
                 assert br.ds == pytest.approx(br.i1 ** 2, rel=1e-12, abs=0)
@@ -74,12 +74,12 @@ class TestSinrBreakdown:
         for s2 in (1e-11, 2e-11, 8e-11, 1e-9):
             sc2 = Scenario(M=2, K=2, N_H=2, N_V=2, tau_p=1, rho=sc.rho, rho_u=sc.rho_u,
                            sigma2=s2, sigma2_bar=sc.sigma2_bar, a_max=sc.a_max)
-            sinrs.append(breakdown(sc2, rl, phases, 2.0, 1)[0].sinr)
+            sinrs.append(breakdown(replace(rl, scenario=sc2), phases, 2.0)[0].sinr)
         assert all(a > b for a, b in zip(sinrs, sinrs[1:]))
 
     def test_singleton_cosets_kill_contamination_addends(self):
         sc, rl, phases = cascade_instance(tau_p=2)
-        br, *_ = breakdown(sc, rl, phases, 2.0, 2)
+        br, *_ = breakdown(rl, phases, 2.0)
         assert br.i2_terms["contamination_mean_sq"] == 0.0
         assert br.i2_terms["contamination_kappa"] == 0.0
         # the coset-wide tr(Xi^2) addend keeps only the own-user term
@@ -89,14 +89,14 @@ class TestSinrBreakdown:
         sc, rl, phases = cascade_instance(tau_p=1)
         perm = np.array([1, 0])
         rl_perm = synthetic_realization(sc, rl.beta[perm], rl.alpha[perm], rl.alpha_bar)
-        br1, *_ = breakdown(sc, rl, phases, 2.0, 1)
-        br2, *_ = breakdown(sc, rl_perm, phases, 2.0, 1)
+        br1, *_ = breakdown(rl, phases, 2.0)
+        br2, *_ = breakdown(rl_perm, phases, 2.0)
         assert br1.sinr == pytest.approx(br2.sinr, rel=1e-12)
 
     def test_global_phase_rotation_invariance(self):
         sc, rl, phases = cascade_instance(tau_p=1)
-        br1, *_ = breakdown(sc, rl, phases, 2.0, 1)
-        br2, *_ = breakdown(sc, rl, phases + 2.1, 2.0, 1)
+        br1, *_ = breakdown(rl, phases, 2.0)
+        br2, *_ = breakdown(rl, phases + 2.1, 2.0)
         assert br1.sinr == pytest.approx(br2.sinr, rel=1e-12)
 
 
@@ -126,15 +126,14 @@ class TestLiteralAssembly:
         phases = rng.uniform(0, 2 * np.pi, sc.N)
         state = RisState(phases=phases, a=2.0)
         stats = compute_stats(rl, state)
-        plan = assign_pilots(K, tau_p)
-        est = compute_estimation_stats(sc, stats, plan)
-        br = user_column(sinr_all(sc, stats, est, plan), k)
+        est = compute_estimation_stats(stats)
+        br = user_column(sinr_all(stats, est), k)
 
         xi = [[dense_xi(stats, m, j) for j in range(K)] for m in range(M)]
         tr_xi_xi = lambda m, j, m2, j2: np.trace(xi[m][j] @ xi[m2][j2]).real
         c = est.c
         kap = stats.kappa
-        coset = list(plan.coset(k))
+        coset = list(np.flatnonzero(sc.coset_mask[k]))
         contam = [j for j in coset if j != k]
         rho_u, rho_tau = sc.rho_u, sc.rho * sc.tau_p
 
@@ -168,11 +167,11 @@ class TestLiteralAssembly:
         assert br.i3 == pytest.approx(i3, rel=1e-12, abs=0)
 
 
-def eager_breakdown(scenario, stats, est_stats, plan, k):
+def eager_breakdown(stats, est_stats, k):
     """The SINR terms and groups as the one-user `sinr_closed_form` once built
     them eagerly in one pass, transcribed verbatim: (i1, i2_terms, i3, sinr,
     ds, bu, ui, an, no)."""
-    sc = scenario
+    sc = stats.realization.scenario
     K = stats.K
     c = est_stats.c[:, k]
     gamma = est_stats.gamma[:, k]
@@ -181,7 +180,7 @@ def eager_breakdown(scenario, stats, est_stats, plan, k):
     t2 = stats.t2
     rho_tau = sc.rho * sc.tau_p
 
-    coset = plan.coset(k)
+    coset = np.flatnonzero(sc.coset_mask[k])
     contam = coset[coset != k]
     others = np.flatnonzero(np.arange(K) != k)
 
@@ -240,14 +239,14 @@ class TestLazyRegrouping:
     ], ids=["default-0", "default-1", "default-2", "train-small", "default-tau5"])
     def test_bytes_match_eager_regrouping(self, name, seed, overrides):
         # sinr_user to the bit; the batched kernel adds in its own order
-        sc, rl, plan, state = config_instance(name, seed, **overrides)
+        sc, rl, state = config_instance(name, seed, **overrides)
         stats = compute_stats(rl, state)
-        est = compute_estimation_stats(sc, stats, plan)
-        batched = sinr_all(sc, stats, est, plan)
+        est = compute_estimation_stats(stats)
+        batched = sinr_all(stats, est)
         for k in range(sc.K):
             br = user_column(batched, k)
-            g_ds, g_sinr, g_bu, g_ui, g_an, g_no = sinr_user(sc, stats, est, plan, k)
-            i1, terms, i3, sinr, ds, bu, ui, an, no = eager_breakdown(sc, stats, est, plan, k)
+            g_ds, g_sinr, g_bu, g_ui, g_an, g_no = sinr_user(stats, est, k)
+            i1, terms, i3, sinr, ds, bu, ui, an, no = eager_breakdown(stats, est, k)
             assert_allclose([br.i1, br.i3, br.sinr, br.ds], [i1, i3, sinr, ds], rtol=SINR_RTOL)
             assert_allclose([br.i2_terms[t] for t in I2_TERM_NAMES],
                             [terms[t] for t in I2_TERM_NAMES], rtol=SINR_RTOL)
@@ -259,12 +258,12 @@ class TestLazyRegrouping:
             raise AssertionError("the SE path built the SINR regrouping")
         monkeypatch.setattr(perf, "sinr_user", fail)
         kernel_calls = count_calls(monkeypatch, perf, "sinr_all")
-        sc, rl, plan, state = config_instance("train_small.yaml", 0)
-        se, est = evaluate_phases(sc, rl, plan, state.phases, state.a)
+        sc, rl, state = config_instance("train_small.yaml", 0)
+        se, est = evaluate_phases(rl, state.phases, state.a)
         assert se.shape == (sc.K,) and np.isfinite(se).all()
         assert len(kernel_calls) == 1
         with pytest.raises(AssertionError, match="regrouping"):
-            perf.sinr_user(sc, compute_stats(rl, state), est, plan, 0)
+            perf.sinr_user(compute_stats(rl, state), est, 0)
 
 
 class TestVectorizedSinr:
@@ -283,13 +282,13 @@ class TestVectorizedSinr:
     def test_bytes_match_per_user_transcription(self, name, seed, phases, overrides):
         # every user's terms equal the one-user formula up to round-off, and
         # sinr_user's ds and sinr equal it to the bit
-        sc, rl, plan, state = config_instance(name, seed, phases, **overrides)
+        sc, rl, state = config_instance(name, seed, phases, **overrides)
         stats = compute_stats(rl, state)
-        est = compute_estimation_stats(sc, stats, plan)
-        br = sinr_all(sc, stats, est, plan)
+        est = compute_estimation_stats(stats)
+        br = sinr_all(stats, est)
         assert br.sinr.shape == (sc.K,)
         for k in range(sc.K):
-            i1, terms, i3, sinr, ds, *_ = eager_breakdown(sc, stats, est, plan, k)
+            i1, terms, i3, sinr, ds, *_ = eager_breakdown(stats, est, k)
             assert br.i1[k] == pytest.approx(i1, rel=SINR_RTOL, abs=0), k
             for term in I2_TERM_NAMES:
                 assert br.i2_terms[term][k] == pytest.approx(
@@ -297,7 +296,7 @@ class TestVectorizedSinr:
             assert br.i3[k] == pytest.approx(i3, rel=SINR_RTOL, abs=0), k
             assert br.ds[k] == pytest.approx(ds, rel=SINR_RTOL, abs=0), k
             assert br.sinr[k] == pytest.approx(sinr, rel=SINR_RTOL, abs=0), k
-            assert sinr_user(sc, stats, est, plan, k)[:2] == (ds, sinr), k
+            assert sinr_user(stats, est, k)[:2] == (ds, sinr), k
 
 
 class TestSpectralEfficiency:
@@ -306,9 +305,8 @@ class TestSpectralEfficiency:
         """evaluate_phases with user k's closed-form SINR replaced by sinrs[k]."""
         sc = Scenario(**{"M": 2, "K": len(sinrs), "N_H": 2, "N_V": 2, "tau_p": 1, **scenario_kw})
         monkeypatch.setattr(perf, "sinr_all",
-                            lambda scenario, stats, est, plan: SimpleNamespace(sinr=np.array(sinrs)))
-        se, _ = evaluate_phases(sc, sample_layout(sc, 0), assign_pilots(sc.K, sc.tau_p),
-                                np.zeros(sc.N), 1.0, prelog)
+                            lambda stats, est: SimpleNamespace(sinr=np.array(sinrs)))
+        se, _ = evaluate_phases(sample_layout(sc, 0), np.zeros(sc.N), 1.0, prelog)
         return se
 
     def test_log2_values(self, monkeypatch):
@@ -326,35 +324,33 @@ class TestSpectralEfficiency:
         rl = sample_layout(sc, 3)
         state = RisState(phases=np.zeros(sc.N), a=1.0)
         stats = compute_stats(rl, state)
-        plan = assign_pilots(1, 1)
-        est = compute_estimation_stats(sc, stats, plan)
-        se, _ = evaluate_phases(sc, rl, plan, state.phases, state.a)
+        est = compute_estimation_stats(stats)
+        se, _ = evaluate_phases(rl, state.phases, state.a)
         assert se.sum() == pytest.approx(
-            np.log2(1.0 + sinr_all(sc, stats, est, plan).sinr[0]))
+            np.log2(1.0 + sinr_all(stats, est).sinr[0]), rel=1e-6, abs=0)
 
     @pytest.mark.parametrize("prelog", [False, True])
     def test_per_user_se_is_log2_of_closed_form_sinr(self, prelog):
         sc = Scenario(M=3, K=4, N_H=2, N_V=2, tau_p=2, tau_c=50)
         rl = sample_layout(sc, 5)
-        plan = assign_pilots(sc.K, sc.tau_p)
         state = RisState(phases=np.random.default_rng(0).uniform(0, 2 * np.pi, sc.N), a=1.5)
         stats = compute_stats(rl, state)
-        est_ref = compute_estimation_stats(sc, stats, plan)
-        se, est = evaluate_phases(sc, rl, plan, state.phases, state.a, prelog)
+        est_ref = compute_estimation_stats(stats)
+        se, est = evaluate_phases(rl, state.phases, state.a, prelog)
         assert_allclose(est.gamma, est_ref.gamma, rtol=0)
         assert_allclose(est.nmse, est_ref.nmse, rtol=0)
         factor = 1.0 - sc.tau_p / sc.tau_c if prelog else 1.0
-        sinr = sinr_all(sc, stats, est_ref, plan).sinr
+        sinr = sinr_all(stats, est_ref).sinr
         expected = [factor * np.log2(1.0 + sinr[k]) for k in range(sc.K)]
         assert se.shape == (sc.K,)
         assert_allclose(se, expected, rtol=1e-12)
 
     def test_user_permutation_symmetry(self):
         sc, rl, phases = cascade_instance(tau_p=2)
-        se1, _ = evaluate_phases(sc, rl, assign_pilots(2, 2), phases, 2.0)
+        se1, _ = evaluate_phases(rl, phases, 2.0)
         perm = np.array([1, 0])
         rl2 = synthetic_realization(sc, rl.beta[:, perm], rl.alpha, rl.alpha_bar[perm])
-        se2, _ = evaluate_phases(sc, rl2, assign_pilots(2, 2), phases, 2.0)
+        se2, _ = evaluate_phases(rl2, phases, 2.0)
         assert se1.sum() == pytest.approx(se2.sum(), rel=1e-12)
 
 
@@ -362,14 +358,14 @@ class TestEnergyEfficiency:
     def test_zero_rate_zero_ee(self):
         sc = Scenario(M=2, K=2, N_H=2, N_V=2)
         rl = sample_layout(sc, 0)
-        assert energy_efficiency(sc, rl, 0.0, 1.0) == 0.0
+        assert energy_efficiency(rl, 0.0, 1.0) == 0.0
 
     def test_bandwidth_linearity_without_traffic_power(self):
         sc1 = Scenario(M=2, K=2, N_H=2, N_V=2, Pbt=0.0, B=10e6)
         sc2 = Scenario(M=2, K=2, N_H=2, N_V=2, Pbt=0.0, B=20e6)
         rl = sample_layout(sc1, 0)
-        assert energy_efficiency(sc2, rl, 3.0, 1.0) == pytest.approx(
-            2 * energy_efficiency(sc1, rl, 3.0, 1.0), rel=1e-12)
+        assert energy_efficiency(replace(rl, scenario=sc2), 3.0, 1.0) == pytest.approx(
+            2 * energy_efficiency(rl, 3.0, 1.0), rel=1e-12)
 
     def test_independent_transcription(self):
         sc = Scenario(M=3, K=4, N_H=2, N_V=2)
@@ -381,5 +377,5 @@ class TestEnergyEfficiency:
             + sum(sc.P0 + sc.B * (se_total / sc.M) * sc.Pbt for _ in range(sc.M)) \
             + p_aris
         expected = sc.B * se_total / p_total
-        assert energy_efficiency(sc, rl, se_total, a) == pytest.approx(expected, rel=1e-12)
-        assert aris_power_consumption(sc, rl, a) == pytest.approx(p_aris, rel=1e-12)
+        assert energy_efficiency(rl, se_total, a) == pytest.approx(expected, rel=1e-12)
+        assert aris_power_consumption(rl, a) == pytest.approx(p_aris, rel=1e-12)

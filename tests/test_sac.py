@@ -122,9 +122,10 @@ class TestGradientChecks:
 
     def test_q_gradients(self):
         agent, (obs, act, rew, nxt, eps) = smooth_agent_and_batch(seed=2)
-        (l1, g1), (l2, g2) = agent.q_loss_and_grads(obs, act, rew, nxt)
-        for net, ana, idx in ((agent.q1, g1, 0), (agent.q2, g2, 1)):
-            fd = fd_grad(net, lambda: agent.q_loss_and_grads(obs, act, rew, nxt)[idx][0])
+        losses, grads = agent.q_loss_and_grads(obs, act, rew, nxt)
+        assert losses.shape == (2,) and grads.shape == (2, agent.q1.params.size)
+        for net, ana, idx in ((agent.q1, grads[0], 0), (agent.q2, grads[1], 1)):
+            fd = fd_grad(net, lambda: agent.q_loss_and_grads(obs, act, rew, nxt)[0][idx])
             assert np.linalg.norm(ana - fd) / np.linalg.norm(fd) < FD_TOL
 
     def test_policy_gradient(self):
@@ -280,7 +281,7 @@ class TestLossDefinitions:
 
     def test_q_loss_formula(self):
         agent, (obs, act, rew, nxt, eps) = smooth_agent_and_batch(seed=9)
-        (l1, _), (l2, _) = agent.q_loss_and_grads(obs, act, rew, nxt)
+        l1, l2 = agent.q_loss_and_grads(obs, act, rew, nxt)[0]
         target = rew + agent.config.discount * agent.value_target(nxt)[:, 0]
         x = np.concatenate([obs, act], axis=1)
         assert l1 == pytest.approx(0.5 * np.mean((agent.q1(x)[:, 0] - target) ** 2), rel=1e-12)

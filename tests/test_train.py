@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ariscf import channel
-from ariscf.estimation import assign_pilots
 from ariscf.perf import evaluate_phases
 from ariscf.ris import amplitude_gain
 from ariscf.sac.agent import (
@@ -30,31 +29,30 @@ def small_env(seed=123, **scenario_kw):
     sc = Scenario(**base)
     rl = sample_layout(sc, seed)
     a = amplitude_gain(sc, rl.alpha_bar)
-    plan = assign_pilots(sc.K, sc.tau_p)
-    return sc, rl, plan, a, RisEnv(sc, rl, plan, a)
+    return sc, rl, a, RisEnv(rl, a)
 
 
 class TestEnv:
     def test_observation_shape_and_scaling(self):
-        sc, rl, plan, a, env = small_env()
+        sc, rl, a, env = small_env()
         obs, _ = env.reset(np.random.default_rng(0))
         assert obs.shape == (sc.N + sc.M * sc.K,)
         # scaled estimate variances are O(1)
         assert 0.01 < np.abs(obs[sc.N:]).max() < 100
 
     def test_reward_computed_from_phases_not_observation(self):
-        sc, rl, plan, a, env = small_env()
+        sc, rl, a, env = small_env()
         env.reset(np.random.default_rng(0))
         action = np.random.default_rng(1).uniform(-1, 1, sc.N)
         _, reward = env.step(action)
-        se, _ = evaluate_phases(sc, rl, plan, env.phases, a)
+        se, _ = evaluate_phases(rl, env.phases, a)
         assert reward == pytest.approx(se.sum(), rel=1e-12)
 
     def test_reset_randomizes(self):
         *_, env = small_env()
         rng = np.random.default_rng(0)
-        p1 = env.reset(rng)[0][: env.scenario.N]
-        p2 = env.reset(rng)[0][: env.scenario.N]
+        p1 = env.reset(rng)[0][: env.act_dim]
+        p2 = env.reset(rng)[0][: env.act_dim]
         assert not np.allclose(p1, p2)
 
 
@@ -79,10 +77,10 @@ class TestTraining:
         assert len(stats_calls) == cfg.episode_len + 1
 
     def test_best_tracking_consistent(self):
-        sc, rl, plan, a, env = small_env()
+        sc, rl, a, env = small_env()
         cfg = SacConfig(episodes=3, episode_len=30, batch=16, buffer_capacity=500)
         res = train(env, cfg, master_seed=1)
-        se, _ = evaluate_phases(sc, rl, plan, res.best_phases, a)
+        se, _ = evaluate_phases(rl, res.best_phases, a)
         assert res.best_sum_se == pytest.approx(se.sum(), rel=1e-12)
         assert res.best_sum_se >= max(res.episode_rewards) / cfg.episode_len - 1e-12
 
