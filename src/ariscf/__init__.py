@@ -15,9 +15,6 @@ from .channel import (
     PhaseTraces,
     SecondOrderStats,
     compute_stats,
-    cross_moment_cyclic,
-    cross_moments,
-    fourth_moment,
     phase_traces,
 )
 from .estimation import EstimationStats, compute_estimation_stats

@@ -1,4 +1,4 @@
-"""Analytic channel moments used by every closed form, and the complex Gaussian draws."""
+"""Second-order channel moments used by every closed form, and the complex Gaussian draws."""
 
 from __future__ import annotations
 
@@ -80,9 +80,6 @@ class SecondOrderStats:
     def K(self) -> int:
         return self.kappa.shape[1]
 
-    def tr_xi_xi(self, m: int, k: int, m2: int, k2: int) -> float:
-        return self.xi_scale[m, k] * self.xi_scale[m2, k2] * self.t2
-
 
 @dataclass(frozen=True)
 class PhaseTraces:
@@ -157,29 +154,3 @@ def compute_stats(realization: NetworkRealization, ris_state: RisState,
         t2=t2,
         t3=t3,
     )
-
-
-def fourth_moment(stats: SecondOrderStats, m: int, k: int) -> float:
-    """E{|q_{m,k}|^4} = 2 kappa^2 + 2 tr(Xi^2)."""
-    return 2.0 * stats.kappa[m, k] ** 2 + 2.0 * stats.tr_xi_xi(m, k, m, k)
-
-
-def cross_moments(stats: SecondOrderStats, m: int, m2: int, k: int, k2: int) -> float:
-    """E{|q_{m,k} q*_{m2,k2}|^2} for distinct link pairs.
-
-    kappa kappa' when both indices differ; kappa kappa' + tr(Xi Xi') when
-    exactly one does. The identical pair is the fourth moment and is rejected.
-    """
-    if m == m2 and k == k2:
-        raise ValueError("identical link pair: use fourth_moment")
-    base = stats.kappa[m, k] * stats.kappa[m2, k2]
-    if m != m2 and k != k2:
-        return float(base)
-    return float(base + stats.tr_xi_xi(m, k, m2, k2))
-
-
-def cross_moment_cyclic(stats: SecondOrderStats, m: int, m2: int, k: int, k2: int) -> float:
-    """E{q*_{m,k} q_{m,k2} q*_{m2,k2} q_{m2,k}} = tr(Xi_{m,k2} Xi_{m2,k}) for m != m2, k != k2."""
-    if m == m2 or k == k2:
-        raise ValueError("cyclic cross moment requires m != m2 and k != k2")
-    return stats.tr_xi_xi(m, k2, m2, k)

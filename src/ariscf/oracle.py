@@ -7,18 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    complex_normal,
-    compute_stats,
-    correlated_normal,
-    cross_moment_cyclic,
-    cross_moments,
-    fourth_moment,
-)
+from .channel import SecondOrderStats, complex_normal, compute_stats, correlated_normal
 from .estimation import EstimationStats, compute_estimation_stats
 from .perf import sinr_user
 from .ris import RisState, aris_output_power
-from .scenario import NetworkRealization
+from .scenario import NetworkRealization, Scenario
 
 # Trials per vectorized block. Fixed constant: block boundaries define the
 # random stream, so results never depend on how blocks are scheduled.
@@ -48,11 +41,8 @@ def benchmark_instance():
     identities sit well above their estimator noise at 1e5-1e6 trials;
     geometry sampled from a config cannot guarantee that conditioning.
     """
-    from .scenario import NetworkRealization, Scenario, ris_correlation
-
     sc = Scenario(M=2, K=2, N_H=2, N_V=2, tau_p=1, rho=0.05, rho_u=5.0,
                   sigma2=1e-11, sigma2_bar=1e-11, a_max=4.0)
-    R, R2 = ris_correlation(sc.geometry)
     realization = NetworkRealization(
         scenario=sc,
         ap_positions=np.zeros((sc.M, 2)),
@@ -60,7 +50,6 @@ def benchmark_instance():
         beta=5e-4 * np.array([[2e-8, 1.2e-8], [0.8e-8, 2.5e-8]]),
         alpha=np.array([3e-6, 2e-6]),
         alpha_bar=np.array([4e-4, 3e-4]) / sc.element_area,
-        R=R, R2=R2,
     )
     state = RisState(phases=np.zeros(sc.N), a=4.0)
     return realization, state
@@ -153,6 +142,40 @@ class _Mean:
     def stderr(self):
         var = np.maximum(self.total_sq / self.n - np.abs(self.mean) ** 2, 0.0)
         return np.sqrt(var / self.n)
+
+
+# ---------------------------------------------------------------------------
+# quartic references of the aggregated channels
+
+def _tr_xi_xi(stats: SecondOrderStats, m: int, k: int, m2: int, k2: int) -> float:
+    """tr(Xi_{m,k} Xi_{m2,k2}) = s_{m,k} s_{m2,k2} t2."""
+    return stats.xi_scale[m, k] * stats.xi_scale[m2, k2] * stats.t2
+
+
+def fourth_moment(stats: SecondOrderStats, m: int, k: int) -> float:
+    """E{|q_{m,k}|^4} = 2 kappa^2 + 2 tr(Xi^2)."""
+    return 2.0 * stats.kappa[m, k] ** 2 + 2.0 * _tr_xi_xi(stats, m, k, m, k)
+
+
+def cross_moments(stats: SecondOrderStats, m: int, m2: int, k: int, k2: int) -> float:
+    """E{|q_{m,k} q*_{m2,k2}|^2} for distinct link pairs.
+
+    kappa kappa' when both indices differ; kappa kappa' + tr(Xi Xi') when
+    exactly one does. The identical pair is the fourth moment and is rejected.
+    """
+    if m == m2 and k == k2:
+        raise ValueError("identical link pair: use fourth_moment")
+    base = stats.kappa[m, k] * stats.kappa[m2, k2]
+    if m != m2 and k != k2:
+        return float(base)
+    return float(base + _tr_xi_xi(stats, m, k, m2, k2))
+
+
+def cross_moment_cyclic(stats: SecondOrderStats, m: int, m2: int, k: int, k2: int) -> float:
+    """E{q*_{m,k} q_{m,k2} q*_{m2,k2} q_{m2,k}} = tr(Xi_{m,k2} Xi_{m2,k}) for m != m2, k != k2."""
+    if m == m2 or k == k2:
+        raise ValueError("cyclic cross moment requires m != m2 and k != k2")
+    return _tr_xi_xi(stats, m, k2, m2, k)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +297,8 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
     stats = compute_stats(realization, ris_state)
     est = compute_estimation_stats(stats)
 
-    # Wishart identity on R_m(0) with a fixed deterministic Hermitian A.
-    R0 = realization.R_m(0)
+    # Wishart identity on R_0 = alpha_0 d_H d_V R with a fixed deterministic Hermitian A.
+    R0 = realization.alpha[0] * sc.element_area * realization.R
     a_rng = _stream(master_seed, 0, _TAG_WISHART)
     A = complex_normal(a_rng, (N, N))
     A = A + np.conj(A).T

@@ -254,7 +254,11 @@ def psd_factor(cov: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NetworkRealization:
-    """One draw of the network geometry and its large-scale quantities."""
+    """One draw of the network geometry and its large-scale quantities.
+
+    R, R @ R and R's factor are not fields: they follow from
+    `scenario.geometry`, read once per realization.
+    """
 
     scenario: Scenario
     ap_positions: np.ndarray      # (M, 2)
@@ -262,16 +266,21 @@ class NetworkRealization:
     beta: np.ndarray              # (M, K) AP-user gains
     alpha: np.ndarray             # (M,)   AP-RIS gains
     alpha_bar: np.ndarray         # (K,)   RIS-user gains
-    R: np.ndarray                 # (N, N) base correlation matrix
-    R2: np.ndarray                # (N, N) R @ R, shared per geometry like R
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        """(N, N) base correlation matrix of the scenario's RIS geometry, shared per geometry."""
+        return ris_correlation(self.scenario.geometry)[0]
+
+    @cached_property
+    def R2(self) -> np.ndarray:
+        """(N, N) R @ R, shared per geometry like R."""
+        return ris_correlation(self.scenario.geometry)[1]
 
     @cached_property
     def R_factor(self) -> np.ndarray:
         """(N, N) PSD-repaired factor of R; only the Monte Carlo oracle samples from it."""
         return psd_factor(self.R)
-
-    def R_m(self, m: int) -> np.ndarray:
-        return self.alpha[m] * self.scenario.element_area * self.R
 
 
 def sample_layout(scenario: Scenario, rng_seed: int) -> NetworkRealization:
@@ -298,7 +307,6 @@ def sample_layout(scenario: Scenario, rng_seed: int) -> NetworkRealization:
     alpha = large_scale_gain(d_m, scenario.alpha1_exp)
     alpha_bar = large_scale_gain(d_k, scenario.alpha2_exp)
 
-    R, R2 = ris_correlation(scenario.geometry)
     return NetworkRealization(
         scenario=scenario,
         ap_positions=ap_positions,
@@ -306,5 +314,4 @@ def sample_layout(scenario: Scenario, rng_seed: int) -> NetworkRealization:
         beta=beta,
         alpha=alpha,
         alpha_bar=alpha_bar,
-        R=R, R2=R2,
     )

@@ -13,8 +13,7 @@ from ariscf import oracle
 from ariscf.channel import compute_stats
 from ariscf.estimation import compute_estimation_stats
 from ariscf.ris import RisState, amplitude_gain
-from ariscf.scenario import (NetworkRealization, Scenario, load_scenario, ris_correlation,
-                             sample_layout)
+from ariscf.scenario import NetworkRealization, Scenario, load_scenario, sample_layout
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -22,7 +21,6 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 def synthetic_realization(scenario: Scenario, beta: np.ndarray, alpha: np.ndarray,
                           alpha_bar: np.ndarray) -> NetworkRealization:
     """Realization with prescribed gains; the positions are placeholders."""
-    R, R2 = ris_correlation(scenario.geometry)
     return NetworkRealization(
         scenario=scenario,
         ap_positions=np.zeros((scenario.M, 2)),
@@ -30,13 +28,19 @@ def synthetic_realization(scenario: Scenario, beta: np.ndarray, alpha: np.ndarra
         beta=np.asarray(beta, dtype=float),
         alpha=np.asarray(alpha, dtype=float),
         alpha_bar=np.asarray(alpha_bar, dtype=float),
-        R=R, R2=R2,
     )
 
 
+def fixed_correlation(realization: NetworkRealization, R: np.ndarray) -> NetworkRealization:
+    """Copy of `realization` whose R is set by hand (R = 0, R = I) instead of
+    derived from its geometry; R2 = R @ R and R_factor follow that R."""
+    out = replace(realization)
+    vars(out).update(R=R, R2=R @ R)
+    return out
+
+
 def cascade_instance(tau_p: int = 1, a: float = 2.0, sigma2: float = 1e-11,
-                     rho: float = 0.05, rho_u: float = 0.05,
-                     beta_scale: float = 1.0, phases_seed: int | None = 3):
+                     rho: float = 0.05, rho_u: float = 0.05):
     """M=2, K=2 instance whose cascaded path carries power comparable to the
     direct one, so every Xi-dependent moment is well conditioned."""
     sc = Scenario(M=2, K=2, N_H=2, N_V=2, tau_p=tau_p, rho=rho, rho_u=rho_u,
@@ -44,23 +48,11 @@ def cascade_instance(tau_p: int = 1, a: float = 2.0, sigma2: float = 1e-11,
     area = sc.element_area
     rl = synthetic_realization(
         sc,
-        beta=beta_scale * np.array([[2e-8, 1.2e-8], [0.8e-8, 2.5e-8]]),
+        beta=np.array([[2e-8, 1.2e-8], [0.8e-8, 2.5e-8]]),
         alpha=np.array([3e-6, 2e-6]),
         alpha_bar=np.array([4e-4, 3e-4]) / area,
     )
-    if phases_seed is None:
-        phases = np.zeros(sc.N)
-    else:
-        phases = np.random.default_rng(phases_seed).uniform(0, 2 * np.pi, sc.N)
-    return sc, rl, phases
-
-
-def moment_instance(tau_p: int = 1, phases_seed: int | None = None):
-    """Cascade-dominated variant: the quartic estimator noise stays small
-    relative to the Xi traces, so the cyclic and cross-covariance identities
-    are detectable at 1e5-1e6 trials."""
-    sc, rl, phases = cascade_instance(tau_p=tau_p, a=4.0, rho_u=5.0,
-                                      beta_scale=5e-4, phases_seed=phases_seed)
+    phases = np.random.default_rng(3).uniform(0, 2 * np.pi, sc.N)
     return sc, rl, phases
 
 

@@ -1,8 +1,8 @@
 """Dense, test-only transcriptions of quantities the package keeps in
-factored form: the reflection matrix, the per-user RIS covariance, the
-Xi_{m,k} matrices and the main-text active-noise moment; the second-order
-statistics as computed before the real-GEMM traces; and the SAC update with
-unstacked twin critics, the reference for the stacked one."""
+factored form: the reflection matrix, the per-AP and per-user RIS
+covariances, the Xi_{m,k} matrices and the main-text active-noise moment; the
+second-order statistics as computed before the real-GEMM traces; and the SAC
+update with unstacked twin critics, the reference for the stacked one."""
 
 import json
 from dataclasses import asdict
@@ -17,6 +17,11 @@ from ariscf.sac.nets import DenseNet, make_optimizer, relu
 def reflection_matrix(phases: np.ndarray, a: float) -> np.ndarray:
     """Diagonal reflection matrix a * diag(exp(j * phases))."""
     return np.diag(a * np.exp(1j * np.asarray(phases, dtype=float)))
+
+
+def R_m(realization, m: int) -> np.ndarray:
+    """AP-RIS covariance alpha_m d_H d_V R."""
+    return realization.alpha[m] * realization.scenario.element_area * realization.R
 
 
 def R_bar_k(realization, k: int) -> np.ndarray:
@@ -49,9 +54,9 @@ def active_noise_moment_main_text(stats, m: int, k: int) -> float:
     rl = stats.realization
     sc = rl.scenario
     a = stats.ris_state.a
-    R_m = rl.R_m(m)
-    tr_rm = np.trace(R_m)
-    tr_rm2 = np.trace(R_m @ R_m)
+    r_m = R_m(rl, m)
+    tr_rm = np.trace(r_m)
+    tr_rm2 = np.trace(r_m @ r_m)
     tr_rbark = np.trace(R_bar_k(rl, k))
     return float(sc.N * sc.sigma2_bar * a ** 2 * rl.beta[m, k] * tr_rm
                  + sc.N ** 2 * sc.sigma2_bar * a ** 4 * (tr_rm2 + tr_rm ** 2) * tr_rbark)

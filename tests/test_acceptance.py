@@ -21,7 +21,7 @@ from ariscf.sac.env import RisEnv
 from ariscf.scenario import Scenario, sample_layout
 from ariscf.cli import main as cli_main
 
-from _instances import cascade_instance, empirical_sinr, moment_instance
+from _instances import cascade_instance, empirical_sinr
 from test_sac import FD_TOL, fd_grad, smooth_agent_and_batch
 
 
@@ -39,9 +39,8 @@ def test_criterion_1_moment_identities():
     started = time.monotonic()
     failures = []
     # cascade-dominated instance: every Xi-dependent identity is detectable
-    sc, rl, phases = moment_instance(tau_p=1)
-    rows_a = oracle.verify_moment_identities(rl, RisState(phases=phases, a=4.0),
-                                             1_000_000, master_seed=101)
+    rl, state = oracle.benchmark_instance()
+    rows_a = oracle.verify_moment_identities(rl, state, 1_000_000, master_seed=101)
     # sampled-geometry instance at N = 8, singleton cosets, strong pilots
     sc_b = Scenario(M=3, K=3, N_H=2, N_V=4, tau_p=3, radius=100.0, rho=10.0,
                     rho_u=0.1, a_max=1e6)

@@ -13,16 +13,15 @@ from ariscf.perf import sinr_all, sinr_user
 from ariscf.ris import RisState
 from ariscf.scenario import Scenario, sample_layout
 
-from _instances import (cascade_instance, draw_trials, empirical_sinr, moment_instance,
-                        synthetic_realization)
+from _instances import cascade_instance, draw_trials, empirical_sinr, synthetic_realization
 
 # Closed-form quantities and the identity family that gives each its empirical
 # counterpart; a coverage test enforces the two-sided mapping.
 ORACLE_COVERAGE = {
     "channel.SecondOrderStats.kappa": "kappa",
-    "channel.fourth_moment": "fourth",
-    "channel.cross_moments": "cross",
-    "channel.cross_moment_cyclic": "cyclic",
+    "oracle.fourth_moment": "fourth",
+    "oracle.cross_moments": "cross",
+    "oracle.cross_moment_cyclic": "cyclic",
     "channel.SecondOrderStats.alpha_an": "alpha_an",
     "ris.aris_output_power": "aris_power",
     "estimation.EstimationStats.c": "nmse",
@@ -148,8 +147,7 @@ class TestEmpiricalSinr:
 
 class TestIdentitySuite:
     def test_cascade_instance_all_pass(self):
-        sc, rl, phases = moment_instance(tau_p=1)  # equal phases, cascade-dominated
-        state = RisState(phases=phases, a=4.0)
+        rl, state = oracle.benchmark_instance()  # equal phases, cascade-dominated
         rows = oracle.verify_moment_identities(rl, state, 300_000, master_seed=3)
         bad = [r for r in rows if r.status != "pass"]
         assert not bad, f"failing identities: {[(r.name, r.rel_err) for r in bad]}"
@@ -244,7 +242,7 @@ class TestIdentitySuite:
         # and the registry covers the public closed-form surface
         public = {
             "channel.SecondOrderStats.kappa", "channel.SecondOrderStats.alpha_an",
-            "channel.fourth_moment", "channel.cross_moments", "channel.cross_moment_cyclic",
+            "oracle.fourth_moment", "oracle.cross_moments", "oracle.cross_moment_cyclic",
             "ris.aris_output_power",
             "estimation.EstimationStats.c", "estimation.EstimationStats.gamma",
             "estimation.EstimationStats.nmse",

@@ -378,4 +378,4 @@ class TestEnergyEfficiency:
             + p_aris
         expected = sc.B * se_total / p_total
         assert energy_efficiency(rl, se_total, a) == pytest.approx(expected, rel=1e-12)
-        assert aris_power_consumption(rl, a) == pytest.approx(p_aris, rel=1e-12)
+        assert aris_power_consumption(rl, a) == pytest.approx(p_aris, rel=1e-12, abs=0)

@@ -10,6 +10,7 @@ import yaml
 from numpy.testing import assert_allclose
 
 from ariscf import cli, scenario
+from ariscf.perf import evaluate_phases
 from ariscf.scenario import (
     Scenario,
     build_correlation_matrix,
@@ -22,7 +23,7 @@ from ariscf.scenario import (
 )
 
 from _instances import count_calls
-from _reference import R_bar_k
+from _reference import R_bar_k, R_m
 
 LAM = Scenario().wavelength
 REPO = os.path.join(os.path.dirname(__file__), "..")
@@ -206,7 +207,7 @@ class TestLayout:
         sc = Scenario(M=2, K=2, N_H=2, N_V=2)
         rl = sample_layout(sc, 1)
         area = sc.element_area
-        assert_allclose(rl.R_m(1), rl.alpha[1] * area * rl.R)
+        assert_allclose(R_m(rl, 1), rl.alpha[1] * area * rl.R)
         assert_allclose(R_bar_k(rl, 0), rl.alpha_bar[0] * area * rl.R)
 
     def test_r_factor_follows_r(self):
@@ -214,10 +215,23 @@ class TestLayout:
         rl = sample_layout(sc, 1)
         F = rl.R_factor
         assert_allclose(F @ F.conj().T, rl.R, atol=1e-9)
-        # a copy with another R gets that R's factor, not the cached one
+        # a copy with another geometry gets that geometry's factor, not the cached one
         X = build_correlation_matrix(3, 3, LAM / 2, LAM / 3, LAM)
-        F = replace(rl, R=X).R_factor
+        F = replace(rl, scenario=replace(sc, d_H=LAM / 2, d_V=LAM / 3)).R_factor
         assert_allclose(F @ F.conj().T, X, atol=1e-9)
+
+    def test_replaced_geometry_rederives_r(self):
+        # R follows the scenario a realization carries, not the one it was drawn with
+        sc = Scenario(M=4, K=3, N_H=4, N_V=4)
+        rl = sample_layout(sc, 0)
+        rl.R  # read before the replace, so a copy that carried it over would be stale
+        wide = replace(sc, d_H=2 * sc.d_H)
+        moved, fresh = replace(rl, scenario=wide), sample_layout(wide, 0)
+        assert np.array_equal(moved.R.view(np.uint64), fresh.R.view(np.uint64))
+        phases = np.zeros(sc.N)
+        se_moved = float(evaluate_phases(moved, phases, 2.0)[0].sum())
+        se_fresh = float(evaluate_phases(fresh, phases, 2.0)[0].sum())
+        assert se_moved == se_fresh == 1.0874353432210084
 
 
 class TestScenarioConfig:

@@ -46,7 +46,7 @@ class TestEnv:
         action = np.random.default_rng(1).uniform(-1, 1, sc.N)
         _, reward = env.step(action)
         se, _ = evaluate_phases(rl, env.phases, a)
-        assert reward == pytest.approx(se.sum(), rel=1e-12)
+        assert reward == pytest.approx(se.sum(), rel=1e-12, abs=0)
 
     def test_reset_randomizes(self):
         *_, env = small_env()
@@ -81,7 +81,7 @@ class TestTraining:
         cfg = SacConfig(episodes=3, episode_len=30, batch=16, buffer_capacity=500)
         res = train(env, cfg, master_seed=1)
         se, _ = evaluate_phases(rl, res.best_phases, a)
-        assert res.best_sum_se == pytest.approx(se.sum(), rel=1e-12)
+        assert res.best_sum_se == pytest.approx(se.sum(), rel=1e-12, abs=0)
         assert res.best_sum_se >= max(res.episode_rewards) / cfg.episode_len - 1e-12
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
