@@ -9,17 +9,6 @@ import numpy as np
 from .ris import RisState
 from .scenario import NetworkRealization
 
-# Analytic traces are real; anything beyond this relative imaginary residual
-# indicates a transcription bug rather than round-off.
-IMAG_TOL = 1e-9
-
-
-def _real_trace(value: complex) -> float:
-    if abs(value.imag) > IMAG_TOL * max(abs(value.real), 1e-300):
-        raise FloatingPointError(f"trace has non-negligible imaginary part: {value!r}")
-    return float(value.real)
-
-
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
@@ -64,7 +53,8 @@ class SecondOrderStats:
     Every Xi_{m,k} = a^2 Psi Rbar_k Psi^H R_m is a scalar multiple of the
     common matrix W = (P o R) R with P_{ij} = exp(j(psi_i - psi_j)), so only
     the shared traces t1 = tr(W), t2 = tr(W^2), t3 = tr((P o R) R^2) and the
-    per-link scales are stored.
+    per-link scales are stored. `phase_traces` computes the traces in real
+    arithmetic from two SYRKs, without forming W.
     """
 
     realization: NetworkRealization
@@ -93,30 +83,57 @@ class PhaseTraces:
     t3: float
 
 
+def _weighted_gram(R: np.ndarray, R2: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """R diag(w) R for a real symmetric R and w in [-1, 1], as one SYRK:
+    X^T X - R @ R with X = diag(sqrt(1 + w)) R, formed in the buffer X."""
+    np.multiply(np.sqrt(1.0 + w)[:, None], R, out=X)
+    G = X.T @ X
+    G -= R2
+    return G
+
+
 def phase_traces(realization: NetworkRealization, ris_state: RisState) -> PhaseTraces:
     """The O(N^3) stage of `compute_stats`: the traces of (P o R) R.
 
     They depend on the RIS geometry (through R) and the phases alone, not on
     the amplitude gain or any power, so a sweep over such a field can compute
     them once per geometry and phase vector.
+
+    With v = c + js = exp(j psi), P o R = D_v R D_v^H, so every trace reads
+    the real symmetric B = R diag(conj v) R = Br - j Bi, where Br = R diag(c) R
+    and Bi = R diag(s) R are one SYRK each:
+      t1 = tr(D_v B)   = sum_i c_i Br_ii + s_i Bi_ii,
+      t3 = tr(D_v B R) = sum_ij R_ij (c_i Br_ij + s_i Bi_ij),
+      t2 = Re sum_ij v_i v_j B_ij^2 = c^T D c - s^T D s + 4 s^T (Br o Bi) c,
+    with D = Br o Br - Bi o Bi. No complex N x N array is formed, and three
+    real ones are alive at most. When all phases are equal, P o R = R and the
+    traces are read from R and R @ R.
     """
-    R = realization.R
-    phasor = ris_state.phasor
-    modulated = (phasor[:, None] * np.conj(phasor)[None, :]) * R
-    # t3 before W: its (N, N) temporaries are freed before W's are made
-    t3 = _real_trace(np.sum(modulated * realization.R2.T))
-    # W = (P o R) R as two real GEMMs: a complex one would run on an upcast
-    # copy of R. `modulated` is dropped before W exists, so at most 2.5
-    # complex N x N arrays are alive at once.
-    real, imag = modulated.real.copy(), modulated.imag.copy()
-    del modulated
-    W = np.empty(R.shape, dtype=complex)
-    W.real = real @ R
-    W.imag = imag @ R
-    del real, imag
-    t1 = _real_trace(np.trace(W))
-    t2 = _real_trace(np.sum(W * W.T))
-    return PhaseTraces(geometry=realization.scenario.geometry, phases=ris_state.phases,
+    R, R2 = realization.R, realization.R2
+    phases = ris_state.phases
+    if (phases == phases[0]).all():
+        # W = (P o R) R = R @ R, reduced with the complex arithmetic the
+        # two-real-GEMM kernel did at zero phases: equal-phase values keep
+        # their bytes
+        W = R2.astype(complex)
+        t1 = float(np.trace(W).real)
+        t2 = float(np.sum(W * W.T).real)
+        t3 = float(np.sum(R.astype(complex) * R2.T).real)
+    else:
+        v = ris_state.phasor
+        c, s = v.real, v.imag
+        X = np.empty_like(R)
+        Br = _weighted_gram(R, R2, c, X)
+        Bi = _weighted_gram(R, R2, s, X)
+        t1 = float(c @ Br.diagonal() + s @ Bi.diagonal())
+        t3 = float(c @ np.einsum("ij,ij->i", R, Br) + s @ np.einsum("ij,ij->i", R, Bi))
+        # Br o Bi into X, then D into Br
+        E = np.multiply(Br, Bi, out=X)
+        Br *= Br
+        Bi *= Bi
+        Br -= Bi
+        t2 = float(c @ Br @ c - s @ Br @ s + 4.0 * (s @ E @ c))
+    return PhaseTraces(geometry=realization.scenario.geometry, phases=phases,
                        t1=t1, t2=t2, t3=t3)
 
 

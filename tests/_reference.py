@@ -1,17 +1,27 @@
 """Dense, test-only transcriptions of quantities the package keeps in
 factored form: the reflection matrix, the per-AP and per-user RIS
 covariances, the Xi_{m,k} matrices and the main-text active-noise moment; the
-second-order statistics as computed before the real-GEMM traces; and the SAC
-update with unstacked twin critics, the reference for the stacked one."""
+second-order statistics as computed before the real-GEMM traces, and the
+phase traces as computed before the SYRK kernel; and the SAC update with
+unstacked twin critics, the reference for the stacked one."""
 
 import json
 from dataclasses import asdict
 
 import numpy as np
 
-from ariscf.channel import _real_trace
 from ariscf.sac.agent import LOG_STD_MAX, LOG_STD_MIN, gaussian_tanh_log_prob, polyak_update
 from ariscf.sac.nets import DenseNet, make_optimizer, relu
+
+# Analytic traces are real; anything beyond this relative imaginary residual
+# indicates a transcription bug rather than round-off.
+IMAG_TOL = 1e-9
+
+
+def _real_trace(value: complex) -> float:
+    if abs(value.imag) > IMAG_TOL * max(abs(value.real), 1e-300):
+        raise FloatingPointError(f"trace has non-negligible imaginary part: {value!r}")
+    return float(value.real)
 
 
 def reflection_matrix(phases: np.ndarray, a: float) -> np.ndarray:
@@ -85,6 +95,31 @@ def complex_gemm_stats(realization, ris_state):
     wishart = (a ** 4) * (area ** 3) * np.outer(realization.alpha ** 2, realization.alpha_bar) * (t3 + sc.N * t1)
     alpha_an = sc.sigma2_bar * ((a * a) * realization.beta * tr_rm[:, None] + wishart)
     return t1, t2, t3, kappa, alpha_an
+
+
+# ---------------- phase_traces before the SYRK kernel ----------------
+
+def real_gemm_traces(realization, ris_state):
+    """(t1, t2, t3) as `channel.phase_traces` once formed them, transcribed
+    verbatim: W = (P o R) R from the real and imaginary planes of P o R by two
+    real GEMMs, and the shared R @ R."""
+    R = realization.R
+    phasor = ris_state.phasor
+    modulated = (phasor[:, None] * np.conj(phasor)[None, :]) * R
+    # t3 before W: its (N, N) temporaries are freed before W's are made
+    t3 = _real_trace(np.sum(modulated * realization.R2.T))
+    # W = (P o R) R as two real GEMMs: a complex one would run on an upcast
+    # copy of R. `modulated` is dropped before W exists, so at most 2.5
+    # complex N x N arrays are alive at once.
+    real, imag = modulated.real.copy(), modulated.imag.copy()
+    del modulated
+    W = np.empty(R.shape, dtype=complex)
+    W.real = real @ R
+    W.imag = imag @ R
+    del real, imag
+    t1 = _real_trace(np.trace(W))
+    t2 = _real_trace(np.sum(W * W.T))
+    return t1, t2, t3
 
 
 # ---------------- SAC before the twin critics were stacked ----------------

@@ -1,5 +1,6 @@
 """Oracle fading draws and the analytic channel moments."""
 
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -7,18 +8,26 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ariscf import oracle
+from ariscf import channel, oracle
 from ariscf.channel import complex_normal, compute_stats, phase_traces
 from ariscf.ris import RisState
 from ariscf.scenario import Scenario, sample_layout
 
-from _instances import cascade_instance, config_instance, draw_trials, fixed_correlation
+from _instances import (
+    CONFIG_DIR,
+    cascade_instance,
+    config_instance,
+    count_calls,
+    draw_trials,
+    fixed_correlation,
+)
 from _reference import (
     R_bar_k,
     R_m,
     active_noise_moment_main_text,
     complex_gemm_stats,
     dense_xi,
+    real_gemm_traces,
     reflection_matrix,
     tr_xi,
 )
@@ -212,10 +221,10 @@ SHIPPED_IDS = ["train-small", "default", "wide-ris"]
 
 
 class TestRealGemmTraces:
-    # Two real GEMMs and a shared R @ R sum in another order than the complex
-    # GEMM once did. Fixed before any run: 1e-12, well above N eps ~ 1.3e-13 at
-    # N = 576. Whether they agree to the bit at small N depends on the BLAS
-    # kernel; the recorded perfbench outputs pin that.
+    # Two real SYRKs sum in another order than the complex GEMM and the two
+    # real GEMMs once did. Fixed before any run: 1e-12, well above
+    # N eps ~ 1.3e-13 at N = 576. Equal phases skip the SYRKs and reduce
+    # R @ R as those kernels did at zero phases, so their traces keep their bytes.
     REL = 1e-12
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -229,11 +238,50 @@ class TestRealGemmTraces:
         assert stats.t3 == pytest.approx(t3, rel=self.REL)
         assert_allclose(stats.kappa, kappa, rtol=self.REL, atol=0)
         assert_allclose(stats.alpha_an, alpha_an, rtol=self.REL, atol=0)
+        traces = phase_traces(rl, state)
+        assert_allclose((traces.t1, traces.t2, traces.t3), real_gemm_traces(rl, state),
+                        rtol=self.REL, atol=0)
+
+    def test_zero_phases_keep_their_bytes(self):
+        # every shipped config, wide-ris and the oracle's benchmark instance
+        instances = [config_instance(name, 0, phases="equal")[1:]
+                     for name in sorted(os.listdir(CONFIG_DIR)) if name.endswith(".yaml")]
+        instances += [config_instance("default.yaml", 0, phases="equal", N_H=24, N_V=24)[1:],
+                      oracle.benchmark_instance()]
+        for rl, state in instances:
+            traces = phase_traces(rl, state)
+            assert (traces.t1, traces.t2, traces.t3) == real_gemm_traces(rl, state)
+
+    @pytest.mark.parametrize("name,overrides", SHIPPED, ids=SHIPPED_IDS)
+    def test_common_phase_skips_syrks(self, monkeypatch, name, overrides):
+        # P o R = R whatever the common phase: the traces of zero phases
+        sc, rl, zero = config_instance(name, 0, phases="equal", **overrides)
+        state = replace(zero, phases=np.full(sc.N, 1.234))
+        calls = count_calls(monkeypatch, channel, "_weighted_gram")
+        traces, at_zero = phase_traces(rl, state), phase_traces(rl, zero)
+        assert calls == []
+        assert (traces.t1, traces.t2, traces.t3) == (at_zero.t1, at_zero.t2, at_zero.t3)
+        assert_allclose((traces.t1, traces.t2, traces.t3), real_gemm_traces(rl, state),
+                        rtol=self.REL, atol=0)
+
+    @pytest.mark.parametrize("name,overrides", SHIPPED, ids=SHIPPED_IDS)
+    def test_near_equal_phases_take_syrks(self, monkeypatch, name, overrides):
+        # one element off zero: Bi = X^T X - R @ R cancels almost to 0
+        sc, rl, zero = config_instance(name, 0, phases="equal", **overrides)
+        phases = np.zeros(sc.N)
+        phases[sc.N // 2] = 1e-3
+        state = replace(zero, phases=phases)
+        calls = count_calls(monkeypatch, channel, "_weighted_gram")
+        traces = phase_traces(rl, state)
+        assert len(calls) == 2
+        assert_allclose((traces.t1, traces.t2, traces.t3), real_gemm_traces(rl, state),
+                        rtol=self.REL, atol=0)
 
     def test_warm_call_peak_memory(self):
-        # At most 2.5 complex N x N arrays are alive at once: the real and
-        # imaginary planes of P o R plus W and one real GEMM result. Keeping
-        # P o R alive next to W, or upcasting R, reads 3 or more.
+        # At most three real N x N arrays (1.5 complex) are alive at once: the
+        # buffer X, which holds diag(sqrt(1 + w)) R and then Br o Bi, and Br
+        # and Bi. The bound is the two-real-GEMM kernel's 2.5; keeping P o R
+        # alive next to W, or upcasting R, read 3 or more.
         sc, rl, state = config_instance("default.yaml", 0, N_H=24, N_V=24)
         compute_stats(rl, state)
         tracemalloc.start()

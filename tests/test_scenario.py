@@ -10,6 +10,7 @@ import yaml
 from numpy.testing import assert_allclose
 
 from ariscf import cli, scenario
+from ariscf.channel import correlated_normal
 from ariscf.perf import evaluate_phases
 from ariscf.scenario import (
     Scenario,
@@ -204,11 +205,19 @@ class TestLayout:
         assert (np.linalg.norm(rl.user_positions, axis=1) <= sc.radius).all()
 
     def test_covariance_scalings(self):
+        # draws through R's factor scaled by sqrt(alpha_m dH dV) and
+        # sqrt(alphabar_k dH dV) have covariances R_m and Rbar_k. An entry of
+        # the T-sample covariance of CN(0, C) has standard error
+        # sqrt(C_ii C_jj / T); the 5-sigma tolerance was fixed before any run.
         sc = Scenario(M=2, K=2, N_H=2, N_V=2)
         rl = sample_layout(sc, 1)
-        area = sc.element_area
-        assert_allclose(R_m(rl, 1), rl.alpha[1] * area * rl.R)
-        assert_allclose(R_bar_k(rl, 0), rl.alpha_bar[0] * area * rl.R)
+        T = 20_000
+        scale = np.sqrt(np.array([[rl.alpha[1]], [rl.alpha_bar[0]]]) * sc.element_area)
+        x = correlated_normal(np.random.default_rng(5), (T, 2, sc.N), rl.R_factor, scale)
+        for row, expected in zip(x.transpose(1, 0, 2), (R_m(rl, 1), R_bar_k(rl, 0))):
+            cov = row.T @ row.conj() / T
+            d = np.diag(expected)
+            assert (np.abs(cov - expected) <= 5 * np.sqrt(np.outer(d, d) / T)).all()
 
     def test_r_factor_follows_r(self):
         sc = Scenario(M=2, K=2, N_H=3, N_V=3)
