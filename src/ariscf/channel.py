@@ -12,38 +12,73 @@ from .scenario import NetworkRealization
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
+# Values per piece of a draw: the buffer a plane is drawn through.
+_DRAW_PIECE = 65536
+# Leading entries (trials) per piece of a correlated draw. A multiple of 64, so
+# every piece starts on a multiple of 64 GEMM rows whatever the rows per entry.
+_GEMM_PIECE = 192
+
+
+def _fill_normal(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """`complex_normal` into the given complex array; returns `out`."""
+    flat = out.reshape(-1)
+    buf = np.empty(min(flat.size, _DRAW_PIECE))
+    for part in (flat.real, flat.imag):
+        for i in range(0, flat.size, _DRAW_PIECE):
+            piece = buf[:min(_DRAW_PIECE, flat.size - i)]
+            rng.standard_normal(out=piece)
+            np.multiply(piece, _INV_SQRT2, out=part[i:i + piece.size])
+    return out
+
+
+def _fill_correlated(rng: np.random.Generator, out: np.ndarray, F: np.ndarray, scale) -> np.ndarray:
+    """`correlated_normal` into the given complex array; returns `out`."""
+    lead = out if out.ndim > 1 else out[None]
+    n_lead, n = lead.shape[0], lead.shape[-1]
+    rows = int(np.prod(lead.shape[1:-1]))
+    bounds = [i * _GEMM_PIECE for i in range(max(n_lead // _GEMM_PIECE, 1))] + [n_lead]
+    scale = np.asarray(scale) * _INV_SQRT2
+    # the last piece is the longest
+    plane = np.empty(((bounds[-1] - bounds[-2]) * rows, n))
+    prod = np.empty_like(plane)
+    for part in (lead.real, lead.imag):
+        for a, b in zip(bounds, bounds[1:]):
+            x, y = plane[:(b - a) * rows], prod[:(b - a) * rows]
+            rng.standard_normal(out=x)
+            np.matmul(x, F.T, out=y)
+            np.multiply(y.reshape(part[a:b].shape), scale, out=part[a:b])
+    return out
+
+
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard circularly-symmetric complex Gaussian, unit variance per entry.
 
-    The whole real plane is drawn first, then the whole imaginary plane, each
-    into one reused buffer and scaled straight into the result. The bytes
-    equal (x + 1j*y) / sqrt(2) with x and y drawn in that order.
+    The whole real plane is drawn first, then the whole imaginary plane,
+    each in pieces of `_DRAW_PIECE` values through one small buffer and
+    scaled straight into the result. Split `standard_normal(out=...)` calls
+    continue the stream, so the bytes equal (x + 1j*y) / sqrt(2) with x and
+    y each drawn by one call, in that order.
     """
-    out = np.empty(shape, dtype=complex)
-    plane = np.empty(shape)
-    for part in (out.real, out.imag):
-        rng.standard_normal(out=plane)
-        np.multiply(plane, _INV_SQRT2, out=part)
-    return out
+    return _fill_normal(rng, np.empty(shape, dtype=complex))
 
 
 def correlated_normal(rng: np.random.Generator, shape, F: np.ndarray, scale) -> np.ndarray:
     """scale * (complex_normal(rng, shape) @ F.T) for a real square F, equal up to round-off.
 
     Draws the same planes in the same order as `complex_normal`, contracts
-    each with F.T in one real GEMM over all leading axes, and applies
+    them with F.T in real GEMMs over all leading axes, and applies
     scale / sqrt(2) once. `scale` broadcasts against the result, e.g. an
     (M, 1) array of per-row amplitudes.
+
+    Each plane is drawn and contracted in pieces along the leading axis:
+    `_GEMM_PIECE` entries each, the last piece taking the remainder too. So
+    every piece starts on a multiple of 64 GEMM rows and spans at least
+    `_GEMM_PIECE` entries unless the whole array is smaller, and each row
+    keeps the bytes of one GEMM over the whole plane. A piece of a few rows
+    (one row is a matrix-vector product) rounds differently, and so may a
+    piece off the row grid of another BLAS kernel.
     """
-    out = np.empty(shape, dtype=complex)
-    plane, prod = np.empty(shape), np.empty(shape)
-    n = plane.shape[-1]
-    scale = np.asarray(scale) * _INV_SQRT2
-    for part in (out.real, out.imag):
-        rng.standard_normal(out=plane)
-        np.matmul(plane.reshape(-1, n), F.T, out=prod.reshape(-1, n))
-        np.multiply(prod, scale, out=part)
-    return out
+    return _fill_correlated(rng, np.empty(shape, dtype=complex), F, scale)
 
 
 @dataclass(frozen=True)

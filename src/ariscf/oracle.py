@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SecondOrderStats, complex_normal, compute_stats, correlated_normal
+from .channel import SecondOrderStats, _fill_correlated, _fill_normal, complex_normal, compute_stats
 from .estimation import EstimationStats, compute_estimation_stats
 from .perf import sinr_user
 from .ris import RisState, aris_output_power
@@ -67,46 +68,85 @@ class _Block:
     z: np.ndarray        # (B, K, N)
     v_data: np.ndarray   # (B, N)
     pbar: np.ndarray     # (B, M, n_pilots) projected pilot-phase RIS noise
+    wishart: np.ndarray  # (B, N) draws of the Wishart identity, from block chunk + 1's stream
+
+
+def _run_lanes(pool: ThreadPoolExecutor, *lanes) -> None:
+    """Run each lane, a list of (function, args) calls, as one task on `pool`,
+    and return once every lane has finished; a lane's exception is raised here."""
+    def run(lane):
+        for fn, *args in lane:
+            fn(*args)
+
+    futures = [pool.submit(run, lane) for lane in lanes]
+    wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _sample_block(realization: NetworkRealization, ris_state: RisState,
-                  master_seed: int, chunk: int, size: int) -> _Block:
+                  master_seed: int, chunk: int, size: int, pool: ThreadPoolExecutor) -> _Block:
+    """One block of trials, its independent substreams drawn on the two lanes of `pool`.
+
+    Every output array is allocated here and filled by exactly one lane
+    task, from its own (chunk, tag) stream; the contractions run here after
+    each join. The bytes therefore never depend on how the lanes are
+    scheduled. The two joins keep the block's peak memory below a serial
+    draw's: z is drawn only after v_p is reduced to pbar and freed.
+    """
     sc = realization.scenario
     M, K, N = sc.M, sc.K, sc.N
     a = ris_state.a
     area = sc.element_area
     F = realization.R_factor
-    phasor = ris_state.phasor
-
-    def draw(tag: int, shape, scale) -> np.ndarray:
-        # scaled in place: the bytes of scale * complex_normal(..), without the temporary
-        x = complex_normal(_stream(master_seed, chunk, tag), shape)
-        x *= scale
-        return x
-
-    # h, turned in place into conj(h) * phasor: every cascaded term is a * hp @ x.
-    hp = correlated_normal(_stream(master_seed, chunk, _TAG_H), (size, M, N), F,
-                           np.sqrt(realization.alpha * area)[:, None])
-    np.conj(hp, out=hp)
-    hp *= phasor
-    z = correlated_normal(_stream(master_seed, chunk, _TAG_Z), (size, K, N), F,
-                          np.sqrt(realization.alpha_bar * area)[:, None])
-    q = draw(_TAG_G, (size, M, K), np.sqrt(realization.beta)) + a * (hp @ z.transpose(0, 2, 1))
-
     n_pilots = min(K, sc.tau_p)
-    v_p = draw(_TAG_VP, (size, n_pilots, N), np.sqrt(sc.sigma2_bar))
+
+    def normal(tag: int, out: np.ndarray, scale) -> None:
+        # scaled in place: the bytes of scale * complex_normal(..), without the temporary
+        _fill_normal(_stream(master_seed, chunk, tag), out)
+        out *= scale
+
+    def correlated(tag: int, out: np.ndarray, amplitude) -> None:
+        _fill_correlated(_stream(master_seed, chunk, tag), out, F, amplitude)
+
+    hp = np.empty((size, M, N), dtype=complex)
+    v_p = np.empty((size, n_pilots, N), dtype=complex)
+    g = np.empty((size, M, K), dtype=complex)
+    _run_lanes(pool,
+               [(correlated, _TAG_H, hp, np.sqrt(realization.alpha * area)[:, None])],
+               [(normal, _TAG_VP, v_p, np.sqrt(sc.sigma2_bar)),
+                (normal, _TAG_G, g, np.sqrt(realization.beta))])
+    # h, turned in place into conj(h) * phasor: every cascaded term is a * hp @ x.
+    np.conj(hp, out=hp)
+    hp *= ris_state.phasor
     pbar = a * (hp @ v_p.transpose(0, 2, 1))
-    v_d = draw(_TAG_VD, (size, N), np.sqrt(sc.sigma2_bar))
+    del v_p
+
+    z = np.empty((size, K, N), dtype=complex)
+    v_d = np.empty((size, N), dtype=complex)
+    w_p = np.empty((size, M, n_pilots), dtype=complex)
+    w_data = np.empty((size, M), dtype=complex)
+    wishart = np.empty((size, N), dtype=complex)
+    _run_lanes(pool,
+               [(correlated, _TAG_Z, z, np.sqrt(realization.alpha_bar * area)[:, None])],
+               [(normal, _TAG_VD, v_d, np.sqrt(sc.sigma2_bar)),
+                (normal, _TAG_WP, w_p, np.sqrt(sc.sigma2)),
+                (normal, _TAG_WD, w_data, np.sqrt(sc.sigma2)),
+                (_fill_correlated, _stream(master_seed, chunk + 1, _TAG_WISHART), wishart, F,
+                 np.sqrt(realization.alpha[0] * area))])
     # einsum, not matmul: a (B, M, N) @ (B, N, 1) batch of matrix-vector products is slower
     p_data = a * np.einsum("tmn,tn->tm", hp, v_d)
-    # hp and v_p are the largest arrays the block does not keep: free them before forming y.
-    del hp, v_p
+    # q = g + a * (hp @ z^T), formed in the product's buffer with the operands in that order
+    q = hp @ z.transpose(0, 2, 1)
+    del hp
+    np.multiply(a, q, out=q)
+    np.add(g, q, out=q)
+    del g
 
-    w_p = draw(_TAG_WP, (size, M, n_pilots), np.sqrt(sc.sigma2))
     rt = np.sqrt(sc.rho * sc.tau_p)
     y = q @ sc.coset_mask.T.astype(float) + (pbar + w_p)[:, :, sc.pilot_of] / rt
-    w_data = draw(_TAG_WD, (size, M), np.sqrt(sc.sigma2))
-    return _Block(q=q, y=y, p_data=p_data, w_data=w_data, z=z, v_data=v_d, pbar=pbar)
+    return _Block(q=q, y=y, p_data=p_data, w_data=w_data, z=z, v_data=v_d, pbar=pbar,
+                  wishart=wishart)
 
 
 def _wishart_sum(x: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -302,7 +342,6 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
     a_rng = _stream(master_seed, 0, _TAG_WISHART)
     A = complex_normal(a_rng, (N, N))
     A = A + np.conj(A).T
-    amp0 = np.sqrt(realization.alpha[0] * sc.element_area)
     W_emp = np.zeros((N, N), dtype=complex)
 
     # One accumulator per entry: (M, K) for the per-link families, (K,) for
@@ -343,14 +382,13 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
         acc["|T_j|^2"].add(np.abs(T) ** 2)
         acc["sinr_an_exact"].add(np.abs(np.einsum("tm,tm->t", qh, blk.p_data)) ** 2)
         acc["sinr_no_exact"].add(np.abs(np.einsum("tm,tm->t", qh, blk.w_data)) ** 2)
+        np.add(W_emp, _wishart_sum(blk.wishart, A), out=W_emp)
 
-    for chunk, size in enumerate(_chunk_sizes(n_trials)):
-        # The block dies with the call, so only one is alive while the next is drawn,
-        # and none while the Wishart draws are.
-        accumulate(_sample_block(realization, ris_state, master_seed, chunk, size))
-        x = correlated_normal(_stream(master_seed, chunk + 1, _TAG_WISHART), (size, N),
-                              realization.R_factor, amp0)
-        W_emp += _wishart_sum(x, A)
+    # One pool per call: its two threads end with the call, also when a draw raises.
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for chunk, size in enumerate(_chunk_sizes(n_trials)):
+            # The block dies with the call, so only one is alive while the next is drawn.
+            accumulate(_sample_block(realization, ris_state, master_seed, chunk, size, pool))
 
     W_emp /= n_trials
     W_ana = R0 @ A @ R0 + np.trace(A @ R0) * R0

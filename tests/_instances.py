@@ -5,6 +5,7 @@ the identity suite, and a call counter for package functions."""
 import os
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -71,10 +72,18 @@ def config_instance(name, seed, phases="random", **overrides):
     return sc, rl, RisState(phases=phases, a=a)
 
 
+def sample_block(realization: NetworkRealization, ris_state, master_seed: int, chunk: int,
+                 size: int):
+    """One oracle block, drawn on a two-thread pool of its own."""
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return oracle._sample_block(realization, ris_state, master_seed, chunk, size, pool)
+
+
 def draw_trials(realization: NetworkRealization, ris_state, n_trials: int, master_seed: int):
     """The oracle's block draws for `n_trials` trials, joined along the trial axis."""
-    blocks = [oracle._sample_block(realization, ris_state, master_seed, chunk, size)
-              for chunk, size in enumerate(oracle._chunk_sizes(n_trials))]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        blocks = [oracle._sample_block(realization, ris_state, master_seed, chunk, size, pool)
+                  for chunk, size in enumerate(oracle._chunk_sizes(n_trials))]
     return oracle._Block(**{f.name: np.concatenate([getattr(b, f.name) for b in blocks])
                             for f in fields(oracle._Block)})
 
@@ -106,7 +115,7 @@ def empirical_sinr(realization: NetworkRealization, ris_state, n_trials: int,
     c0 = est.c[:, 0]
     t0, t_sq, an_acc, no_acc = oracle._Mean(), oracle._Mean(), oracle._Mean(), oracle._Mean()
     for chunk, size in enumerate(oracle._chunk_sizes(n_trials)):
-        blk = oracle._sample_block(realization, ris_state, master_seed, chunk, size)
+        blk = sample_block(realization, ris_state, master_seed, chunk, size)
         qh = np.conj(c0[None, :] * blk.y[:, :, 0])
         T = np.einsum("tm,tmj->tj", qh, blk.q)
         t0.add(T[:, 0])

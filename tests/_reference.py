@@ -2,7 +2,8 @@
 factored form: the reflection matrix, the per-AP and per-user RIS
 covariances, the Xi_{m,k} matrices and the main-text active-noise moment; the
 second-order statistics as computed before the real-GEMM traces, and the
-phase traces as computed before the SYRK kernel; and the SAC update with
+phase traces as computed before the SYRK kernel; the oracle's block draws as
+made before they were split across two threads; and the SAC update with
 unstacked twin critics, the reference for the stacked one."""
 
 import json
@@ -10,6 +11,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from ariscf import oracle
 from ariscf.sac.agent import LOG_STD_MAX, LOG_STD_MIN, gaussian_tanh_log_prob, polyak_update
 from ariscf.sac.nets import DenseNet, make_optimizer, relu
 
@@ -120,6 +122,75 @@ def real_gemm_traces(realization, ris_state):
     t1 = _real_trace(np.trace(W))
     t2 = _real_trace(np.sum(W * W.T))
     return t1, t2, t3
+
+
+# ---------------- the oracle's block draws before the two draw lanes ----------------
+
+def whole_plane_complex_normal(rng, shape):
+    """`channel.complex_normal` as it was, transcribed verbatim: each plane
+    drawn by one call into a full-size buffer."""
+    out = np.empty(shape, dtype=complex)
+    plane = np.empty(shape)
+    for part in (out.real, out.imag):
+        rng.standard_normal(out=plane)
+        np.multiply(plane, 1.0 / np.sqrt(2.0), out=part)
+    return out
+
+
+def whole_plane_correlated_normal(rng, shape, F, scale):
+    """`channel.correlated_normal` as it was, transcribed verbatim: each plane
+    drawn whole and contracted with F.T in one GEMM."""
+    out = np.empty(shape, dtype=complex)
+    plane, prod = np.empty(shape), np.empty(shape)
+    n = plane.shape[-1]
+    scale = np.asarray(scale) * (1.0 / np.sqrt(2.0))
+    for part in (out.real, out.imag):
+        rng.standard_normal(out=plane)
+        np.matmul(plane.reshape(-1, n), F.T, out=prod.reshape(-1, n))
+        np.multiply(prod, scale, out=part)
+    return out
+
+
+def serial_sample_block(realization, ris_state, master_seed, chunk, size):
+    """`oracle._sample_block` as it was, transcribed verbatim: every substream
+    drawn in turn on one thread, whole-plane draws, and the Wishart draws
+    `verify_moment_identities` made after each block."""
+    sc = realization.scenario
+    M, K, N = sc.M, sc.K, sc.N
+    a = ris_state.a
+    area = sc.element_area
+    F = realization.R_factor
+    phasor = ris_state.phasor
+    stream = oracle._stream
+
+    def draw(tag, shape, scale):
+        x = whole_plane_complex_normal(stream(master_seed, chunk, tag), shape)
+        x *= scale
+        return x
+
+    hp = whole_plane_correlated_normal(stream(master_seed, chunk, oracle._TAG_H), (size, M, N), F,
+                                       np.sqrt(realization.alpha * area)[:, None])
+    np.conj(hp, out=hp)
+    hp *= phasor
+    z = whole_plane_correlated_normal(stream(master_seed, chunk, oracle._TAG_Z), (size, K, N), F,
+                                      np.sqrt(realization.alpha_bar * area)[:, None])
+    q = draw(oracle._TAG_G, (size, M, K), np.sqrt(realization.beta)) + a * (hp @ z.transpose(0, 2, 1))
+
+    n_pilots = min(K, sc.tau_p)
+    v_p = draw(oracle._TAG_VP, (size, n_pilots, N), np.sqrt(sc.sigma2_bar))
+    pbar = a * (hp @ v_p.transpose(0, 2, 1))
+    v_d = draw(oracle._TAG_VD, (size, N), np.sqrt(sc.sigma2_bar))
+    p_data = a * np.einsum("tmn,tn->tm", hp, v_d)
+    del hp, v_p
+
+    w_p = draw(oracle._TAG_WP, (size, M, n_pilots), np.sqrt(sc.sigma2))
+    rt = np.sqrt(sc.rho * sc.tau_p)
+    y = q @ sc.coset_mask.T.astype(float) + (pbar + w_p)[:, :, sc.pilot_of] / rt
+    w_data = draw(oracle._TAG_WD, (size, M), np.sqrt(sc.sigma2))
+    wishart = whole_plane_correlated_normal(stream(master_seed, chunk + 1, oracle._TAG_WISHART),
+                                            (size, N), F, np.sqrt(realization.alpha[0] * area))
+    return oracle._Block(q=q, y=y, p_data=p_data, w_data=w_data, z=z, v_data=v_d, pbar=pbar,
+                         wishart=wishart)
 
 
 # ---------------- SAC before the twin critics were stacked ----------------

@@ -12,7 +12,7 @@ from ariscf.estimation import compute_estimation_stats
 from ariscf.ris import RisState
 from ariscf.scenario import Scenario
 
-from _instances import cascade_instance, draw_trials, synthetic_realization
+from _instances import cascade_instance, draw_trials, sample_block, synthetic_realization
 
 
 def coset(sc: Scenario, k: int) -> np.ndarray:
@@ -141,13 +141,13 @@ class TestEstimateChannels:
         state = RisState(phases=np.zeros(sc.N), a=2.0)
         stats = compute_stats(rl, state)
         est = compute_estimation_stats(stats)
-        blk = oracle._sample_block(rl, state, 0, 0, 1)
+        blk = sample_block(rl, state, 0, 0, 1)
         q, q_hat = blk.q[0], est.c * blk.y[0]
         assert np.abs(q - q_hat).max() / np.abs(q).min() < 1e-2
         # the identity suite's estimates are the same c * y
         rows = {r.name: r.empirical for r in oracle.verify_moment_identities(
             rl, state, oracle.CHUNK_TRIALS, master_seed=0)}
-        y = oracle._sample_block(rl, state, 0, 0, oracle.CHUNK_TRIALS).y
+        y = sample_block(rl, state, 0, 0, oracle.CHUNK_TRIALS).y
         gamma_rows = [[rows[f"gamma[{m},{k}]"] for k in range(sc.K)] for m in range(sc.M)]
         assert_allclose(gamma_rows, np.mean(np.abs(est.c * y) ** 2, axis=0), rtol=1e-12)
 

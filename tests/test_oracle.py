@@ -1,6 +1,11 @@
 """Monte Carlo oracle: block draws of both phases, determinism, identity suite."""
 
+import sys
+import threading
+import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,7 +18,15 @@ from ariscf.perf import sinr_all, sinr_user
 from ariscf.ris import RisState
 from ariscf.scenario import Scenario, sample_layout
 
-from _instances import cascade_instance, draw_trials, empirical_sinr, synthetic_realization
+from _instances import (
+    cascade_instance,
+    config_instance,
+    draw_trials,
+    empirical_sinr,
+    sample_block,
+    synthetic_realization,
+)
+from _reference import serial_sample_block
 
 # Closed-form quantities and the identity family that gives each its empirical
 # counterpart; a coverage test enforces the two-sided mapping.
@@ -44,13 +57,13 @@ class TestLiteralPhases:
         sc = Scenario(M=2, K=1, N_H=2, N_V=2, tau_p=1, sigma2=0.0, sigma2_bar=0.0)
         rl = sample_layout(sc, 2)
         state = RisState(phases=np.zeros(sc.N), a=0.0)
-        blk = oracle._sample_block(rl, state, 0, 0, 16)
+        blk = sample_block(rl, state, 0, 0, 16)
         assert_allclose(blk.y, blk.q, rtol=1e-12)
 
     def test_projection_equals_coset_sum_plus_noise_terms(self):
         sc, rl, phases = cascade_instance(tau_p=1)
         state = RisState(phases=phases, a=2.0)
-        blk = oracle._sample_block(rl, state, 1, 0, 16)
+        blk = sample_block(rl, state, 1, 0, 16)
         # orthonormal pilots: same-coset channels enter exactly once
         residual = blk.y[:, :, 0] - blk.q.sum(axis=2)
         residual2 = blk.y[:, :, 1] - blk.q.sum(axis=2)
@@ -63,7 +76,7 @@ class TestLiteralPhases:
         sc_noiseless = Scenario(M=2, K=2, N_H=2, N_V=2, tau_p=2, rho=sc.rho,
                                 rho_u=sc.rho_u, sigma2=0.0, sigma2_bar=0.0, a_max=sc.a_max)
         rl2 = synthetic_realization(sc_noiseless, rl.beta, rl.alpha, rl.alpha_bar)
-        blk = oracle._sample_block(rl2, state, 3, 0, 16)
+        blk = sample_block(rl2, state, 3, 0, 16)
         assert_allclose(blk.y, blk.q, rtol=1e-10)
 
     def test_data_phase_noise_off(self):
@@ -71,7 +84,7 @@ class TestLiteralPhases:
         sc = Scenario(M=2, K=1, N_H=2, N_V=2, tau_p=1, sigma2=0.0, sigma2_bar=0.0)
         rl = sample_layout(sc, 4)
         state = RisState(phases=np.zeros(sc.N), a=1.0)
-        blk = oracle._sample_block(rl, state, 0, 0, 16)
+        blk = sample_block(rl, state, 0, 0, 16)
         y = np.sqrt(sc.rho_u) * blk.q[:, :, 0] + blk.p_data + blk.w_data
         assert_allclose(y, np.sqrt(sc.rho_u) * blk.q[:, :, 0], rtol=1e-12)
 
@@ -250,3 +263,88 @@ class TestIdentitySuite:
             "perf.sinr_user.an", "perf.sinr_user.no", "perf.sinr_user.sinr",
         }
         assert public == set(ORACLE_COVERAGE)
+
+
+def _lane_instance(case: str):
+    """(realization, state) for the byte-identity cases of the two draw lanes."""
+    if case == "default":
+        # shipped config, random phases, budget amplitude
+        _, rl, state = config_instance("default.yaml", 3)
+        return rl, state
+    if case == "odd-mk":
+        sc = Scenario(M=3, K=5, N_H=4, N_V=3, tau_p=2)
+        return sample_layout(sc, 1), RisState(
+            phases=np.random.default_rng(1).uniform(0, 2 * np.pi, sc.N), a=2.0)
+    _, rl, phases = cascade_instance(a=0.0)
+    return rl, RisState(phases=phases, a=0.0)
+
+
+class TestDrawLanes:
+    """Each block's substreams drawn on two threads: the bytes of the serial
+    draw, a bounded peak, and no thread left behind."""
+
+    @pytest.mark.parametrize("case, size", [("default", 1), ("default", 17), ("default", 1808),
+                                            ("odd-mk", 17), ("odd-mk", 1808), ("off-state", 17)])
+    def test_block_equals_serial_draw(self, case, size):
+        rl, state = _lane_instance(case)
+        blk = sample_block(rl, state, 5, 2, size)
+        ref = serial_sample_block(rl, state, 5, 2, size)
+        for f in fields(oracle._Block):
+            assert np.array_equal(getattr(blk, f.name), getattr(ref, f.name)), f.name
+
+    def test_block_peak_memory(self):
+        # Peak of one default.yaml block in units of its (B, M, N) complex hp.
+        # The serial draw read 3.11: z and its full-size plane and product
+        # buffers were alive next to hp. The lanes draw z only after v_p is
+        # reduced to pbar and freed, and fill every plane through small pieces.
+        sc, rl, state = config_instance("default.yaml", 0)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            oracle._sample_block(rl, state, 0, 0, oracle.CHUNK_TRIALS, pool)
+            tracemalloc.start()
+            try:
+                oracle._sample_block(rl, state, 0, 0, oracle.CHUNK_TRIALS, pool)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak / (16 * oracle.CHUNK_TRIALS * sc.M * sc.N) <= 2.9
+
+    def test_no_thread_outlives_the_suite(self):
+        sc, rl, phases = cascade_instance(tau_p=1)
+        before = threading.active_count()
+        oracle.verify_moment_identities(rl, RisState(phases=phases, a=2.0), 100, master_seed=0)
+        assert threading.active_count() == before
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        real = oracle._fill_normal
+
+        def fill(rng, out):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("draw failed on a lane")
+            return real(rng, out)
+
+        monkeypatch.setattr(oracle, "_fill_normal", fill)
+        sc, rl, phases = cascade_instance(tau_p=1)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed on a lane"):
+            oracle.verify_moment_identities(rl, RisState(phases=phases, a=2.0), 100, master_seed=0)
+        assert threading.active_count() == before
+
+    def test_lanes_call_no_public_function(self, monkeypatch):
+        # A tracer wraps every public ariscf function with one unlocked span
+        # stack, so the lanes may call private helpers only.
+        threads = set()
+
+        def wrap(fn):
+            def traced(*args, **kwargs):
+                threads.add(threading.current_thread())
+                return fn(*args, **kwargs)
+            return traced
+
+        for mod in [m for name, m in sys.modules.items() if name.startswith("ariscf")]:
+            for attr, obj in list(vars(mod).items()):
+                if (not attr.startswith("_") and callable(obj) and not isinstance(obj, type)
+                        and getattr(obj, "__module__", "").startswith("ariscf")):
+                    monkeypatch.setattr(mod, attr, wrap(obj))
+        sc, rl, phases = cascade_instance(tau_p=1)
+        oracle.verify_moment_identities(rl, RisState(phases=phases, a=2.0), 100, master_seed=0)
+        assert threads == {threading.main_thread()}
