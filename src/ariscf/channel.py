@@ -32,7 +32,22 @@ def _fill_normal(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
 
 
 def _fill_correlated(rng: np.random.Generator, out: np.ndarray, F: np.ndarray, scale) -> np.ndarray:
-    """`correlated_normal` into the given complex array; returns `out`."""
+    """scale * (complex_normal(rng, out.shape) @ F.T) into the given complex
+    array for a real square F, equal up to round-off; returns `out`.
+
+    Draws the same planes in the same order as `complex_normal`, contracts
+    them with F.T in real GEMMs over all leading axes, and applies
+    scale / sqrt(2) once. `scale` broadcasts against the result, e.g. an
+    (M, 1) array of per-row amplitudes.
+
+    Each plane is drawn and contracted in pieces along the leading axis:
+    `_GEMM_PIECE` entries each, the last piece taking the remainder too. So
+    every piece starts on a multiple of 64 GEMM rows and spans at least
+    `_GEMM_PIECE` entries unless the whole array is smaller, and each row
+    keeps the bytes of one GEMM over the whole plane. A piece of a few rows
+    (one row is a matrix-vector product) rounds differently, and so may a
+    piece off the row grid of another BLAS kernel.
+    """
     lead = out if out.ndim > 1 else out[None]
     n_lead, n = lead.shape[0], lead.shape[-1]
     rows = int(np.prod(lead.shape[1:-1]))
@@ -60,25 +75,6 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     y each drawn by one call, in that order.
     """
     return _fill_normal(rng, np.empty(shape, dtype=complex))
-
-
-def correlated_normal(rng: np.random.Generator, shape, F: np.ndarray, scale) -> np.ndarray:
-    """scale * (complex_normal(rng, shape) @ F.T) for a real square F, equal up to round-off.
-
-    Draws the same planes in the same order as `complex_normal`, contracts
-    them with F.T in real GEMMs over all leading axes, and applies
-    scale / sqrt(2) once. `scale` broadcasts against the result, e.g. an
-    (M, 1) array of per-row amplitudes.
-
-    Each plane is drawn and contracted in pieces along the leading axis:
-    `_GEMM_PIECE` entries each, the last piece taking the remainder too. So
-    every piece starts on a multiple of 64 GEMM rows and spans at least
-    `_GEMM_PIECE` entries unless the whole array is smaller, and each row
-    keeps the bytes of one GEMM over the whole plane. A piece of a few rows
-    (one row is a matrix-vector product) rounds differently, and so may a
-    piece off the row grid of another BLAS kernel.
-    """
-    return _fill_correlated(rng, np.empty(shape, dtype=complex), F, scale)
 
 
 @dataclass(frozen=True)

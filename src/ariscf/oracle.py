@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -22,6 +22,11 @@ CHUNK_TRIALS = 4096
 _TAG_H, _TAG_Z, _TAG_G, _TAG_VP, _TAG_WP, _TAG_VD, _TAG_WD, _TAG_WISHART = range(1, 9)
 
 MIN_AUTHORITATIVE_TRIALS = 10_000
+
+# Trial groups of the delete-a-group jackknife (Efron 1982) behind every row's
+# standard error. With G = min(JACKKNIFE_GROUPS, n), group g holds trials
+# [g n // G, (g + 1) n // G): the groups depend on n alone, not on the blocks.
+JACKKNIFE_GROUPS = 32
 
 
 def _stream(master_seed: int, chunk: int, tag: int) -> np.random.Generator:
@@ -153,35 +158,6 @@ def _wishart_sum(x: np.ndarray, A: np.ndarray) -> np.ndarray:
     """sum_t (x_t^H A x_t) x_t x_t^H over the trial rows of x, as two BLAS products."""
     xa = np.sum((np.conj(x) @ A) * x, axis=1)
     return (xa[:, None] * x).T @ np.conj(x)
-
-
-class _Mean:
-    """Streaming mean with standard error over the trial axis, reduced in fixed block order.
-
-    `add` takes a (B, ...) block of per-trial values; the mean and standard
-    error keep the trailing shape, e.g. one (M, K) array for all links.
-    """
-
-    __slots__ = ("n", "total", "total_sq")
-
-    def __init__(self):
-        self.n = 0
-        self.total = 0.0
-        self.total_sq = 0.0
-
-    def add(self, values: np.ndarray):
-        self.n += values.shape[0]
-        self.total = self.total + values.sum(axis=0)
-        self.total_sq = self.total_sq + np.sum(np.abs(values) ** 2, axis=0)
-
-    @property
-    def mean(self):
-        return self.total / self.n
-
-    @property
-    def stderr(self):
-        var = np.maximum(self.total_sq / self.n - np.abs(self.mean) ** 2, 0.0)
-        return np.sqrt(var / self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +305,8 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
     """Run every closed-form-vs-empirical identity on one (small) instance.
 
     One row per identity and link: empirical value, closed form, relative
-    error, and the standard-error scale of the estimator so a failure can be
-    told apart from an under-sampled run. The SINR rows are for user 0.
+    error, and the jackknife standard error of the estimator so a failure can
+    be told apart from an under-sampled run. The SINR rows are for user 0.
     """
     sc = realization.scenario
     M, K, N = sc.M, sc.K, sc.N
@@ -339,92 +315,113 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
 
     # Wishart identity on R_0 = alpha_0 d_H d_V R with a fixed deterministic Hermitian A.
     R0 = realization.alpha[0] * sc.element_area * realization.R
-    a_rng = _stream(master_seed, 0, _TAG_WISHART)
-    A = complex_normal(a_rng, (N, N))
+    A = complex_normal(_stream(master_seed, 0, _TAG_WISHART), (N, N))
     A = A + np.conj(A).T
-    W_emp = np.zeros((N, N), dtype=complex)
 
-    # One accumulator per entry: (M, K) for the per-link families, (K,) for
-    # user 0's |T_j|^2, scalar otherwise.
-    acc: defaultdict[str, _Mean] = defaultdict(_Mean)
-    c0 = est.c[:, 0]
+    # Per-group sums of every entry along a leading (G,) axis: (M, K) for the per-link
+    # families, (K,) for user 0's |T_j|^2, the (N, N) Wishart matrix, scalar otherwise.
+    G = min(JACKKNIFE_GROUPS, n_trials)
+    bounds = [g * n_trials // G for g in range(G + 1)]
+    sums: dict[str, np.ndarray] = {}
 
-    def accumulate(blk: _Block):
+    def accumulate(blk: _Block, start: int):
+        stop = start + blk.q.shape[0]
+        # (group, slice of this block) for every group the block's trials fall in
+        groups = [(g, slice(max(lo, start) - start, min(hi, stop) - start))
+                  for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if lo < stop and hi > start]
+
+        def add(key: str, values: np.ndarray, reduce=lambda v: v.sum(axis=0)):
+            for g, trials in groups:
+                part = reduce(values[trials])
+                if key not in sums:
+                    sums[key] = np.zeros((G,) + part.shape, dtype=part.dtype)
+                sums[key][g] += part
+
         q = blk.q
-        acc["kappa"].add(np.abs(q) ** 2)
-        acc["fourth"].add(np.abs(q) ** 4)
+        add("kappa", np.abs(q) ** 2)
+        add("fourth", np.abs(q) ** 4)
         if M > 1 and K > 1:
-            acc["cross[mk|m'k']"].add(np.abs(q[:, 0, 0] * np.conj(q[:, 1, 1])) ** 2)
-            acc["cyclic"].add(np.conj(q[:, 0, 0]) * q[:, 0, 1] * np.conj(q[:, 1, 1]) * q[:, 1, 0])
+            add("cross[mk|m'k']", np.abs(q[:, 0, 0] * np.conj(q[:, 1, 1])) ** 2)
+            add("cyclic", np.conj(q[:, 0, 0]) * q[:, 0, 1] * np.conj(q[:, 1, 1]) * q[:, 1, 0])
         if M > 1:
-            acc["cross[mk|m'k]"].add(np.abs(q[:, 0, 0] * np.conj(q[:, 1, 0])) ** 2)
-            acc["uncorrelated"].add(q[:, 0, 0] * np.conj(q[:, 1, 0]))
+            add("cross[mk|m'k]", np.abs(q[:, 0, 0] * np.conj(q[:, 1, 0])) ** 2)
+            add("uncorrelated", q[:, 0, 0] * np.conj(q[:, 1, 0]))
         if K > 1:
-            acc["cross[mk|mk']"].add(np.abs(q[:, 0, 0] * np.conj(q[:, 0, 1])) ** 2)
-        acc["alpha_an"].add(np.abs(np.conj(blk.pbar[:, 0, sc.pilot_of[0]]) * q[:, 0, 0]) ** 2)
-        acc["aris_power"].add(ris_state.a ** 2 * (sc.rho_u * np.sum(np.abs(blk.z) ** 2, axis=(1, 2))
-                                                  + np.sum(np.abs(blk.v_data) ** 2, axis=1)))
+            add("cross[mk|mk']", np.abs(q[:, 0, 0] * np.conj(q[:, 0, 1])) ** 2)
+        add("alpha_an", np.abs(np.conj(blk.pbar[:, 0, sc.pilot_of[0]]) * q[:, 0, 0]) ** 2)
+        add("aris_power", ris_state.a ** 2 * (sc.rho_u * np.sum(np.abs(blk.z) ** 2, axis=(1, 2))
+                                             + np.sum(np.abs(blk.v_data) ** 2, axis=1)))
 
         qhat = est.c[None] * blk.y
         err = q - qhat
-        acc["gamma"].add(np.abs(qhat) ** 2)
-        acc["err_var"].add(np.abs(err) ** 2)
-        acc["orthogonality"].add(np.conj(qhat[:, 0, 0]) * err[:, 0, 0])
+        add("gamma", np.abs(qhat) ** 2)
+        add("err_var", np.abs(err) ** 2)
+        add("orthogonality", np.conj(qhat[:, 0, 0]) * err[:, 0, 0])
         if M > 1:
             o0 = np.conj(qhat[:, 0, 0]) * q[:, 0, 0] - est.gamma[0, 0]
             o1 = np.conj(qhat[:, 1, 0]) * q[:, 1, 0] - est.gamma[1, 0]
-            acc["corollary1"].add(o0 * np.conj(o1))
+            add("corollary1", o0 * np.conj(o1))
 
         # MRC groups of user 0: T_j = qhat_0^H q_j, and the two noise projections.
-        qh = np.conj(c0[None, :] * blk.y[:, :, 0])   # (B, M)
-        T = np.einsum("tm,tmj->tj", qh, q)           # (B, K)
-        acc["T_0"].add(T[:, 0])
-        acc["|T_j|^2"].add(np.abs(T) ** 2)
-        acc["sinr_an_exact"].add(np.abs(np.einsum("tm,tm->t", qh, blk.p_data)) ** 2)
-        acc["sinr_no_exact"].add(np.abs(np.einsum("tm,tm->t", qh, blk.w_data)) ** 2)
-        np.add(W_emp, _wishart_sum(blk.wishart, A), out=W_emp)
+        qh = np.conj(est.c[None, :, 0] * blk.y[:, :, 0])   # (B, M)
+        T = np.einsum("tm,tmj->tj", qh, q)                  # (B, K)
+        add("T_0", T[:, 0])
+        add("|T_j|^2", np.abs(T) ** 2)
+        add("sinr_an_exact", np.abs(np.einsum("tm,tm->t", qh, blk.p_data)) ** 2)
+        add("sinr_no_exact", np.abs(np.einsum("tm,tm->t", qh, blk.w_data)) ** 2)
+        add("wishart", blk.wishart, lambda x: _wishart_sum(x, A))
 
     # One pool per call: its two threads end with the call, also when a draw raises.
     with ThreadPoolExecutor(max_workers=2) as pool:
         for chunk, size in enumerate(_chunk_sizes(n_trials)):
             # The block dies with the call, so only one is alive while the next is drawn.
-            accumulate(_sample_block(realization, ris_state, master_seed, chunk, size, pool))
+            accumulate(_sample_block(realization, ris_state, master_seed, chunk, size, pool),
+                       chunk * CHUNK_TRIALS)
 
-    W_emp /= n_trials
-    W_ana = R0 @ A @ R0 + np.trace(A @ R0) * R0
-    rows = [IdentityCheck(
-        name="wishart", empirical=float(np.linalg.norm(W_emp)), analytic=float(np.linalg.norm(W_ana)),
-        rel_err=float(np.linalg.norm(W_emp - W_ana) / np.linalg.norm(W_ana)),
-        stderr_rel=0.0, n_trials=int(n_trials), tol=TOLERANCES["wishart"])]
+    # The entry means, and each entry's (G, ...) leave-one-group-out means.
+    n_out = n_trials - np.diff(bounds)
+    total = {key: s.sum(axis=0) for key, s in sums.items()}
+    mean = {key: t / n_trials for key, t in total.items()}
+    loo = ({key: (total[key] - s) / n_out.reshape((-1,) + (1,) * (s.ndim - 1))
+            for key, s in sums.items()} if G > 1 else None)
+    rows: list[IdentityCheck] = []
 
-    mean = {key: a.mean for key, a in acc.items()}
-    se = {key: a.stderr for key, a in acc.items()}
-
-    def row(name: str, analytic: float, empirical=None, stderr=None):
-        """Append one row; without an empirical value it reads the entry `name`."""
-        if empirical is None:
-            empirical, stderr = mean[name], se[name]
-        empirical = float(np.real(empirical))
-        if analytic == 0.0:
-            rel, stderr_rel = abs(empirical), stderr
-        else:
-            rel = abs(empirical - analytic) / abs(analytic)
-            stderr_rel = stderr / abs(analytic)
-        rows.append(IdentityCheck(name=name, empirical=empirical, analytic=float(analytic),
-                                  rel_err=float(rel), stderr_rel=float(stderr_rel),
+    def row(name: str, analytic, f=None):
+        """Append the row of f (by default the entry `name`), a function of the entry
+        means that applies alike to the stacked leave-one-out means."""
+        f = f or itemgetter(name)
+        value = f(mean)
+        if loo is None:  # fewer than two groups: no error bar
+            stderr = float("inf")
+        else:  # delete-a-group jackknife; an array gets the norm of its entrywise errors
+            theta = f(loo)
+            stderr = float(np.sqrt((G - 1) / G * np.sum(np.abs(theta - theta.mean(axis=0)) ** 2)))
+        if np.ndim(value):  # the Wishart matrix, compared in the Frobenius norm
+            scale = np.linalg.norm(analytic)
+            empirical, rel = np.linalg.norm(value), np.linalg.norm(value - analytic) / scale
+            analytic = scale
+        else:  # a zero reference gives |empirical| and the absolute stderr
+            scale = abs(analytic) or 1.0
+            empirical = float(np.real(value))
+            rel = abs(empirical - analytic) / scale
+        rows.append(IdentityCheck(name=name, empirical=float(empirical), analytic=float(analytic),
+                                  rel_err=float(rel), stderr_rel=float(stderr / scale),
                                   n_trials=int(n_trials), tol=TOLERANCES[_family(name)]))
 
+    # row evaluates each statistic at once, so a lambda reads the current `at`, `unit` or `kp`
+    row("wishart", R0 @ A @ R0 + np.trace(A @ R0) * R0)
     for m in range(M):
         for k in range(K):
-            row(f"kappa[{m},{k}]", stats.kappa[m, k], mean["kappa"][m, k], se["kappa"][m, k])
-            row(f"fourth[{m},{k}]", fourth_moment(stats, m, k), mean["fourth"][m, k], se["fourth"][m, k])
+            at = (..., m, k)
+            row(f"kappa[{m},{k}]", stats.kappa[m, k], lambda x: x["kappa"][at])
+            row(f"fourth[{m},{k}]", fourth_moment(stats, m, k), lambda x: x["fourth"][at])
     if M > 1 and K > 1:
         row("cross[mk|m'k']", cross_moments(stats, 0, 1, 0, 1))
         row("cyclic", cross_moment_cyclic(stats, 0, 1, 0, 1))
     if M > 1:
         row("cross[mk|m'k]", cross_moments(stats, 0, 1, 0, 0))
-        scale = float(np.sqrt(stats.kappa[0, 0] * stats.kappa[1, 0]))
-        row("uncorrelated", 0.0, abs(mean["uncorrelated"]) / scale, se["uncorrelated"] / scale)
+        unit = float(np.sqrt(stats.kappa[0, 0] * stats.kappa[1, 0]))
+        row("uncorrelated", 0.0, lambda x: np.abs(x["uncorrelated"]) / unit)
     if K > 1:
         row("cross[mk|mk']", cross_moments(stats, 0, 0, 0, 1))
     row("alpha_an", stats.alpha_an[0, 0])
@@ -432,32 +429,33 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
 
     for m in range(M):
         for k in range(K):
-            row(f"gamma[{m},{k}]", est.gamma[m, k], mean["gamma"][m, k], se["gamma"][m, k])
-            row(f"err_var[{m},{k}]", stats.kappa[m, k] - est.gamma[m, k], mean["err_var"][m, k],
-                se["err_var"][m, k])
-            row(f"nmse[{m},{k}]", est.nmse[m, k], mean["err_var"][m, k] / mean["kappa"][m, k], 0.0)
-    scale = float(np.sqrt(est.gamma[0, 0] * (stats.kappa[0, 0] - est.gamma[0, 0])))
-    row("orthogonality", 0.0, abs(mean["orthogonality"]) / scale, se["orthogonality"] / scale)
+            at = (..., m, k)
+            row(f"gamma[{m},{k}]", est.gamma[m, k], lambda x: x["gamma"][at])
+            row(f"err_var[{m},{k}]", stats.kappa[m, k] - est.gamma[m, k], lambda x: x["err_var"][at])
+            row(f"nmse[{m},{k}]", est.nmse[m, k], lambda x: x["err_var"][at] / x["kappa"][at])
+    unit = float(np.sqrt(est.gamma[0, 0] * (stats.kappa[0, 0] - est.gamma[0, 0])))
+    row("orthogonality", 0.0, lambda x: np.abs(x["orthogonality"]) / unit)
     if M > 1:
         coset = np.flatnonzero(sc.coset_mask[0])
         row("corollary1", (est.c[0, 0] * est.c[1, 0] * stats.t2
                            * stats.xi_scale[0, 0] * float(stats.xi_scale[1, coset].sum())))
 
     # SINR groups of user 0: ds = rho_u |E T_0|^2, bu = rho_u (E|T_0|^2 - |E T_0|^2),
-    # ui_j = rho_u E|T_j|^2 for j != 0, an = E|qhat_0^H p|^2, no = E|qhat_0^H w|^2.
-    rho_u = sc.rho_u
-    mean_T = complex(mean["T_0"])
-    ds = rho_u * abs(mean_T) ** 2
-    bu = rho_u * (float(mean["|T_j|^2"][0]) - abs(mean_T) ** 2)
-    ui, ui_se = rho_u * mean["|T_j|^2"], rho_u * se["|T_j|^2"]
-    ui[0] = 0.0
-    an, no = float(mean["sinr_an_exact"]), float(mean["sinr_no_exact"])
+    # ui_j = rho_u E|T_j|^2 for j != 0, an = E|qhat_0^H p|^2, no = E|qhat_0^H w|^2,
+    # and the SINR, from the entry means x.
+    def sinr_groups(x):
+        ds = sc.rho_u * np.abs(x["T_0"]) ** 2
+        bu = sc.rho_u * (x["|T_j|^2"][..., 0] - np.abs(x["T_0"]) ** 2)
+        ui = sc.rho_u * x["|T_j|^2"]
+        ui[..., 0] = 0.0
+        return ds, bu, ui, ds / (bu + ui.sum(axis=-1) + x["sinr_an_exact"] + x["sinr_no_exact"])
+
     ds_ana, sinr_ana, bu_ana, ui_ana, _, _ = sinr_user(stats, est, 0)
-    row("sinr_ds", ds_ana, ds, 2.0 * rho_u * abs(mean_T) * float(se["T_0"]))
-    row("sinr_bu", bu_ana, bu, rho_u * float(se["|T_j|^2"][0]))
+    row("sinr_ds", ds_ana, lambda x: sinr_groups(x)[0])
+    row("sinr_bu", bu_ana, lambda x: sinr_groups(x)[1])
     for kp in range(1, K):
-        row(f"sinr_ui[{kp}]", ui_ana[kp], ui[kp], ui_se[kp])
+        row(f"sinr_ui[{kp}]", ui_ana[kp], lambda x: sinr_groups(x)[2][..., kp])
     row("sinr_an_exact", exact_active_noise_power(stats, est, 0))
     row("sinr_no_exact", exact_ap_noise_power(stats, est, 0))
-    row("sinr_total", sinr_ana, ds / (bu + float(ui.sum()) + an + no), 0.0)
+    row("sinr_total", sinr_ana, lambda x: sinr_groups(x)[3])
     return rows

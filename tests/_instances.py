@@ -98,13 +98,13 @@ class EmpiricalSinr:
     ui: np.ndarray          # (K,) per-interferer power, zero at user 0
     an: float
     no: float
-    stderr: dict            # standard error per group; "ui" is (K,) like `ui`
 
 
 def empirical_sinr(realization: NetworkRealization, ris_state, n_trials: int,
                    master_seed: int) -> EmpiricalSinr:
     """Monte Carlo SINR groups of user 0 from the oracle's block draws, reduced
-    here on their own rather than by the identity suite.
+    here on their own rather than by the identity suite, through per-group sums
+    over the same fixed trial groups.
 
     With qhat_0 = c_0 * y_0 and T_j = qhat_0^H q_j, the groups are
     ds = rho_u |E T_0|^2, bu = rho_u (E|T_0|^2 - |E T_0|^2), ui_j = rho_u E|T_j|^2
@@ -113,32 +113,33 @@ def empirical_sinr(realization: NetworkRealization, ris_state, n_trials: int,
     sc = realization.scenario
     est = compute_estimation_stats(compute_stats(realization, ris_state))
     c0 = est.c[:, 0]
-    t0, t_sq, an_acc, no_acc = oracle._Mean(), oracle._Mean(), oracle._Mean(), oracle._Mean()
+    G = min(oracle.JACKKNIFE_GROUPS, n_trials)
+    bounds = [g * n_trials // G for g in range(G + 1)]
+    sums = {}
     for chunk, size in enumerate(oracle._chunk_sizes(n_trials)):
         blk = sample_block(realization, ris_state, master_seed, chunk, size)
         qh = np.conj(c0[None, :] * blk.y[:, :, 0])
         T = np.einsum("tm,tmj->tj", qh, blk.q)
-        t0.add(T[:, 0])
-        t_sq.add(np.abs(T) ** 2)
-        an_acc.add(np.abs(np.einsum("tm,tm->t", qh, blk.p_data)) ** 2)
-        no_acc.add(np.abs(np.einsum("tm,tm->t", qh, blk.w_data)) ** 2)
+        values = {"T_0": T[:, 0], "|T_j|^2": np.abs(T) ** 2,
+                  "an": np.abs(np.einsum("tm,tm->t", qh, blk.p_data)) ** 2,
+                  "no": np.abs(np.einsum("tm,tm->t", qh, blk.w_data)) ** 2}
+        start = chunk * oracle.CHUNK_TRIALS
+        for key, v in values.items():
+            s = sums.setdefault(key, np.zeros((G,) + v.shape[1:], dtype=v.dtype))
+            for g in range(G):
+                lo, hi = max(bounds[g], start), min(bounds[g + 1], start + size)
+                if lo < hi:
+                    s[g] += v[lo - start:hi - start].sum(axis=0)
+    mean = {key: s.sum(axis=0) / n_trials for key, s in sums.items()}
 
     rho_u = sc.rho_u
-    mean_T = complex(t0.mean)
-    ds = rho_u * abs(mean_T) ** 2
-    bu = rho_u * (float(t_sq.mean[0]) - abs(mean_T) ** 2)
-    ui, ui_stderr = rho_u * t_sq.mean, rho_u * t_sq.stderr
-    ui[0] = ui_stderr[0] = 0.0
-    an, no = float(an_acc.mean), float(no_acc.mean)
-    stderr = {
-        "ds": 2.0 * rho_u * abs(mean_T) * float(t0.stderr),
-        "bu": rho_u * float(t_sq.stderr[0]),
-        "ui": ui_stderr,
-        "an": float(an_acc.stderr),
-        "no": float(no_acc.stderr),
-    }
-    return EmpiricalSinr(sinr=ds / (bu + float(ui.sum()) + an + no), ds=ds, bu=bu, ui=ui,
-                         an=an, no=no, stderr=stderr)
+    ds = rho_u * np.abs(mean["T_0"]) ** 2
+    bu = rho_u * (mean["|T_j|^2"][0] - np.abs(mean["T_0"]) ** 2)
+    ui = rho_u * mean["|T_j|^2"]
+    ui[0] = 0.0
+    an, no = mean["an"], mean["no"]
+    return EmpiricalSinr(sinr=float(ds / (bu + ui.sum() + an + no)), ds=float(ds), bu=float(bu),
+                         ui=ui, an=float(an), no=float(no))
 
 
 def count_calls(monkeypatch, module, name: str) -> list:

@@ -138,8 +138,8 @@ def whole_plane_complex_normal(rng, shape):
 
 
 def whole_plane_correlated_normal(rng, shape, F, scale):
-    """`channel.correlated_normal` as it was, transcribed verbatim: each plane
-    drawn whole and contracted with F.T in one GEMM."""
+    """`channel._fill_correlated`'s draw before it drew in pieces, transcribed
+    verbatim: each plane drawn whole and contracted with F.T in one GEMM."""
     out = np.empty(shape, dtype=complex)
     plane, prod = np.empty(shape), np.empty(shape)
     n = plane.shape[-1]

@@ -105,7 +105,7 @@ class TestSampling:
         rng = np.random.default_rng(shape[-1])
         F = np.tril(rng.standard_normal((shape[-1], shape[-1])))
         scale = np.linspace(0.5, 2.0, shape[-2])[:, None] if len(shape) > 2 else 0.7
-        got = channel.correlated_normal(np.random.default_rng(23), shape, F, scale)
+        got = channel._fill_correlated(np.random.default_rng(23), np.empty(shape, complex), F, scale)
         expected = whole_plane_correlated_normal(np.random.default_rng(23), shape, F, scale)
         assert np.array_equal(got.view(np.float64), expected.view(np.float64))
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, CSV determinism."""
 
+import csv
 import json
 import os
 import subprocess
@@ -72,6 +73,16 @@ class TestValidate:
                        "--seed", "0", "--out", str(out))
         assert code == 1
         assert "authoritative=0" in out.read_text()
+
+    def test_single_trial_gives_no_verdict(self, tmp_path, capsys):
+        # one trial is one jackknife group: no row has an error bar or a verdict
+        out = tmp_path / "report.csv"
+        assert run_cli("validate", "--trials", "1", "--seed", "0", "--out", str(out)) == 1
+        header, *rows = csv.reader(line for line in out.read_text().splitlines()
+                                   if not line.startswith("#"))
+        assert rows and {(r[header.index("stderr_rel")], r[header.index("status")])
+                         for r in rows} == {("inf", "underpowered")}
+        assert "FAIL" not in capsys.readouterr().err
 
     def test_corrupt_config_usage_error(self, tmp_path):
         bad = tmp_path / "bad.yaml"

@@ -151,11 +151,12 @@ class TestEmpiricalSinr:
         assert rows["sinr_total"] == r.sinr
 
     def test_stderr_scales_with_trials(self):
+        # the oracle's jackknife error bar of sinr_bu halves at four times the trials
         sc, rl, phases = cascade_instance(tau_p=1)
         state = RisState(phases=phases, a=2.0)
-        small = empirical_sinr(rl, state, 16_384, master_seed=2)
-        big = empirical_sinr(rl, state, 4 * 16_384, master_seed=2)
-        assert big.stderr["bu"] == pytest.approx(small.stderr["bu"] / 2, rel=0.2, abs=0)
+        small, big = ({r.name: r for r in oracle.verify_moment_identities(rl, state, n, 2)}["sinr_bu"]
+                      for n in (16_384, 4 * 16_384))
+        assert big.stderr_rel == pytest.approx(small.stderr_rel / 2, rel=0.2, abs=0)
 
 
 class TestIdentitySuite:
@@ -171,6 +172,31 @@ class TestIdentitySuite:
         rows = oracle.verify_moment_identities(rl, state, 200_000, master_seed=4)
         bad = [r for r in rows if r.status != "pass"]
         assert not bad, f"failing identities: {[(r.name, r.rel_err) for r in bad]}"
+
+    def test_jackknife_of_a_mean_is_the_batch_means_error(self):
+        # With equal groups the delete-a-group jackknife of a plain mean is the
+        # batch-means error sqrt(sum_g (xbar_g - xbar)^2 / (G (G - 1))). 9216
+        # trials make 32 groups of 288 that straddle the 4096-trial blocks.
+        sc, rl, phases = cascade_instance(tau_p=1)
+        state = RisState(phases=phases, a=2.0)
+        n, G = 2 * oracle.CHUNK_TRIALS + 1024, oracle.JACKKNIFE_GROUPS
+        rows = {r.name: r for r in oracle.verify_moment_identities(rl, state, n, master_seed=7)}
+        x = np.abs(draw_trials(rl, state, n, master_seed=7).q[:, 0, 0]) ** 2
+        group_means = x.reshape(G, n // G).mean(axis=1)
+        expected = np.sqrt(np.sum((group_means - x.mean()) ** 2) / (G * (G - 1)))
+        kappa = compute_stats(rl, state).kappa[0, 0]
+        assert rows["kappa[0,0]"].stderr_rel == pytest.approx(expected / kappa, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("case", ["default.yaml", "built-in"])
+    def test_every_row_has_an_error_bar(self, case):
+        # validate's instances: default.yaml seed 0 (equal phases, budget
+        # amplitude) at 12288 trials, and the built-in instance at 1e5 trials
+        if case == "built-in":
+            (rl, state), n = oracle.benchmark_instance(), 100_000
+        else:
+            (_, rl, state), n = config_instance(case, 0, phases="equal"), 12_288
+        rows = oracle.verify_moment_identities(rl, state, n, master_seed=0)
+        assert [r.name for r in rows if not 0.0 < r.stderr_rel < np.inf] == []
 
     def test_wishart_sum_matches_einsum_reference(self):
         rng = np.random.default_rng(5)

@@ -10,7 +10,7 @@ import yaml
 from numpy.testing import assert_allclose
 
 from ariscf import cli, scenario
-from ariscf.channel import correlated_normal
+from ariscf.channel import _fill_correlated
 from ariscf.perf import evaluate_phases
 from ariscf.scenario import (
     Scenario,
@@ -213,7 +213,8 @@ class TestLayout:
         rl = sample_layout(sc, 1)
         T = 20_000
         scale = np.sqrt(np.array([[rl.alpha[1]], [rl.alpha_bar[0]]]) * sc.element_area)
-        x = correlated_normal(np.random.default_rng(5), (T, 2, sc.N), rl.R_factor, scale)
+        x = _fill_correlated(np.random.default_rng(5), np.empty((T, 2, sc.N), complex), rl.R_factor,
+                             scale)
         for row, expected in zip(x.transpose(1, 0, 2), (R_m(rl, 1), R_bar_k(rl, 0))):
             cov = row.T @ row.conj() / T
             d = np.diag(expected)
