@@ -48,10 +48,16 @@ class SacConfig:
     def __post_init__(self):
         if not (0 < self.polyak <= 1 and 0 < self.discount <= 1):
             raise ValueError("polyak and discount must lie in (0, 1]")
+        for name in ("batch", "buffer_capacity", "hidden_units", "episode_len", "episodes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("lr", "entropy_coeff", "batch", "buffer_capacity", "hidden_units",
                      "exploration_noise", "episode_len", "episodes"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        if self.batch > self.buffer_capacity:
+            raise ValueError("batch must not exceed buffer_capacity")
 
 
 def gaussian_tanh_log_prob(u: np.ndarray, mean: np.ndarray, std_eff: np.ndarray) -> np.ndarray:

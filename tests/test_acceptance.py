@@ -235,19 +235,25 @@ def test_criterion_9_sac_optimization_quality():
     rl = sample_layout(sc, 123)
     a = amplitude_gain(sc, rl.alpha_bar)
     rng = np.random.default_rng(2024)
-    best_random = max(evaluate_phases(rl, rng.uniform(0, 2 * np.pi, sc.N), a)[0].sum()
-                      for _ in range(100))
+    random_se = [evaluate_phases(rl, rng.uniform(0, 2 * np.pi, sc.N), a)[0].sum()
+                 for _ in range(100)]
+    best_random = max(random_se)
     equal_se = evaluate_phases(rl, np.zeros(sc.N), a)[0].sum()
     env = RisEnv(rl, a)
-    res = train(env, SacConfig(episodes=120, episode_len=100), master_seed=7)
+    cfg = SacConfig(episodes=120, episode_len=100)
+    res = train(env, cfg, master_seed=7)
     curve = np.array(res.episode_rewards)
     decile = max(1, curve.size // 10)
     trend_ok = curve[-decile:].mean() >= curve[:decile].mean()
     beats = res.best_sum_se >= equal_se and res.best_sum_se >= best_random
     in_budget = time.monotonic() - started <= 1800
+    # per-step means: what the policy earns, next to what uniform phases earn
+    first, last = curve[:decile].mean() / cfg.episode_len, curve[-decile:].mean() / cfg.episode_len
     ok = report(9, "SAC optimization quality", toy_ok and beats and trend_ok and in_budget,
                 f"toy={res1.best_sum_se:.4f}/{max(grid):.4f} best={res.best_sum_se:.4f} "
-                f"equal={equal_se:.4f} rand={best_random:.4f}")
+                f"equal={equal_se:.4f} rand={best_random:.4f} "
+                f"step_mean first_decile={first:.4f} last_decile={last:.4f} "
+                f"rand_mean={np.mean(random_se):.4f}")
     assert ok
 
 

@@ -185,21 +185,28 @@ class TestSweep:
 
     def test_unstacked_checkpoint_drives_trained_sweep(self, tmp_path, train_config):
         # a version-1 checkpoint written from four separate networks gives the
-        # same sweep rows as one that `train` writes with the same phases
-        new, old = tmp_path / "new.npz", tmp_path / "old.npz"
+        # same sweep rows as one that `train` writes with the same phases, and
+        # so does one whose networks observed the phases plus the M*K estimate
+        # variances (obs_dim N + M*K, as `train` wrote before obs_dim became N)
+        new, old, wide = tmp_path / "new.npz", tmp_path / "old.npz", tmp_path / "wide.npz"
         assert run_cli("train", "--config", train_config, "--episodes", "1", "--steps", "10",
                        "--out", str(tmp_path / "curve.csv"), "--checkpoint", str(new)) == 0
+        sc = scenario.load_scenario(train_config)
         with np.load(new) as ckpt:
-            ref = UnstackedSac(int(ckpt["obs_dim"]), int(ckpt["act_dim"]), SacConfig(), seed=0)
+            n = int(ckpt["act_dim"])
+            assert int(ckpt["obs_dim"]) == n == sc.N
+            ref = UnstackedSac(n, n, SacConfig(), seed=0)
             save_unstacked_checkpoint(str(old), ref, ckpt["best_phases"], 0.0, 0)
+            ref = UnstackedSac(n + sc.M * sc.K, n, SacConfig(), seed=0)
+            save_unstacked_checkpoint(str(wide), ref, ckpt["best_phases"], 0.0, 0)
         rows = []
-        for path in (new, old):
+        for path in (new, old, wide):
             out = tmp_path / f"{path.stem}.csv"
             assert run_cli("sweep", "--config", train_config, "--param", "rho", "--values",
                            "0.1,0.2", "--seeds", "0,1", "--phases", f"trained:{path}",
                            "--out", str(out)) == 0
             rows.append([l for l in out.read_text().splitlines() if not l.startswith("#")])
-        assert len(rows[0]) == 5 and rows[0] == rows[1]
+        assert len(rows[0]) == 5 and rows[0] == rows[1] == rows[2]
 
 
 class TestSweepTrends:

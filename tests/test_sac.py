@@ -391,6 +391,17 @@ class TestConfig:
             SacConfig(discount=1.5)
         with pytest.raises(ValueError):
             SacConfig(batch=0)
+        # counts are ints: a float or a bool would pass the range check and
+        # fail later inside `train`
+        for name in ("batch", "buffer_capacity", "hidden_units", "episode_len", "episodes"):
+            for value in (2.0, 2.5, True):
+                with pytest.raises(ValueError, match=name):
+                    SacConfig(**{name: value})
+        assert SacConfig(episodes=np.int64(2)).episodes == 2
+        # a batch the buffer can never hold would silently skip every update
+        with pytest.raises(ValueError, match="buffer_capacity"):
+            SacConfig(batch=64, buffer_capacity=32)
+        assert SacConfig(batch=32, buffer_capacity=32).batch == 32
         for name in ("lr", "entropy_coeff", "exploration_noise"):
             for value in (float("nan"), float("inf")):
                 with pytest.raises(ValueError):

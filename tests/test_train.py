@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from ariscf import channel
 from ariscf.perf import evaluate_phases
@@ -33,12 +33,17 @@ def small_env(seed=123, **scenario_kw):
 
 
 class TestEnv:
-    def test_observation_shape_and_scaling(self):
+    def test_observation_is_a_copy_of_the_phases(self):
         sc, rl, a, env = small_env()
-        obs, _ = env.reset(np.random.default_rng(0))
-        assert obs.shape == (sc.N + sc.M * sc.K,)
-        # scaled estimate variances are O(1)
-        assert 0.01 < np.abs(obs[sc.N:]).max() < 100
+        assert env.obs_dim == env.act_dim == sc.N
+        obs_reset, _ = env.reset(np.random.default_rng(0))
+        assert_array_equal(obs_reset, env.phases)
+        obs, _ = env.step(np.random.default_rng(1).uniform(-1, 1, sc.N))
+        assert_array_equal(obs, env.phases)
+        assert not np.array_equal(obs, obs_reset)
+        phases = env.phases.copy()
+        obs += 1.0
+        assert_array_equal(env.phases, phases)
 
     def test_reward_computed_from_phases_not_observation(self):
         sc, rl, a, env = small_env()
