@@ -281,6 +281,10 @@ def cmd_train(args) -> int:
         print(f"training diverged: {exc}; diagnostics at {diag_path}", file=sys.stderr)
         return EXIT_DIVERGED
 
+    steps = config.episodes * config.episode_len
+    if steps < config.batch:  # the buffer never held a batch: the policy is the initial one
+        print(f"no gradient update: {steps} steps never reached the batch of {config.batch}",
+              file=sys.stderr)
     rows = [[str(i), _fmt(r)] for i, r in enumerate(result.episode_rewards)]
     _write_csv(args.out, comments + [f"baseline_equal_sum_se={_fmt(baseline)}"],
                ["episode", "cumulative_reward"], rows)

@@ -277,7 +277,7 @@ def test_criterion_10_csv_determinism(tmp_path):
     for name in ("t1.csv", "t2.csv"):
         out = tmp_path / name
         assert cli_main(["train", "--config", str(cfg), "--seed", "4",
-                         "--episodes", "2", "--steps", "15", "--out", str(out)]) == 0
+                         "--episodes", "2", "--steps", "40", "--out", str(out)]) == 0
         blobs.append(out.read_bytes())
     same &= blobs[0] == blobs[1]
 

@@ -160,7 +160,7 @@ class TestSweep:
         ckpt = tmp_path / "ckpt.npz"
         out = tmp_path / "curve.csv"
         assert run_cli("train", "--config", train_config, "--seed", "1",
-                       "--episodes", "1", "--steps", "10", "--out", str(out),
+                       "--episodes", "2", "--steps", "40", "--out", str(out),
                        "--checkpoint", str(ckpt)) == 0
         sweep_out = tmp_path / "s.csv"
         code = run_cli("sweep", "--config", train_config, "--param", "rho",
@@ -175,7 +175,7 @@ class TestSweep:
 
     def test_trained_checkpoint_loaded_once_per_sweep(self, monkeypatch, tmp_path, train_config):
         ckpt = tmp_path / "ckpt.npz"
-        assert run_cli("train", "--config", train_config, "--episodes", "1", "--steps", "10",
+        assert run_cli("train", "--config", train_config, "--episodes", "2", "--steps", "40",
                        "--out", str(tmp_path / "curve.csv"), "--checkpoint", str(ckpt)) == 0
         loads = count_calls(monkeypatch, cli, "load_checkpoint")
         assert run_cli("sweep", "--config", train_config, "--param", "rho",
@@ -189,7 +189,7 @@ class TestSweep:
         # so does one whose networks observed the phases plus the M*K estimate
         # variances (obs_dim N + M*K, as `train` wrote before obs_dim became N)
         new, old, wide = tmp_path / "new.npz", tmp_path / "old.npz", tmp_path / "wide.npz"
-        assert run_cli("train", "--config", train_config, "--episodes", "1", "--steps", "10",
+        assert run_cli("train", "--config", train_config, "--episodes", "2", "--steps", "40",
                        "--out", str(tmp_path / "curve.csv"), "--checkpoint", str(new)) == 0
         sc = scenario.load_scenario(train_config)
         with np.load(new) as ckpt:
@@ -286,7 +286,7 @@ class TestTrain:
         for name in ("r1.csv", "r2.csv"):
             out = tmp_path / name
             code = run_cli("train", "--config", train_config, "--seed", "9",
-                           "--episodes", "2", "--steps", "15", "--out", str(out))
+                           "--episodes", "2", "--steps", "40", "--out", str(out))
             assert code == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
@@ -296,11 +296,24 @@ class TestTrain:
         # ck/model.npz, and `--phases trained:ck/model` then exited 2
         ckpt = tmp_path / "ck" / "model"
         ckpt.parent.mkdir()
-        assert run_cli("train", "--config", train_config, "--episodes", "1", "--steps", "10",
+        assert run_cli("train", "--config", train_config, "--episodes", "2", "--steps", "40",
                        "--out", str(tmp_path / "curve.csv"), "--checkpoint", str(ckpt)) == 0
         assert [p.name for p in ckpt.parent.iterdir()] == ["model"]
         assert run_cli("sweep", "--config", train_config, "--param", "rho", "--values", "0.1",
                        "--phases", f"trained:{ckpt}", "--out", str(tmp_path / "s.csv")) == 0
+
+    def test_run_without_update_says_so(self, tmp_path, train_config):
+        # 10 steps never fill the default batch of 64, so the policy is never updated;
+        # a run that reaches the batch prints nothing on stderr
+        short = run_module("train", "--config", train_config, "--episodes", "1", "--steps", "10",
+                           "--out", str(tmp_path / "short.csv"))
+        assert short.returncode == 0
+        assert short.stderr.splitlines() == [
+            "no gradient update: 10 steps never reached the batch of 64"], short.stderr
+        assert short.stdout.startswith("best sum SE found: ")
+        full = run_module("train", "--config", train_config, "--episodes", "2", "--steps", "40",
+                          "--out", str(tmp_path / "full.csv"))
+        assert full.returncode == 0 and full.stderr == "", full.stderr
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path, train_config):
@@ -415,7 +428,7 @@ class TestUsageErrors:
     def test_unreadable_checkpoint_exits_usage(self, damage, tmp_path, train_config, capsys):
         # each once ended in a traceback with exit 1
         ckpt = tmp_path / "ckpt.npz"
-        assert run_cli("train", "--config", train_config, "--episodes", "1", "--steps", "10",
+        assert run_cli("train", "--config", train_config, "--episodes", "2", "--steps", "40",
                        "--out", str(tmp_path / "curve.csv"), "--checkpoint", str(ckpt)) == 0
         if damage == "truncated":
             ckpt.write_bytes(ckpt.read_bytes()[:3000])

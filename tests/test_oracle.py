@@ -297,6 +297,10 @@ def _lane_instance(case: str):
         # shipped config, random phases, budget amplitude
         _, rl, state = config_instance("default.yaml", 3)
         return rl, state
+    if case == "equal":
+        # the instance `validate --config` runs: zero phases, whose unit phasors are not applied
+        _, rl, state = config_instance("default.yaml", 3, phases="equal")
+        return rl, state
     if case == "odd-mk":
         sc = Scenario(M=3, K=5, N_H=4, N_V=3, tau_p=2)
         return sample_layout(sc, 1), RisState(
@@ -310,7 +314,8 @@ class TestDrawLanes:
     draw, a bounded peak, and no thread left behind."""
 
     @pytest.mark.parametrize("case, size", [("default", 1), ("default", 17), ("default", 1808),
-                                            ("odd-mk", 17), ("odd-mk", 1808), ("off-state", 17)])
+                                            ("equal", 17), ("equal", 1808), ("odd-mk", 17),
+                                            ("odd-mk", 1808), ("off-state", 17)])
     def test_block_equals_serial_draw(self, case, size):
         rl, state = _lane_instance(case)
         blk = sample_block(rl, state, 5, 2, size)
