@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .ris import RisState
-from .scenario import NetworkRealization
+from .scenario import NetworkRealization, ris_correlation
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -102,18 +103,6 @@ class SecondOrderStats:
         return self.kappa.shape[1]
 
 
-@dataclass(frozen=True)
-class PhaseTraces:
-    """t1, t2 and t3 of `SecondOrderStats`, with the geometry and the phases
-    they were computed from, so that `compute_stats` can refuse a mismatch."""
-
-    geometry: tuple
-    phases: np.ndarray
-    t1: float
-    t2: float
-    t3: float
-
-
 def _weighted_gram(R: np.ndarray, R2: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     """R diag(w) R for a real symmetric R and w in [-1, 1], as one SYRK:
     X^T X - R @ R with X = diag(sqrt(1 + w)) R, formed in the buffer X."""
@@ -123,12 +112,15 @@ def _weighted_gram(R: np.ndarray, R2: np.ndarray, w: np.ndarray, X: np.ndarray) 
     return G
 
 
-def phase_traces(realization: NetworkRealization, ris_state: RisState) -> PhaseTraces:
-    """The O(N^3) stage of `compute_stats`: the traces of (P o R) R.
+@lru_cache(maxsize=1)
+def phase_traces(geometry: tuple, phases: bytes) -> tuple[float, float, float]:
+    """The O(N^3) stage of `compute_stats`: the traces (t1, t2, t3) of (P o R) R
+    for one `Scenario.geometry` and the float64 bytes of one phase vector.
 
-    They depend on the RIS geometry (through R) and the phases alone, not on
-    the amplitude gain or any power, so a sweep over such a field can compute
-    them once per geometry and phase vector.
+    They depend on nothing else: not on the layout, the amplitude gain or any
+    power. The last key's traces are kept, as `ris_correlation` keeps the last
+    geometry's R: a sweep evaluates all values of one (geometry, seed) group
+    at the same phases in a row. R and R @ R come from that cache.
 
     With v = c + js = exp(j psi), P o R = D_v R D_v^H, so every trace reads
     the real symmetric B = R diag(conj v) R = Br - j Bi, where Br = R diag(c) R
@@ -140,8 +132,8 @@ def phase_traces(realization: NetworkRealization, ris_state: RisState) -> PhaseT
     real ones are alive at most. When all phases are equal, P o R = R and the
     traces are read from R and R @ R.
     """
-    R, R2 = realization.R, realization.R2
-    phases = ris_state.phases
+    R, R2 = ris_correlation(geometry)
+    phases = np.frombuffer(phases)
     if (phases == phases[0]).all():
         # W = (P o R) R = R @ R, reduced with the complex arithmetic the
         # two-real-GEMM kernel did at zero phases: equal-phase values keep
@@ -151,7 +143,8 @@ def phase_traces(realization: NetworkRealization, ris_state: RisState) -> PhaseT
         t2 = float(np.sum(W * W.T).real)
         t3 = float(np.sum(R.astype(complex) * R2.T).real)
     else:
-        v = ris_state.phasor
+        # exp as in `RisState.phasor`: cos and sin may round differently
+        v = np.exp(1j * phases)
         c, s = v.real, v.imag
         X = np.empty_like(R)
         Br = _weighted_gram(R, R2, c, X)
@@ -164,24 +157,17 @@ def phase_traces(realization: NetworkRealization, ris_state: RisState) -> PhaseT
         Bi *= Bi
         Br -= Bi
         t2 = float(c @ Br @ c - s @ Br @ s + 4.0 * (s @ E @ c))
-    return PhaseTraces(geometry=realization.scenario.geometry, phases=phases,
-                       t1=t1, t2=t2, t3=t3)
+    return t1, t2, t3
 
 
-def compute_stats(realization: NetworkRealization, ris_state: RisState,
-                  traces: PhaseTraces | None = None) -> SecondOrderStats:
-    """Second-order statistics for one RIS state: `phase_traces` (unless
-    `traces` already holds them for this geometry and these phases), scaled
-    per link by a, alpha, alpha_bar, beta and the scenario scalars."""
-    if traces is None:
-        traces = phase_traces(realization, ris_state)
-    elif (traces.geometry != realization.scenario.geometry
-          or not np.array_equal(traces.phases, ris_state.phases)):
-        raise ValueError("traces were computed for another RIS geometry or other phases")
+def compute_stats(realization: NetworkRealization, ris_state: RisState) -> SecondOrderStats:
+    """Second-order statistics for one RIS state: the `phase_traces` of its
+    geometry and phases, scaled per link by a, alpha, alpha_bar, beta and the
+    scenario scalars."""
     sc = realization.scenario
+    t1, t2, t3 = phase_traces(sc.geometry, ris_state.phases.tobytes())
     area = sc.element_area
     a = ris_state.a
-    t1, t2, t3 = traces.t1, traces.t2, traces.t3
 
     xi_scale = (a * a * area * area) * np.outer(realization.alpha, realization.alpha_bar)
     kappa = realization.beta + xi_scale * t1

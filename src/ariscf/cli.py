@@ -14,7 +14,6 @@ import numpy as np
 import yaml
 
 from . import oracle
-from .channel import phase_traces
 from .perf import energy_efficiency, evaluate_phases
 from .ris import BudgetExhaustedWarning, RisState, amplitude_gain
 from .sac.agent import SacConfig, TrainingDiverged, save_checkpoint, load_checkpoint, train
@@ -166,17 +165,16 @@ def _point_phases(phases, N: int, seed: int) -> np.ndarray:
 def _sweep_group(payload):
     """Rows of the points of one (geometry, seed) group, in the order given.
 
-    A point's phases depend on (N, seed) alone and its traces on the geometry
-    and the phases, so the group draws both once, at its first point.
+    A point's phases depend on (N, seed) alone, so the group draws them once;
+    its points then evaluate one geometry at one phase vector in a row, which
+    `channel.phase_traces` keeps the traces of.
     """
     points, seed, phases, prelog = payload
-    rows, traces = [], None
+    phases = _point_phases(phases, points[0][0].N, seed)
+    rows = []
     for sc, label in points:
         realization, a = _instance(sc, seed)
-        if traces is None:
-            phases = _point_phases(phases, sc.N, seed)
-            traces = phase_traces(realization, RisState(phases=phases, a=a))
-        se, est = evaluate_phases(realization, phases, a, prelog, traces)
+        se, est = evaluate_phases(realization, phases, a, prelog)
         se_total = float(se.sum())
         ee = energy_efficiency(realization, se_total, a)
         rows.append([label, str(seed), _fmt(se_total), _fmt(float(est.nmse.mean())), _fmt(a),
@@ -273,6 +271,9 @@ def cmd_train(args) -> int:
         print(f"baseline equal-phase sum SE: {baseline:.6f} (no training requested)")
         return EXIT_OK
 
+    if a == 0.0:
+        print("active-RIS power budget exhausted (a = 0): every phase vector gives the "
+              "same sum SE, so training sees a constant reward", file=sys.stderr)
     try:
         result = train(env, config, args.seed)
     except TrainingDiverged as exc:

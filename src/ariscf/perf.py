@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PhaseTraces, SecondOrderStats, compute_stats
+from .channel import SecondOrderStats, compute_stats
 from .estimation import EstimationStats, compute_estimation_stats
 from .ris import RisState, aris_power_consumption
 from .scenario import NetworkRealization
@@ -134,14 +134,12 @@ def sinr_user(stats: SecondOrderStats, est_stats: EstimationStats, k: int):
 
 
 def evaluate_phases(realization: NetworkRealization, phases: np.ndarray, a: float,
-                    prelog: bool = False, traces: PhaseTraces | None = None):
+                    prelog: bool = False):
     """Closed-form per-user SE (K,) and the LMMSE statistics for one RIS phase vector.
 
     SE_k = log2(1 + SINR_k), times the (1 - tau_p/tau_c) prelog when `prelog`.
-    `traces`, from `channel.phase_traces` of this geometry and these phases,
-    skips their recomputation.
     """
-    stats = compute_stats(realization, RisState(phases=phases, a=a), traces=traces)
+    stats = compute_stats(realization, RisState(phases=phases, a=a))
     est = compute_estimation_stats(stats)
     se = np.log2(1.0 + sinr_all(stats, est).sinr)
     if prelog:

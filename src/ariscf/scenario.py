@@ -256,8 +256,8 @@ def psd_factor(cov: np.ndarray) -> np.ndarray:
 class NetworkRealization:
     """One draw of the network geometry and its large-scale quantities.
 
-    R, R @ R and R's factor are not fields: they follow from
-    `scenario.geometry`, read once per realization.
+    R and R's factor are not fields: they follow from `scenario.geometry`,
+    read once per realization.
     """
 
     scenario: Scenario
@@ -271,11 +271,6 @@ class NetworkRealization:
     def R(self) -> np.ndarray:
         """(N, N) base correlation matrix of the scenario's RIS geometry, shared per geometry."""
         return ris_correlation(self.scenario.geometry)[0]
-
-    @cached_property
-    def R2(self) -> np.ndarray:
-        """(N, N) R @ R, shared per geometry like R."""
-        return ris_correlation(self.scenario.geometry)[1]
 
     @cached_property
     def R_factor(self) -> np.ndarray:

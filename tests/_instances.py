@@ -34,9 +34,11 @@ def synthetic_realization(scenario: Scenario, beta: np.ndarray, alpha: np.ndarra
 
 def fixed_correlation(realization: NetworkRealization, R: np.ndarray) -> NetworkRealization:
     """Copy of `realization` whose R is set by hand (R = 0, R = I) instead of
-    derived from its geometry; R2 = R @ R and R_factor follow that R."""
+    derived from its geometry; R_factor, and so the oracle's draws, follow
+    that R. The closed forms do not: `channel.phase_traces` reads R from the
+    geometry."""
     out = replace(realization)
-    vars(out).update(R=R, R2=R @ R)
+    vars(out).update(R=R)
     return out
 
 

@@ -12,6 +12,7 @@ from dataclasses import asdict
 import numpy as np
 
 from ariscf import oracle
+from ariscf.scenario import ris_correlation
 from ariscf.sac.agent import LOG_STD_MAX, LOG_STD_MIN, gaussian_tanh_log_prob, polyak_update
 from ariscf.sac.nets import DenseNet, make_optimizer, relu
 
@@ -105,11 +106,11 @@ def real_gemm_traces(realization, ris_state):
     """(t1, t2, t3) as `channel.phase_traces` once formed them, transcribed
     verbatim: W = (P o R) R from the real and imaginary planes of P o R by two
     real GEMMs, and the shared R @ R."""
-    R = realization.R
+    R, R2 = ris_correlation(realization.scenario.geometry)
     phasor = ris_state.phasor
     modulated = (phasor[:, None] * np.conj(phasor)[None, :]) * R
     # t3 before W: its (N, N) temporaries are freed before W's are made
-    t3 = _real_trace(np.sum(modulated * realization.R2.T))
+    t3 = _real_trace(np.sum(modulated * R2.T))
     # W = (P o R) R as two real GEMMs: a complex one would run on an upcast
     # copy of R. `modulated` is dropped before W exists, so at most 2.5
     # complex N x N arrays are alive at once.

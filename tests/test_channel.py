@@ -153,11 +153,17 @@ class TestSecondOrderStats:
         assert_allclose(stats.kappa, rl.beta)
         assert_allclose(stats.alpha_an, 0.0)
 
-    def test_identity_like_correlation_trace(self):
-        # Psi = I and R = I make tr(Xi) = a^2 alpha_m alphabar_k (dH dV)^2 N
+    def test_identity_like_correlation_trace(self, monkeypatch):
+        # Psi = I and R = I make tr(Xi) = a^2 alpha_m alphabar_k (dH dV)^2 N;
+        # the traces read R from the geometry, so R = I is set there
         sc, rl, _ = cascade_instance()
-        rl_eye = fixed_correlation(rl, np.eye(sc.N))
-        stats = compute_stats(rl_eye, RisState(phases=np.zeros(sc.N), a=2.0))
+        eye = np.eye(sc.N)
+        monkeypatch.setattr(channel, "ris_correlation", lambda geometry: (eye, eye))
+        phase_traces.cache_clear()
+        try:
+            stats = compute_stats(rl, RisState(phases=np.zeros(sc.N), a=2.0))
+        finally:
+            phase_traces.cache_clear()
         expected = 4.0 * rl.alpha[0] * rl.alpha_bar[1] * sc.element_area ** 2 * sc.N
         assert tr_xi(stats, 0, 1) == pytest.approx(expected, rel=1e-12, abs=0)
 
@@ -198,40 +204,61 @@ class TestSecondOrderStats:
         assert abs(alt / stats.alpha_an[0, 0] - 1.0) > 1e-3
 
 
-class TestPhaseTraces:
-    def test_given_traces_equal_computed_ones(self):
-        # traces computed at one amplitude serve another: the bytes match
-        sc, rl, phases = cascade_instance()
-        traces = phase_traces(rl, RisState(phases=phases, a=0.5))
-        fresh = compute_stats(rl, RisState(phases=phases, a=2.0))
-        given = compute_stats(rl, RisState(phases=phases, a=2.0), traces=traces)
-        assert (given.t1, given.t2, given.t3) == (fresh.t1, fresh.t2, fresh.t3)
-        assert np.array_equal(given.kappa, fresh.kappa)
-        assert np.array_equal(given.alpha_an, fresh.alpha_an)
+def _fresh_stats(rl, state):
+    """compute_stats with the trace cache emptied first."""
+    phase_traces.cache_clear()
+    return compute_stats(rl, state)
 
-    def test_traces_of_other_phases_rejected(self):
+
+def _assert_same_bytes(got, expected):
+    assert (got.t1, got.t2, got.t3) == (expected.t1, expected.t2, expected.t3)
+    for name in ("kappa", "alpha_an", "xi_scale"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+
+
+class TestPhaseTraces:
+    def test_cached_traces_serve_another_amplitude(self):
+        # traces computed at one amplitude serve another: one miss, one hit,
+        # and the bytes of a fresh computation
         sc, rl, phases = cascade_instance()
-        traces = phase_traces(rl, RisState(phases=phases, a=2.0))
+        fresh = _fresh_stats(rl, RisState(phases=phases, a=2.0))
+        phase_traces.cache_clear()
+        compute_stats(rl, RisState(phases=phases, a=0.5))
+        cached = compute_stats(rl, RisState(phases=phases, a=2.0))
+        info = phase_traces.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        _assert_same_bytes(cached, fresh)
+
+    def test_other_phases_recompute(self):
+        # after a first call, one moved phase is a new key
+        sc, rl, phases = cascade_instance()
+        compute_stats(rl, RisState(phases=phases, a=2.0))
         moved = phases.copy()
         moved[-1] += 0.5
-        with pytest.raises(ValueError, match="other phases"):
-            compute_stats(rl, RisState(phases=moved, a=2.0), traces=traces)
+        state = RisState(phases=moved, a=2.0)
+        after = compute_stats(rl, state)
+        _assert_same_bytes(after, _fresh_stats(rl, state))
 
-    def test_traces_of_other_geometry_rejected(self):
-        # same N and phases, another element spacing
+    def test_other_geometry_recomputes(self):
+        # same N and phases, another element spacing: a new key
         sc, rl, phases = cascade_instance()
-        traces = phase_traces(rl, RisState(phases=phases, a=2.0))
+        state = RisState(phases=phases, a=2.0)
+        compute_stats(rl, state)
         sc2 = replace(sc, d_H=2.0 * sc.d_H)
         rl2 = sample_layout(sc2, 0)
         assert sc2.N == sc.N
-        with pytest.raises(ValueError, match="another RIS geometry"):
-            compute_stats(rl2, RisState(phases=phases, a=2.0), traces=traces)
+        after = compute_stats(rl2, state)
+        _assert_same_bytes(after, _fresh_stats(rl2, state))
 
 
 # Shipped configs and perfbench's wide_ris.yaml (default.yaml with a 24 x 24 RIS)
 SHIPPED = [("train_small.yaml", {}), ("default.yaml", {}),
            ("default.yaml", {"N_H": 24, "N_V": 24})]
 SHIPPED_IDS = ["train-small", "default", "wide-ris"]
+
+
+def _traces(rl, state):
+    return phase_traces(rl.scenario.geometry, state.phases.tobytes())
 
 
 class TestRealGemmTraces:
@@ -252,9 +279,7 @@ class TestRealGemmTraces:
         assert stats.t3 == pytest.approx(t3, rel=self.REL)
         assert_allclose(stats.kappa, kappa, rtol=self.REL, atol=0)
         assert_allclose(stats.alpha_an, alpha_an, rtol=self.REL, atol=0)
-        traces = phase_traces(rl, state)
-        assert_allclose((traces.t1, traces.t2, traces.t3), real_gemm_traces(rl, state),
-                        rtol=self.REL, atol=0)
+        assert_allclose(_traces(rl, state), real_gemm_traces(rl, state), rtol=self.REL, atol=0)
 
     def test_zero_phases_keep_their_bytes(self):
         # every shipped config, wide-ris and the oracle's benchmark instance
@@ -263,8 +288,7 @@ class TestRealGemmTraces:
         instances += [config_instance("default.yaml", 0, phases="equal", N_H=24, N_V=24)[1:],
                       oracle.benchmark_instance()]
         for rl, state in instances:
-            traces = phase_traces(rl, state)
-            assert (traces.t1, traces.t2, traces.t3) == real_gemm_traces(rl, state)
+            assert _traces(rl, state) == real_gemm_traces(rl, state)
 
     @pytest.mark.parametrize("name,overrides", SHIPPED, ids=SHIPPED_IDS)
     def test_common_phase_skips_syrks(self, monkeypatch, name, overrides):
@@ -272,11 +296,11 @@ class TestRealGemmTraces:
         sc, rl, zero = config_instance(name, 0, phases="equal", **overrides)
         state = replace(zero, phases=np.full(sc.N, 1.234))
         calls = count_calls(monkeypatch, channel, "_weighted_gram")
-        traces, at_zero = phase_traces(rl, state), phase_traces(rl, zero)
+        phase_traces.cache_clear()
+        traces, at_zero = _traces(rl, state), _traces(rl, zero)
         assert calls == []
-        assert (traces.t1, traces.t2, traces.t3) == (at_zero.t1, at_zero.t2, at_zero.t3)
-        assert_allclose((traces.t1, traces.t2, traces.t3), real_gemm_traces(rl, state),
-                        rtol=self.REL, atol=0)
+        assert traces == at_zero
+        assert_allclose(traces, real_gemm_traces(rl, state), rtol=self.REL, atol=0)
 
     @pytest.mark.parametrize("name,overrides", SHIPPED, ids=SHIPPED_IDS)
     def test_near_equal_phases_take_syrks(self, monkeypatch, name, overrides):
@@ -286,10 +310,10 @@ class TestRealGemmTraces:
         phases[sc.N // 2] = 1e-3
         state = replace(zero, phases=phases)
         calls = count_calls(monkeypatch, channel, "_weighted_gram")
-        traces = phase_traces(rl, state)
+        phase_traces.cache_clear()
+        traces = _traces(rl, state)
         assert len(calls) == 2
-        assert_allclose((traces.t1, traces.t2, traces.t3), real_gemm_traces(rl, state),
-                        rtol=self.REL, atol=0)
+        assert_allclose(traces, real_gemm_traces(rl, state), rtol=self.REL, atol=0)
 
     def test_warm_call_peak_memory(self):
         # At most three real N x N arrays (1.5 complex) are alive at once: the
@@ -298,6 +322,7 @@ class TestRealGemmTraces:
         # reads 2 or more; the two-real-GEMM kernel read 2.5.
         sc, rl, state = config_instance("default.yaml", 0, N_H=24, N_V=24)
         compute_stats(rl, state)
+        phase_traces.cache_clear()  # R stays cached, the traces are recomputed
         tracemalloc.start()
         try:
             compute_stats(rl, state)

@@ -315,6 +315,23 @@ class TestTrain:
                           "--out", str(tmp_path / "full.csv"))
         assert full.returncode == 0 and full.stderr == "", full.stderr
 
+    def test_exhausted_budget_says_so(self, tmp_path, train_config):
+        # circuit and DC power exceed the budget: a = 0, the RIS is off and
+        # every phase vector gives one sum SE, so the reward is constant
+        config = tmp_path / "exhausted.yaml"
+        config.write_text(Path(train_config).read_text() + "P_aris: 0.001\n")
+        out = tmp_path / "curve.csv"
+        proc = run_module("train", "--config", str(config), "--episodes", "2", "--steps", "40",
+                          "--out", str(out))
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines() == [
+            "active-RIS power budget exhausted (a = 0): every phase vector gives the "
+            "same sum SE, so training sees a constant reward"], proc.stderr
+        assert proc.stdout.startswith("best sum SE found: ")
+        rewards = [l.split(",")[1] for l in out.read_text().splitlines()
+                   if not l.startswith(("#", "episode"))]
+        assert len(rewards) == 2 and rewards[0] == rewards[1]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path, train_config):
         out = tmp_path / "curve.csv"
@@ -486,11 +503,12 @@ class TestEvaluationCost:
     ])
     def test_sweep_computes_traces_once_per_group(self, monkeypatch, small_config,
                                                   param, values, traces):
-        trace_calls = count_calls(monkeypatch, channel, "phase_traces")
+        # computations are the trace cache's misses; its lookups are not counted
         stats_calls = count_calls(monkeypatch, channel, "compute_stats")
+        channel.phase_traces.cache_clear()
         assert run_cli("sweep", "--config", small_config, "--param", param,
                        "--values", values, "--seeds", "0,1", "--phases", "random") == 0
-        assert len(trace_calls) == traces
+        assert channel.phase_traces.cache_info().misses == traces
         assert len(stats_calls) == 4
 
     def test_train_never_factors_r(self, monkeypatch, tmp_path, train_config):

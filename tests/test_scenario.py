@@ -9,7 +9,7 @@ import pytest
 import yaml
 from numpy.testing import assert_allclose
 
-from ariscf import cli, scenario
+from ariscf import channel, cli, scenario
 from ariscf.channel import _fill_correlated
 from ariscf.perf import evaluate_phases
 from ariscf.scenario import (
@@ -19,6 +19,7 @@ from ariscf.scenario import (
     element_positions,
     large_scale_gain,
     load_scenario,
+    ris_correlation,
     sample_layout,
     scenario_from_dict,
 )
@@ -125,31 +126,34 @@ class TestCorrelationCache:
     def test_seeds_of_one_scenario_share_r_squared(self):
         sc = Scenario(M=2, K=3, N_H=4, N_V=3)
         rl0, rl1 = sample_layout(sc, 0), sample_layout(sc, 1)
-        assert rl0.R2 is rl1.R2
-        assert np.array_equal(rl0.R2, rl0.R @ rl0.R)
+        R2_0 = ris_correlation(rl0.scenario.geometry)[1]
+        assert R2_0 is ris_correlation(rl1.scenario.geometry)[1]
+        assert np.array_equal(R2_0, rl0.R @ rl0.R)
 
     def test_r_squared_is_read_only(self):
-        R2 = sample_layout(Scenario(M=2, K=2, N_H=3, N_V=3), 0).R2
+        R2 = ris_correlation(sample_layout(Scenario(M=2, K=2, N_H=3, N_V=3), 0).scenario.geometry)[1]
         with pytest.raises(ValueError):
             R2[0, 1] = 0.5
         with pytest.raises(ValueError):
             R2 *= 2.0
 
     def test_new_geometry_gets_fresh_r_squared(self):
-        R2_old = sample_layout(Scenario(M=2, K=2, N_H=3, N_V=3), 0).R2
+        R2_old = ris_correlation(Scenario(M=2, K=2, N_H=3, N_V=3).geometry)[1]
         sc = Scenario(M=2, K=2, N_H=4, N_V=2, d_V=LAM / 3, grid_indexing="row_major")
         rl = sample_layout(sc, 0)
-        assert rl.R2 is not R2_old and rl.R2.shape == (8, 8)
+        R2 = ris_correlation(rl.scenario.geometry)[1]
+        assert R2 is not R2_old and R2.shape == (8, 8)
         _, uncached = scenario.ris_correlation.__wrapped__(sc.geometry)
-        assert uncached is not rl.R2
-        assert np.array_equal(rl.R2, uncached)
-        assert np.array_equal(rl.R2, rl.R @ rl.R)
+        assert uncached is not R2
+        assert np.array_equal(R2, uncached)
+        assert np.array_equal(R2, rl.R @ rl.R)
 
     def test_sweep_squares_r_once(self, monkeypatch, tmp_path):
         # 2 values x 2 seeds of one geometry: four layouts, one cache miss,
         # which builds R and squares it
         builds = count_calls(monkeypatch, scenario, "build_correlation_matrix")
         scenario.ris_correlation.cache_clear()
+        channel.phase_traces.cache_clear()
         config = tmp_path / "small.yaml"
         config.write_text("M: 2\nK: 2\nN_H: 3\nN_V: 3\nradius: 100.0\ntau_p: 2\n")
         assert cli.main(["sweep", "--config", str(config), "--param", "rho_u",
@@ -163,7 +167,8 @@ class TestCorrelationCache:
         rl0 = sample_layout(sc, 0)
         build_correlation_matrix(2, 2, LAM / 2, LAM / 2, LAM)
         rl1 = sample_layout(sc, 1)
-        assert rl0.R is rl1.R and rl0.R2 is rl1.R2
+        assert rl0.R is rl1.R
+        assert ris_correlation(rl0.scenario.geometry)[1] is ris_correlation(rl1.scenario.geometry)[1]
 
 
 class TestLargeScaleGain:
