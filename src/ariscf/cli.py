@@ -8,7 +8,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import yaml
@@ -18,7 +18,7 @@ from .perf import energy_efficiency, evaluate_phases
 from .ris import BudgetExhaustedWarning, RisState, amplitude_gain
 from .sac.agent import SacConfig, TrainingDiverged, save_checkpoint, load_checkpoint, train
 from .sac.env import RisEnv
-from .scenario import INT_FIELDS, Scenario, load_scenario, sample_layout
+from .scenario import Scenario, config_field, load_scenario, sample_layout
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -187,15 +187,16 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     _check_out_dir(args.out, "--out")
     scenario = _load_or_default(args.config)
-    valid = {f.name for f in fields(Scenario)}
-    if args.param not in valid:
-        raise UsageError(f"--param {args.param!r} is not a Scenario field")
-    cast = int if args.param in INT_FIELDS else float
-    try:
-        values = [cast(v) for v in args.values.split(",") if v]
-    except ValueError as exc:
-        raise UsageError(f"bad --values: {exc}") from exc
-    if not values:
+    swept = []
+    for text in filter(None, args.values.split(",")):
+        # the config entry `param: text`, labelled as an int or as the number given
+        try:
+            field, value = config_field(args.param, text)
+            label = str(value) if isinstance(value, int) else _fmt(text)
+            swept.append((replace(scenario, **{field: value}), label))
+        except ValueError as exc:
+            raise UsageError(f"--param {args.param} --values {text}: {exc}") from exc
+    if not swept:
         raise UsageError("--values must be a non-empty comma list")
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s]
@@ -205,12 +206,6 @@ def cmd_sweep(args) -> int:
         raise UsageError("--seeds must be a non-empty comma list")
     for seed in seeds:
         _check_seed(seed, "--seeds entries")
-
-    try:
-        swept = [(replace(scenario, **{args.param: v}), str(v) if cast is int else _fmt(v))
-                 for v in values]
-    except ValueError as exc:
-        raise UsageError(f"bad --values for {args.param}: {exc}") from exc
 
     phases = _load_phases(args.phases)
     # Geometries in order of first appearance, each with all its seeds: the
@@ -268,6 +263,8 @@ def cmd_train(args) -> int:
     if args.episodes == 0:
         _write_csv(args.out, comments + [f"baseline_equal_sum_se={_fmt(baseline)}"],
                    ["episode", "cumulative_reward"], [])
+        if args.checkpoint:
+            print("no checkpoint written: --episodes 0 runs no training", file=sys.stderr)
         print(f"baseline equal-phase sum SE: {baseline:.6f} (no training requested)")
         return EXIT_OK
 
@@ -312,8 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="closed-form parameter sweep to CSV")
     p.add_argument("--config", help="base scenario YAML")
-    p.add_argument("--param", required=True, help="swept Scenario field name")
-    p.add_argument("--values", required=True, help="comma-separated values")
+    p.add_argument("--param", required=True,
+                   help="swept config key: a Scenario field, <power>_dbm or carrier_frequency")
+    p.add_argument("--values", required=True, help="comma-separated values, read as config values")
     p.add_argument("--seeds", default="0", help="comma-separated layout seeds")
     p.add_argument("--phases", default="equal", help="equal | random | trained:<checkpoint>")
     p.add_argument("--prelog", action="store_true", help="apply the (1 - tau_p/tau_c) prelog")

@@ -32,15 +32,17 @@ class RisState:
         return np.exp(1j * self.phases)
 
 
+def _reflected_load(sc: Scenario, alpha_bar: np.ndarray) -> float:
+    """Power one element reflects per unit gain: rho_u d_H d_V sum_k alpha_bar_k + sigma2_bar."""
+    return sc.rho_u * sc.element_area * float(np.sum(alpha_bar)) + sc.sigma2_bar
+
+
 def unclamped_amplitude_gain(scenario: Scenario, alpha_bar: np.ndarray) -> float:
     """Power-budget amplitude gain before the a_max clamp; 0 if the budget is exhausted."""
-    N = scenario.N
-    headroom = scenario.xi * (scenario.P_aris - N * (scenario.P_c + scenario.P_dc))
+    headroom = scenario.xi * (scenario.P_aris - scenario.N * (scenario.P_c + scenario.P_dc))
     if headroom < 0:
         return 0.0
-    load = N * (scenario.rho_u * scenario.element_area * float(np.sum(alpha_bar))
-                + scenario.sigma2_bar)
-    return float(np.sqrt(headroom / load))
+    return float(np.sqrt(headroom / (scenario.N * _reflected_load(scenario, alpha_bar))))
 
 
 def amplitude_gain(scenario: Scenario, alpha_bar: np.ndarray) -> float:
@@ -61,8 +63,7 @@ def amplitude_gain(scenario: Scenario, alpha_bar: np.ndarray) -> float:
 def aris_output_power(realization: NetworkRealization, a: float) -> float:
     """Total power reflected by the surface: a^2 N (rho_u d_H d_V sum_k alpha_bar_k + sigma2_bar)."""
     sc = realization.scenario
-    load = sc.rho_u * sc.element_area * float(np.sum(realization.alpha_bar)) + sc.sigma2_bar
-    return a * a * sc.N * load
+    return a * a * sc.N * _reflected_load(sc, realization.alpha_bar)
 
 
 def aris_power_consumption(realization: NetworkRealization, a: float) -> float:

@@ -126,18 +126,12 @@ class Scenario:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-# Integer-valued fields; every other numeric field is a float.
-INT_FIELDS = frozenset(f.name for f in fields(Scenario) if f.type == "int")
+# Declared type per field: "int" fields take integral values, the others floats or a str.
+_FIELD_TYPES = {f.name: f.type for f in fields(Scenario)}
 
 
 def load_scenario(path: str) -> Scenario:
-    """Load a Scenario from a flat key-value YAML file.
-
-    Keys match Scenario field names. Power fields may instead be given in dBm
-    with an `_dbm` suffix (converted on load). `carrier_frequency` (Hz) is
-    accepted as an alternative to `wavelength`. A field given in two
-    spellings is an error.
-    """
+    """Load a Scenario from a flat key-value YAML file of `config_field` entries."""
     with open(path) as fh:
         raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     if raw is None:
@@ -148,38 +142,45 @@ def load_scenario(path: str) -> Scenario:
 
 
 def _integer(key: str, value) -> int:
-    """An INT_FIELDS value: an int, an integral float or a numeric string."""
-    if isinstance(value, int):
-        return value
+    """An integer field's value: an int, an integral float or a numeric string."""
+    if isinstance(value, int) or isinstance(value, str) and value.strip().isdecimal():
+        return int(value)   # exact, also past 2**53
     number = float(value)
     if not number.is_integer():
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(number)
 
 
+def config_field(key: str, value) -> tuple[str, object]:
+    """The Scenario field and value of one config entry, for the loader and `sweep --param`.
+
+    Keys are field names; a power may instead be given in dBm as `<field>_dbm`,
+    and `carrier_frequency` (Hz) may replace `wavelength`."""
+    # YAML reads true/yes/on as bools, which int() and float() would take as 1
+    if isinstance(value, bool):
+        raise ValueError(f"{key} must not be a boolean, got {value!r}")
+    if key == "carrier_frequency":
+        value = float(value)
+        if value <= 0:
+            raise ValueError(f"carrier_frequency must be > 0, got {value!r}")
+        return "wavelength", SPEED_OF_LIGHT / value
+    if key.endswith("_dbm") and key[:-4] in POWER_FIELDS:
+        return key[:-4], dbm_to_watt(float(value))
+    if _FIELD_TYPES.get(key) == "int":
+        return key, _integer(key, value)
+    if key == "grid_indexing":
+        return key, str(value)
+    if key in _FIELD_TYPES:
+        # YAML 1.1 reads exponents like 1.0e6 as strings; coerce
+        return key, float(value)
+    raise ValueError(f"unknown config key: {key!r}")
+
+
 def scenario_from_dict(raw: dict) -> Scenario:
-    known = {f.name for f in fields(Scenario)}
+    """A Scenario from config entries; a field given in two spellings is an error."""
     kwargs = {}
     for key, value in raw.items():
-        # YAML reads true/yes/on as bools, which int() and float() would take as 1
-        if isinstance(value, bool):
-            raise ValueError(f"{key} must not be a boolean, got {value!r}")
-        if key == "carrier_frequency":
-            name, value = "wavelength", float(value)
-            if value <= 0:
-                raise ValueError(f"carrier_frequency must be > 0, got {value!r}")
-            value = SPEED_OF_LIGHT / value
-        elif key.endswith("_dbm") and key[:-4] in POWER_FIELDS:
-            name, value = key[:-4], dbm_to_watt(float(value))
-        elif key in INT_FIELDS:
-            name, value = key, _integer(key, value)
-        elif key == "grid_indexing":
-            name, value = key, str(value)
-        elif key in known:
-            # YAML 1.1 reads exponents like 1.0e6 as strings; coerce
-            name, value = key, float(value)
-        else:
-            raise ValueError(f"unknown config key: {key!r}")
+        name, value = config_field(key, value)
         if name in kwargs:
             raise ValueError(f"{name} is given twice: {key!r} spells it a second time")
         kwargs[name] = value

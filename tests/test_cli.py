@@ -156,6 +156,86 @@ class TestSweep:
         assert run_cli("sweep", "--config", small_config, "--param", "nope",
                        "--values", "1") == 2
 
+    def test_integral_float_for_integer_field(self, tmp_path):
+        # a config takes N_H: 2.0, so the sweep does; it once exited 2
+        config = os.path.join(CONFIG_DIR, "small.yaml")
+        outs = []
+        for values in ("2", "2.0"):
+            out = tmp_path / f"{values}.csv"
+            assert run_cli("sweep", "--config", config, "--param", "N_H", "--values", values,
+                           "--seeds", "0,1", "--out", str(out)) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def _rows(self, path):
+        return [l.split(",") for l in Path(path).read_text().splitlines()
+                if not l.startswith(("#", "param_value"))]
+
+    def test_dbm_param_matches_watts(self, tmp_path):
+        # 10 and 30 dBm are 0.01 and 1.0 W exactly, so only the labels differ
+        assert (scenario.dbm_to_watt(10.0), scenario.dbm_to_watt(30.0)) == (0.01, 1.0)
+        config = os.path.join(CONFIG_DIR, "default.yaml")
+        rows = {}
+        for param, values in (("rho_u_dbm", "10,30"), ("rho_u", "0.01,1.0")):
+            out = tmp_path / f"{param}.csv"
+            assert run_cli("sweep", "--config", config, "--param", param, "--values", values,
+                           "--seeds", "0,1", "--out", str(out)) == 0
+            rows[param] = self._rows(out)
+        assert [r[0] for r in rows["rho_u_dbm"]] == ["10.0", "10.0", "30.0", "30.0"]
+        assert [r[1:] for r in rows["rho_u_dbm"]] == [r[1:] for r in rows["rho_u"]]
+
+    def test_carrier_frequency_param(self, tmp_path, small_config):
+        # carrier_frequency sets the wavelength, as in a config
+        rows = {}
+        for param, value in (("carrier_frequency", "3.5e9"),
+                             ("wavelength", repr(scenario.SPEED_OF_LIGHT / 3.5e9))):
+            out = tmp_path / f"{param}.csv"
+            assert run_cli("sweep", "--config", small_config, "--param", param,
+                           "--values", value, "--seeds", "0,1", "--out", str(out)) == 0
+            rows[param] = self._rows(out)
+        assert [r[0] for r in rows["carrier_frequency"]] == ["3500000000.0"] * 2
+        assert [r[1:] for r in rows["carrier_frequency"]] == [r[1:] for r in rows["wavelength"]]
+
+    # (key, text, accepted): entries of a config and of `sweep --param key --values text`
+    CONFIG_ENTRIES = [
+        ("N_H", "3", True), ("N_H", "3.0", True), ("N_H", "3e0", True), ("N_H", "2.5", False),
+        ("N_H", "0", False), ("N_H", "x", False), ("tau_p", "20", True),
+        ("tau_p", "500", False), ("rho_u", "0.01", True), ("rho_u", "nan", False),
+        ("rho_u", "true", False), ("rho", "0", False), ("rho_u_dbm", "10", True),
+        ("sigma2_bar_dbm", "-90.5", True), ("rho_u_dbm", "inf", False),
+        ("N_H_dbm", "10", False), ("carrier_frequency", "3.5e9", True),
+        ("carrier_frequency", "0", False), ("carrier_frequency", "-1e9", False),
+        ("d_H", "0.05", True), ("xi", "1.5", False), ("Pbt", "-1e-3", False),
+        ("nope", "1", False),
+    ]
+
+    @pytest.mark.parametrize("key,text,accepted", CONFIG_ENTRIES)
+    def test_sweep_takes_what_a_config_takes(self, key, text, accepted, tmp_path, capsys):
+        try:
+            scenario.scenario_from_dict({key: text})
+            loads = True
+        except ValueError:
+            loads = False
+        assert loads == accepted
+        out = tmp_path / "out.csv"
+        code = run_cli("sweep", "--param", key, f"--values={text}", "--out", str(out))
+        err = capsys.readouterr().err.splitlines()
+        if accepted:
+            assert code == 0 and len(self._rows(out)) == 1
+        else:
+            assert code == 2 and not out.exists()
+            assert len(err) == 1 and err[0].startswith(f"error: --param {key} "), err
+
+    @pytest.mark.parametrize("value", ["row_major", "paper", "1.0"])
+    def test_grid_indexing_not_swept(self, value, tmp_path, small_config, capsys):
+        # a row is labelled by its number, and grid_indexing is a name
+        out = tmp_path / "out.csv"
+        code = run_cli("sweep", "--config", small_config, "--param", "grid_indexing",
+                       "--values", value, "--out", str(out))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2 and not out.exists()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
     def test_trained_phases_require_matching_size(self, tmp_path, train_config):
         ckpt = tmp_path / "ckpt.npz"
         out = tmp_path / "curve.csv"
@@ -280,6 +360,21 @@ class TestTrain:
         text = out.read_text()
         assert "baseline_equal_sum_se=" in text
         assert text.strip().splitlines()[-1] == "episode,cumulative_reward"
+
+    def test_zero_episodes_writes_no_checkpoint_and_says_so(self, tmp_path, train_config,
+                                                           capsys):
+        # no training ran, so there are no weights: a later `--phases trained:`
+        # on the path would fail with "cannot load checkpoint"
+        ckpt = tmp_path / "model.npz"
+        for checkpoint, stderr in (([], []), (["--checkpoint", str(ckpt)],
+                                              ["no checkpoint written: --episodes 0 "
+                                               "runs no training"])):
+            assert run_cli("train", "--config", train_config, "--episodes", "0",
+                           "--out", str(tmp_path / "curve.csv"), *checkpoint) == 0
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == stderr
+            assert captured.out.startswith("baseline equal-phase sum SE: ")
+        assert not ckpt.exists()
 
     def test_learning_curve_byte_identical(self, tmp_path, train_config):
         blobs = []

@@ -15,6 +15,7 @@ from ariscf.perf import evaluate_phases
 from ariscf.scenario import (
     Scenario,
     build_correlation_matrix,
+    config_field,
     dbm_to_watt,
     element_positions,
     large_scale_gain,
@@ -300,6 +301,16 @@ class TestScenarioConfig:
         assert sc.M == 3
         assert sc.rho == pytest.approx(0.1)
         assert sc.wavelength == pytest.approx(299792458.0 / 3e9)
+
+    def test_config_field_spellings(self):
+        assert config_field("rho_u_dbm", "10") == ("rho_u", 0.01)
+        assert config_field("carrier_frequency", 3e9) == ("wavelength", 299792458.0 / 3e9)
+        assert config_field("d_H", "1.0e-2") == ("d_H", 0.01)
+        for value in (8, 8.0, "8", " 8", "8.0", "8e0"):
+            field, n = config_field("N_H", value)
+            assert (field, n) == ("N_H", 8) and type(n) is int
+        # a digit string is read exactly, past the 2**53 a float holds
+        assert config_field("tau_c", "100000000000000000001") == ("tau_c", 10**20 + 1)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
