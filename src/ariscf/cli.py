@@ -216,8 +216,9 @@ def cmd_sweep(args) -> int:
         for seed in seeds:
             groups.setdefault((sc.geometry, seed), []).append((sc, label))
     payloads = [(points, seed, phases, args.prelog) for (_, seed), points in groups.items()]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = min(args.jobs, len(payloads))  # a pool forks all its workers at its first submit
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = [row for group in pool.map(_sweep_group, payloads) for row in group]
     else:
         rows = [row for p in payloads for row in _sweep_group(p)]

@@ -70,8 +70,7 @@ class _Block:
     y: np.ndarray        # (B, M, K) pilot projections
     p_data: np.ndarray   # (B, M) RIS noise seen per AP in the data phase
     w_data: np.ndarray   # (B, M) AP noise in the data phase
-    z: np.ndarray        # (B, K, N)
-    v_data: np.ndarray   # (B, N)
+    aris: np.ndarray     # (B,) power the surface reflects in the data phase
     pbar: np.ndarray     # (B, M, n_pilots) projected pilot-phase RIS noise
     wishart: np.ndarray  # (B, N) draws of the Wishart identity, from block chunk + 1's stream
 
@@ -93,7 +92,7 @@ def _sample_block(realization: NetworkRealization, ris_state: RisState,
                   master_seed: int, chunk: int, size: int, pool: ThreadPoolExecutor) -> _Block:
     """One block of trials, its independent substreams drawn on the two lanes of `pool`.
 
-    Every output array is allocated here and filled by exactly one lane
+    Every array drawn or contracted is allocated here and filled by one lane
     task: a draw from its own (chunk, tag) stream, or a contraction over one
     half of the block's trials, which gives each trial the bytes of a
     contraction over the whole block. The bytes therefore never depend on
@@ -125,15 +124,13 @@ def _sample_block(realization: NetworkRealization, ris_state: RisState,
                 (normal, _TAG_G, g, np.sqrt(realization.beta))])
     halves = [slice(0, size // 2), slice(size // 2, size)]
     phasor = ris_state.phasor
-    unit = bool(np.all(phasor == 1))  # equal zero phases: a product by 1+0j is exact
     pbar = np.empty((size, M, n_pilots), dtype=complex)
 
     def project_pilots(t: slice) -> None:
         # h, turned in place into conj(h) * phasor: every cascaded term is a * hp @ x.
         h, out = hp[t], pbar[t]
         np.conj(h, out=h)
-        if not unit:
-            h *= phasor
+        h *= phasor
         np.matmul(h, v_p[t].transpose(0, 2, 1), out=out)
         out *= a
 
@@ -167,19 +164,20 @@ def _sample_block(realization: NetworkRealization, ris_state: RisState,
 
     _run_lanes(pool, *([(project_data, t)] for t in halves))
     del hp
+    aris = a ** 2 * (sc.rho_u * np.sum(np.abs(z) ** 2, axis=(1, 2)) + np.sum(np.abs(v_d) ** 2, axis=1))
 
-    rt = np.sqrt(sc.rho * sc.tau_p)
-    if n_pilots == K:  # one pilot per user: the coset mask is the identity, pilot_of is arange(K)
-        # y = (pbar + w_p) / rt + q in g's spent buffer: a fresh (B, M, K) array here
-        # left the process's peak RSS 30 MB higher in some heap layouts
-        y = np.add(pbar, w_p, out=g)
-        y /= rt
-        y += q
-    else:
-        del g
-        y = q @ sc.coset_mask.T.astype(float) + (pbar + w_p)[:, :, sc.pilot_of] / rt
-    return _Block(q=q, y=y, p_data=p_data, w_data=w_data, z=z, v_data=v_d, pbar=pbar,
-                  wishart=wishart)
+    # y_k = (pbar + w_p)_p / sqrt(rho tau_p) + the q of pilot p = pilot_of[k]'s users in ascending
+    # order, summed in g's spent buffer (a fresh (B, M, K) array left the peak RSS 30 MB higher in
+    # some heap layouts). Round robin: users start + p, start in range(0, K, n_pilots), send pilot p.
+    noise = np.add(pbar, w_p, out=w_p)
+    noise /= np.sqrt(sc.rho * sc.tau_p)
+    y, sums = g, g[:, :, :n_pilots]
+    np.copyto(sums, q[:, :, :n_pilots])
+    for start in range(n_pilots, K, n_pilots):
+        sums[:, :, :K - start] += q[:, :, start:start + n_pilots]
+    sums += noise
+    y[:, :, n_pilots:] = sums[:, :, sc.pilot_of[n_pilots:]]
+    return _Block(q=q, y=y, p_data=p_data, w_data=w_data, aris=aris, pbar=pbar, wishart=wishart)
 
 
 def _wishart_sum(x: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -377,8 +375,7 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
         if K > 1:
             add("cross[mk|mk']", np.abs(q[:, 0, 0] * np.conj(q[:, 0, 1])) ** 2)
         add("alpha_an", np.abs(np.conj(blk.pbar[:, 0, sc.pilot_of[0]]) * q[:, 0, 0]) ** 2)
-        add("aris_power", ris_state.a ** 2 * (sc.rho_u * np.sum(np.abs(blk.z) ** 2, axis=(1, 2))
-                                             + np.sum(np.abs(blk.v_data) ** 2, axis=1)))
+        add("aris_power", blk.aris)
 
         qhat = est.c[None] * blk.y
         err = q - qhat

@@ -38,11 +38,12 @@ def _reflected_load(sc: Scenario, alpha_bar: np.ndarray) -> float:
 
 
 def unclamped_amplitude_gain(scenario: Scenario, alpha_bar: np.ndarray) -> float:
-    """Power-budget amplitude gain before the a_max clamp; 0 if the budget is exhausted."""
+    """Power-budget amplitude gain before the a_max clamp; 0 if the budget is exhausted, inf at zero load."""
     headroom = scenario.xi * (scenario.P_aris - scenario.N * (scenario.P_c + scenario.P_dc))
     if headroom < 0:
         return 0.0
-    return float(np.sqrt(headroom / (scenario.N * _reflected_load(scenario, alpha_bar))))
+    load = scenario.N * _reflected_load(scenario, alpha_bar)
+    return float(np.sqrt(headroom / load)) if load > 0 else float("inf")
 
 
 def amplitude_gain(scenario: Scenario, alpha_bar: np.ndarray) -> float:

@@ -154,8 +154,10 @@ def whole_plane_correlated_normal(rng, shape, F, scale):
 
 def serial_sample_block(realization, ris_state, master_seed, chunk, size):
     """`oracle._sample_block` as it was, transcribed verbatim: every substream
-    drawn in turn on one thread, whole-plane draws, and the Wishart draws
-    `verify_moment_identities` made after each block."""
+    drawn in turn on one thread, whole-plane draws, the Wishart draws
+    `verify_moment_identities` made after each block, the phasor applied
+    whatever the phases, y formed through the 0/1 coset mask for every pilot
+    plan, and the reflected power reduced from z and v_d as the suite did."""
     sc = realization.scenario
     M, K, N = sc.M, sc.K, sc.N
     a = ris_state.a
@@ -190,7 +192,8 @@ def serial_sample_block(realization, ris_state, master_seed, chunk, size):
     w_data = draw(oracle._TAG_WD, (size, M), np.sqrt(sc.sigma2))
     wishart = whole_plane_correlated_normal(stream(master_seed, chunk + 1, oracle._TAG_WISHART),
                                             (size, N), F, np.sqrt(realization.alpha[0] * area))
-    return oracle._Block(q=q, y=y, p_data=p_data, w_data=w_data, z=z, v_data=v_d, pbar=pbar,
+    aris = a ** 2 * (sc.rho_u * np.sum(np.abs(z) ** 2, axis=(1, 2)) + np.sum(np.abs(v_d) ** 2, axis=1))
+    return oracle._Block(q=q, y=y, p_data=p_data, w_data=w_data, aris=aris, pbar=pbar,
                          wishart=wishart)
 
 

@@ -18,7 +18,6 @@ from _instances import (
     cascade_instance,
     config_instance,
     count_calls,
-    draw_trials,
     fixed_correlation,
     sample_block,
 )
@@ -44,30 +43,42 @@ def _regenerate_h_g(rl, master_seed: int, chunk: int, size: int):
     return h, np.sqrt(rl.beta)[None] * g_base
 
 
+def _regenerate_z(rl, master_seed: int, chunk: int, size: int):
+    """The RIS-user channels z of one oracle block, redrawn from their own substream."""
+    sc = rl.scenario
+    z_base = complex_normal(oracle._stream(master_seed, chunk, oracle._TAG_Z), (size, sc.K, sc.N))
+    return np.sqrt(rl.alpha_bar * sc.element_area)[None, :, None] * (z_base @ rl.R_factor.T)
+
+
 class TestSampling:
     def test_zero_covariance_gives_zero(self):
-        # R = 0: the RIS-user channels z_k ~ CN(0, alphabar_k dH dV R) vanish
+        # R = 0: the RIS-user channels z_k ~ CN(0, alphabar_k dH dV R) vanish, and q is g alone
         sc, rl, phases = cascade_instance()
         rl0 = fixed_correlation(rl, np.zeros((sc.N, sc.N)))
         blk = sample_block(rl0, RisState(phases=phases, a=2.0), 0, 0, 16)
-        assert_allclose(blk.z, 0.0)
+        assert_allclose(_regenerate_z(rl0, 0, 0, 16), 0.0)
+        _, g = _regenerate_h_g(rl0, 0, 0, 16)
+        assert_allclose(blk.q, g)
 
     def test_identity_covariance_statistics(self):
         # R = I and alphabar_k dH dV = 1: every z_k is CN(0, I)
         sc, rl, phases = cascade_instance()
         rl_eye = fixed_correlation(replace(rl, alpha_bar=np.full(sc.K, 1.0 / sc.element_area)),
                                    np.eye(sc.N))
-        blk = draw_trials(rl_eye, RisState(phases=phases, a=2.0), 100_000, master_seed=1)
-        x = blk.z[:, 0]
+        x = np.concatenate([_regenerate_z(rl_eye, 1, chunk, size)[:, 0]
+                            for chunk, size in enumerate(oracle._chunk_sizes(100_000))])
         cov = x.T.conj() @ x / x.shape[0]
         assert np.linalg.norm(cov - np.eye(sc.N)) / np.linalg.norm(np.eye(sc.N)) < 0.05
 
     def test_scaled_covariance_matches_scaled_samples(self):
-        # four times the covariance at the same seed doubles every draw
+        # four times the covariance at the same seed doubles every draw of z, and so
+        # the cascaded part q - g of every aggregated channel
         sc, rl, phases = cascade_instance()
         state = RisState(phases=phases, a=2.0)
-        x1 = sample_block(rl, state, 7, 0, 100).z
-        x2 = sample_block(replace(rl, alpha_bar=4.0 * rl.alpha_bar), state, 7, 0, 100).z
+        rl4 = replace(rl, alpha_bar=4.0 * rl.alpha_bar)
+        _, g = _regenerate_h_g(rl, 7, 0, 100)
+        x1 = sample_block(rl, state, 7, 0, 100).q - g
+        x2 = sample_block(rl4, state, 7, 0, 100).q - g
         assert_allclose(2.0 * x1, x2, rtol=1e-12)
 
     def test_aggregated_channel_construction(self):
@@ -75,11 +86,12 @@ class TestSampling:
         state = RisState(phases=phases, a=1.5)
         blk = sample_block(rl, state, 0, 0, 8)
         h, g = _regenerate_h_g(rl, 0, 0, 8)
+        z = _regenerate_z(rl, 0, 0, 8)
         # elementwise: q[m,k] = g[m,k] + h_m^H Theta z_k
         theta = reflection_matrix(state.phases, state.a)
-        q00 = g[0, 0, 0] + np.conj(h[0, 0]) @ theta @ blk.z[0, 0]
+        q00 = g[0, 0, 0] + np.conj(h[0, 0]) @ theta @ z[0, 0]
         assert blk.q[0, 0, 0] == pytest.approx(q00)
-        assert_allclose(blk.q, g + np.einsum("tmn,nn,tkn->tmk", np.conj(h), theta, blk.z))
+        assert_allclose(blk.q, g + np.einsum("tmn,nn,tkn->tmk", np.conj(h), theta, z))
 
     def test_passive_off_state_reduces_to_direct(self):
         sc, rl, phases = cascade_instance(a=0.0)
@@ -110,14 +122,17 @@ class TestSampling:
         assert np.array_equal(got.view(np.float64), expected.view(np.float64))
 
     def test_correlated_draw_matches_complex_gemm(self):
-        # z through one real GEMM per plane against the complex draw times F^T
+        # z through one real GEMM per plane against the complex draw times F^T, read
+        # through the block's reflected power a^2 (rho_u |z|^2 + |v_d|^2)
         sc = Scenario(M=3, K=4, N_H=4, N_V=3, tau_p=2)
         rl = sample_layout(sc, 1)
         state = RisState(phases=np.random.default_rng(1).uniform(0, 2 * np.pi, sc.N), a=2.0)
         blk = sample_block(rl, state, 4, 2, 300)
-        base = complex_normal(oracle._stream(4, 2, oracle._TAG_Z), (300, sc.K, sc.N))
-        z = np.sqrt(rl.alpha_bar * sc.element_area)[None, :, None] * (base @ rl.R_factor.T)
-        assert_allclose(blk.z, z, rtol=1e-12)
+        z = _regenerate_z(rl, 4, 2, 300)
+        v_d = np.sqrt(sc.sigma2_bar) * complex_normal(oracle._stream(4, 2, oracle._TAG_VD), (300, sc.N))
+        aris = state.a ** 2 * (sc.rho_u * np.sum(np.abs(z) ** 2, axis=(1, 2))
+                               + np.sum(np.abs(v_d) ** 2, axis=1))
+        assert_allclose(blk.aris, aris, rtol=1e-12)
 
     def test_zero_mean_and_power(self):
         sc, rl, phases = cascade_instance()

@@ -125,6 +125,48 @@ class TestSweep:
                 outs.append(out.read_bytes())
             assert outs[0] == outs[1] == outs[2]
 
+    def test_pool_no_larger_than_the_groups(self, tmp_path, small_config, monkeypatch):
+        # a process pool forks all its workers at its first submit: --jobs 64 over two
+        # (geometry, seed) groups asks for two workers, and one group runs serially
+        made = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        outs = {}
+        for jobs, seeds in (("1", "0,1"), ("64", "0,1"), ("64", "0")):
+            out = tmp_path / f"{jobs}-{seeds}.csv"
+            assert run_cli("sweep", "--config", small_config, "--param", "rho_u",
+                           "--values", "0.01,0.1", "--seeds", seeds, "--jobs", jobs,
+                           "--out", str(out)) == 0
+            outs[jobs, seeds] = out.read_bytes()
+        assert made == [2]
+        assert outs["64", "0,1"] == outs["1", "0,1"]
+
+    def test_zero_reflected_load_runs_at_a_max(self, tmp_path):
+        # rho_u = sigma2_bar = 0: nothing is reflected, so the budget limits no gain
+        config = tmp_path / "zero_load.yaml"
+        config.write_text("M: 2\nK: 2\nN_H: 2\nN_V: 2\nradius: 100.0\ntau_p: 2\n"
+                          "rho_u: 0\nsigma2_bar: 0\na_max: 1.0e6\n")
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--config", str(config), "--param", "N_H", "--values", "2,3",
+                       "--out", str(out)) == 0
+        header, *rows = csv.reader(line for line in out.read_text().splitlines()
+                                   if not line.startswith("#"))
+        assert len(rows) == 2
+        assert {float(r[header.index("a")]) for r in rows} == {1.0e6}
+
     def test_repeated_values_and_seeds_keep_their_rows(self, tmp_path, small_config):
         # four points of one (geometry, seed) group give four equal rows
         rows = {}

@@ -304,8 +304,12 @@ def _lane_instance(case: str):
         _, rl, state = config_instance("default.yaml", 3)
         return rl, state
     if case == "equal":
-        # the instance `validate --config` runs: zero phases, whose unit phasors are not applied
+        # the instance `validate --config` runs: zero phases, each phasor exactly 1+0j
         _, rl, state = config_instance("default.yaml", 3, phases="equal")
+        return rl, state
+    if case == "train-small":
+        # a shipped config with shared pilots (K=3, tau_p=2), as `validate --config` runs it
+        _, rl, state = config_instance("train_small.yaml", 3, phases="equal")
         return rl, state
     if case == "odd-mk":
         sc = Scenario(M=3, K=5, N_H=4, N_V=3, tau_p=2)
@@ -321,13 +325,23 @@ class TestDrawLanes:
 
     @pytest.mark.parametrize("case, size", [("default", 1), ("default", 17), ("default", 1808),
                                             ("equal", 17), ("equal", 1808), ("odd-mk", 17),
-                                            ("odd-mk", 1808), ("off-state", 17)])
+                                            ("odd-mk", 1808), ("off-state", 17),
+                                            ("train-small", oracle.CHUNK_TRIALS)])
     def test_block_equals_serial_draw(self, case, size):
         rl, state = _lane_instance(case)
         blk = sample_block(rl, state, 5, 2, size)
         ref = serial_sample_block(rl, state, 5, 2, size)
         for f in fields(oracle._Block):
             assert np.array_equal(getattr(blk, f.name), getattr(ref, f.name)), f.name
+
+    def test_block_holds_no_user_ris_channels(self):
+        # the suite reads only the reflected power of z, so no (B, K, N) array leaves the block
+        rl, state = _lane_instance("odd-mk")
+        sc = rl.scenario
+        blk = sample_block(rl, state, 5, 2, 17)
+        shapes = {f.name: getattr(blk, f.name).shape for f in fields(oracle._Block)}
+        assert (17, sc.K, sc.N) not in shapes.values(), shapes
+        assert shapes["aris"] == (17,)
 
     def test_block_peak_memory(self):
         # Peak of one default.yaml block in units of its (B, M, N) complex hp.

@@ -1,5 +1,8 @@
 """Amplitude gain from the power budget, reflection matrix, power accounting."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -37,6 +40,19 @@ class TestAmplitudeGain:
         assert a == pytest.approx(0.0)
         # exactly-zero headroom also collapses to zero gain
         assert unclamped_amplitude_gain(sc, np.array([1e-6])) == 0.0
+
+    def test_zero_load_is_not_limited_by_the_budget(self):
+        # rho_u = sigma2_bar = 0: nothing is reflected, so any gain fits a headroom >= 0,
+        # exactly-zero headroom included; a negative headroom still fits none
+        sc = Scenario(M=1, K=1, N_H=1, N_V=1, P_aris=0.2, P_c=0.1, P_dc=0.1,
+                      rho_u=0.0, sigma2_bar=0.0, a_max=5.0)
+        for P_aris in (0.2, 1.0):
+            assert unclamped_amplitude_gain(replace(sc, P_aris=P_aris), np.array([1e-6])) == np.inf
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert amplitude_gain(replace(sc, P_aris=P_aris), np.array([1e-6])) == 5.0
+        with pytest.warns(BudgetExhaustedWarning):
+            assert amplitude_gain(replace(sc, P_aris=0.1), np.array([1e-6])) == 0.0
 
     def test_clamped_by_a_max(self):
         sc = scenario_with(a_max=5.0, P_aris=100.0)
