@@ -6,7 +6,6 @@ import argparse
 import csv
 import os
 import sys
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -15,7 +14,7 @@ import yaml
 
 from . import oracle
 from .perf import energy_efficiency, evaluate_phases
-from .ris import BudgetExhaustedWarning, RisState, amplitude_gain
+from .ris import RisState, amplitude_gain
 from .sac.agent import SacConfig, TrainingDiverged, save_checkpoint, load_checkpoint, train
 from .sac.env import RisEnv
 from .scenario import Scenario, config_field, load_scenario, sample_layout
@@ -74,16 +73,10 @@ def _check_seed(seed: int, flag: str = "--seed") -> None:
 
 
 def _instance(scenario: Scenario, seed: int):
-    """Layout and amplitude gain for one seed.
-
-    The gain is 0.0 exactly when the power budget is exhausted; callers read
-    that value, so the budget warning is silenced here.
-    """
+    """Layout and amplitude gain for one seed; the gain is 0.0 exactly when the
+    power budget is exhausted."""
     realization = sample_layout(scenario, seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BudgetExhaustedWarning)
-        a = amplitude_gain(scenario, realization.alpha_bar)
-    return realization, a
+    return realization, amplitude_gain(scenario, realization.alpha_bar)
 
 
 # ---------------------------------------------------------------------------

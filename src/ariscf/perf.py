@@ -154,6 +154,8 @@ def energy_efficiency(realization: NetworkRealization, sum_se_value: float, a: f
     each AP carries sum SE / M, so the traffic term totals B * sum_SE * Pbt)
     + the active-RIS draw N(P_c + P_dc) + output power / xi.
     """
+    if sum_se_value == 0:
+        return 0.0   # no bits delivered (rho_u = 0), where the total power may be 0 as well
     sc = realization.scenario
     backhaul = sc.M * sc.P0 + sc.B * sum_se_value * sc.Pbt
     p_total = sc.K * sc.zeta * sc.rho_u + backhaul + aris_power_consumption(realization, a)

@@ -2,16 +2,11 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .scenario import NetworkRealization, Scenario
-
-
-class BudgetExhaustedWarning(UserWarning):
-    """Raised when the active-RIS power budget cannot sustain any amplification."""
 
 
 @dataclass(frozen=True)
@@ -37,28 +32,18 @@ def _reflected_load(sc: Scenario, alpha_bar: np.ndarray) -> float:
     return sc.rho_u * sc.element_area * float(np.sum(alpha_bar)) + sc.sigma2_bar
 
 
-def unclamped_amplitude_gain(scenario: Scenario, alpha_bar: np.ndarray) -> float:
-    """Power-budget amplitude gain before the a_max clamp; 0 if the budget is exhausted, inf at zero load."""
+def amplitude_gain(scenario: Scenario, alpha_bar: np.ndarray) -> float:
+    """Common amplitude gain min{sqrt(budget headroom / reflected load), a_max}.
+
+    0.0 when the per-element circuit and DC power already exceed the budget, so
+    sweeps over N cross the feasibility boundary; a_max at zero reflected load."""
     headroom = scenario.xi * (scenario.P_aris - scenario.N * (scenario.P_c + scenario.P_dc))
     if headroom < 0:
         return 0.0
     load = scenario.N * _reflected_load(scenario, alpha_bar)
-    return float(np.sqrt(headroom / load)) if load > 0 else float("inf")
-
-
-def amplitude_gain(scenario: Scenario, alpha_bar: np.ndarray) -> float:
-    """Common amplitude gain min{sqrt(budget headroom / reflected load), a_max}.
-
-    Returns 0 with a BudgetExhaustedWarning when the per-element circuit and
-    DC power already exceed the budget, so sweeps over N can cross the
-    feasibility boundary instead of erroring out.
-    """
-    a = unclamped_amplitude_gain(scenario, alpha_bar)
-    if a == 0.0:
-        warnings.warn("active-RIS power budget exhausted by circuit+DC power; amplitude gain set to 0",
-                      BudgetExhaustedWarning)
-        return 0.0
-    return min(a, scenario.a_max)
+    if load == 0:
+        return scenario.a_max
+    return min(float(np.sqrt(headroom / load)), scenario.a_max)
 
 
 def aris_output_power(realization: NetworkRealization, a: float) -> float:
@@ -70,7 +55,8 @@ def aris_output_power(realization: NetworkRealization, a: float) -> float:
 def aris_power_consumption(realization: NetworkRealization, a: float) -> float:
     """Power drawn by the surface: N (P_c + P_dc) + output power / amplifier efficiency.
 
-    Equals P_aris exactly when `a` comes from the un-clamped budget branch.
+    Equals P_aris exactly when `amplitude_gain` set `a` from the budget
+    headroom, not from the a_max clamp or an exhausted budget.
     """
     sc = realization.scenario
     return sc.N * (sc.P_c + sc.P_dc) + aris_output_power(realization, a) / sc.xi

@@ -156,6 +156,8 @@ def config_field(key: str, value) -> tuple[str, object]:
 
     Keys are field names; a power may instead be given in dBm as `<field>_dbm`,
     and `carrier_frequency` (Hz) may replace `wavelength`."""
+    if not isinstance(key, str):   # YAML reads keys like 1 or true as an int or a bool
+        raise ValueError(f"unknown config key: {key!r}")
     # YAML reads true/yes/on as bools, which int() and float() would take as 1
     if isinstance(value, bool):
         raise ValueError(f"{key} must not be a boolean, got {value!r}")

@@ -4,7 +4,6 @@ the identity suite, and a call counter for package functions."""
 
 import os
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -64,9 +63,7 @@ def config_instance(name, seed, phases="random", **overrides):
     sweep point sees it."""
     sc = replace(load_scenario(os.path.join(CONFIG_DIR, name)), **overrides)
     rl = sample_layout(sc, seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        a = amplitude_gain(sc, rl.alpha_bar)
+    a = amplitude_gain(sc, rl.alpha_bar)
     if phases == "equal":
         phases = np.zeros(sc.N)
     else:

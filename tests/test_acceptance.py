@@ -6,7 +6,6 @@ most of the suite's runtime (a few minutes overall).
 """
 
 import time
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +14,7 @@ from ariscf import oracle
 from ariscf.channel import compute_stats
 from ariscf.estimation import compute_estimation_stats
 from ariscf.perf import evaluate_phases, sinr_all
-from ariscf.ris import RisState, amplitude_gain, aris_power_consumption, unclamped_amplitude_gain
+from ariscf.ris import RisState, amplitude_gain, aris_power_consumption
 from ariscf.sac.agent import SacConfig, train
 from ariscf.sac.env import RisEnv
 from ariscf.scenario import Scenario, sample_layout
@@ -127,9 +126,7 @@ def test_criterion_5_equal_phase_nmse_optimality():
     rng = np.random.default_rng(55)
     for seed in range(5):
         rl = sample_layout(sc, seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            a = amplitude_gain(sc, rl.alpha_bar)
+        a = amplitude_gain(sc, rl.alpha_bar)
         eq = compute_estimation_stats(compute_stats(rl, RisState(phases=np.zeros(sc.N), a=a))).nmse
         for _ in range(100):
             ph = rng.uniform(0, 2 * np.pi, sc.N)
@@ -152,11 +149,11 @@ def test_criterion_6_amplitude_budget_round_trip():
 
     alpha_bar = np.full(4, 1e-7)
     lam = Scenario().wavelength
-    in_n = [unclamped_amplitude_gain(Scenario(M=2, K=4, N_H=n, N_V=1, a_max=1e12), alpha_bar)
+    in_n = [amplitude_gain(Scenario(M=2, K=4, N_H=n, N_V=1, a_max=1e12), alpha_bar)
             for n in range(1, 21)]
-    in_k = [unclamped_amplitude_gain(Scenario(M=2, K=4, N_H=2, N_V=2, a_max=1e12), np.full(k, 1e-7))
+    in_k = [amplitude_gain(Scenario(M=2, K=4, N_H=2, N_V=2, a_max=1e12), np.full(k, 1e-7))
             for k in range(1, 21)]
-    in_area = [unclamped_amplitude_gain(
+    in_area = [amplitude_gain(
         Scenario(M=2, K=4, N_H=2, N_V=2, d_H=s * lam, d_V=s * lam, a_max=1e12), alpha_bar)
         for s in np.linspace(0.05, 1.2, 20)]
     mono = all(all(a1 >= a2 - 1e-15 for a1, a2 in zip(seq, seq[1:]))
@@ -177,11 +174,8 @@ def test_criterion_7_sum_se_unimodal_in_n():
         sc = Scenario(M=4, K=3, N_H=n, N_V=1, d_H=lam / 2, d_V=lam / 2, tau_p=3,
                       radius=200.0, a_max=1e4, P_aris=0.1, grid_indexing="row_major")
         rl = sample_layout(sc, 7)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            a_unc = unclamped_amplitude_gain(sc, rl.alpha_bar)
-            a = amplitude_gain(sc, rl.alpha_bar)
-        if a_unc >= sc.a_max:
+        a = amplitude_gain(sc, rl.alpha_bar)
+        if a == sc.a_max:
             switch_candidates.append(n)
         se, _ = evaluate_phases(rl, np.zeros(sc.N), a)
         ses.append(se.sum())

@@ -155,17 +155,21 @@ class TestSweep:
         assert outs["64", "0,1"] == outs["1", "0,1"]
 
     def test_zero_reflected_load_runs_at_a_max(self, tmp_path):
-        # rho_u = sigma2_bar = 0: nothing is reflected, so the budget limits no gain
-        config = tmp_path / "zero_load.yaml"
-        config.write_text("M: 2\nK: 2\nN_H: 2\nN_V: 2\nradius: 100.0\ntau_p: 2\n"
-                          "rho_u: 0\nsigma2_bar: 0\na_max: 1.0e6\n")
-        out = tmp_path / "sweep.csv"
-        assert run_cli("sweep", "--config", str(config), "--param", "N_H", "--values", "2,3",
-                       "--out", str(out)) == 0
-        header, *rows = csv.reader(line for line in out.read_text().splitlines()
-                                   if not line.startswith("#"))
-        assert len(rows) == 2
-        assert {float(r[header.index("a")]) for r in rows} == {1.0e6}
+        # rho_u = sigma2_bar = 0: nothing is reflected, so the budget limits no gain;
+        # with no circuit or backhaul power either, the total power is 0 as well,
+        # which once ended the sweep in a ZeroDivisionError
+        for extra in ("", "P0: 0\nP_c: 0\nP_dc: 0\n"):
+            config = tmp_path / "zero_load.yaml"
+            config.write_text("M: 2\nK: 2\nN_H: 2\nN_V: 2\nradius: 100.0\ntau_p: 2\n"
+                              "rho_u: 0\nsigma2_bar: 0\na_max: 1.0e6\n" + extra)
+            out = tmp_path / "sweep.csv"
+            assert run_cli("sweep", "--config", str(config), "--param", "N_H", "--values", "2,3",
+                           "--out", str(out)) == 0
+            header, *rows = csv.reader(line for line in out.read_text().splitlines()
+                                       if not line.startswith("#"))
+            assert len(rows) == 2
+            assert {float(r[header.index("a")]) for r in rows} == {1.0e6}
+            assert {float(r[header.index("ee")]) for r in rows} == {0.0}
 
     def test_repeated_values_and_seeds_keep_their_rows(self, tmp_path, small_config):
         # four points of one (geometry, seed) group give four equal rows
@@ -611,6 +615,23 @@ class TestUsageErrors:
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["1", "true"])
+    @pytest.mark.parametrize("command", [["validate", "--trials", "10"],
+                                         ["sweep", "--param", "rho", "--values", "0.1"],
+                                         ["train", "--episodes", "0"]],
+                             ids=["validate", "sweep", "train"])
+    def test_non_string_config_key_exits_usage(self, command, key, tmp_path, capsys):
+        # YAML reads these keys as an int and a bool; each once ended in an
+        # AttributeError traceback with exit 1
+        config = tmp_path / "key.yaml"
+        config.write_text(f"M: 2\n{key}: 2\n")
+        out = tmp_path / "out.csv"
+        code = run_cli(*command, "--config", str(config), "--out", str(out))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ") and "unknown config key" in err[0], err
         assert not out.exists()
 
     def test_negative_pbt_in_config_exits_usage(self, tmp_path, capsys):

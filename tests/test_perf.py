@@ -11,7 +11,7 @@ from ariscf import perf
 from ariscf.channel import compute_stats
 from ariscf.estimation import compute_estimation_stats
 from ariscf.perf import energy_efficiency, evaluate_phases, sinr_all, sinr_user
-from ariscf.ris import RisState, aris_power_consumption
+from ariscf.ris import RisState, amplitude_gain, aris_power_consumption
 from ariscf.scenario import Scenario, sample_layout
 
 from _instances import cascade_instance, config_instance, count_calls, synthetic_realization
@@ -359,6 +359,14 @@ class TestEnergyEfficiency:
         sc = Scenario(M=2, K=2, N_H=2, N_V=2)
         rl = sample_layout(sc, 0)
         assert energy_efficiency(rl, 0.0, 1.0) == 0.0
+
+    def test_zero_rate_at_zero_total_power(self):
+        # rho_u = 0 delivers no bits; with no circuit, backhaul or reflected power
+        # the total power is 0 too, which once raised ZeroDivisionError
+        sc = Scenario(M=2, K=2, N_H=2, N_V=2, rho_u=0.0, sigma2_bar=0.0, P0=0.0,
+                      P_c=0.0, P_dc=0.0)
+        rl = sample_layout(sc, 0)
+        assert energy_efficiency(rl, 0.0, amplitude_gain(sc, rl.alpha_bar)) == 0.0
 
     def test_bandwidth_linearity_without_traffic_power(self):
         sc1 = Scenario(M=2, K=2, N_H=2, N_V=2, Pbt=0.0, B=10e6)

@@ -311,6 +311,10 @@ class TestScenarioConfig:
             assert (field, n) == ("N_H", 8) and type(n) is int
         # a digit string is read exactly, past the 2**53 a float holds
         assert config_field("tau_c", "100000000000000000001") == ("tau_c", 10**20 + 1)
+        # YAML reads keys like 1 or true as an int or a bool, which name no field
+        for key in (1, True, 2.5, None):
+            with pytest.raises(ValueError, match="unknown config key"):
+                config_field(key, 2)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
