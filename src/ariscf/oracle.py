@@ -30,9 +30,9 @@ JACKKNIFE_GROUPS = 32
 
 
 def _stream(master_seed: int, chunk: int, tag: int) -> np.random.Generator:
-    """Counter-based substream for one (block, source) pair."""
+    """SFC64 substream for one (block, source) pair, seeded by its own SeedSequence."""
     seq = np.random.SeedSequence((int(master_seed), int(chunk), int(tag)))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def _chunk_sizes(n_trials: int):
@@ -341,7 +341,9 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
 
     # Wishart identity on R_0 = alpha_0 d_H d_V R with a fixed deterministic Hermitian A.
     R0 = realization.alpha[0] * sc.element_area * realization.R
-    A = complex_normal(_stream(master_seed, 0, _TAG_WISHART), (N, N))
+    # A is a fixed probe of the analytic reference, not a Monte Carlo draw: it stays on Philox.
+    seq = np.random.SeedSequence((int(master_seed), 0, _TAG_WISHART))
+    A = complex_normal(np.random.Generator(np.random.Philox(seq)), (N, N))
     A = A + np.conj(A).T
 
     # Per-group sums of every entry along a leading (G,) axis: (M, K) for the per-link
@@ -467,13 +469,14 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
 
     # SINR groups of user 0: ds = rho_u |E T_0|^2, bu = rho_u (E|T_0|^2 - |E T_0|^2),
     # ui_j = rho_u E|T_j|^2 for j != 0, an = E|qhat_0^H p|^2, no = E|qhat_0^H w|^2,
-    # and the SINR, from the entry means x.
+    # and the SINR, 0 where ds is 0, from the entry means x.
     def sinr_groups(x):
         ds = sc.rho_u * np.abs(x["T_0"]) ** 2
         bu = sc.rho_u * (x["|T_j|^2"][..., 0] - np.abs(x["T_0"]) ** 2)
         ui = sc.rho_u * x["|T_j|^2"]
         ui[..., 0] = 0.0
-        return ds, bu, ui, ds / (bu + ui.sum(axis=-1) + x["sinr_an_exact"] + x["sinr_no_exact"])
+        rest = bu + ui.sum(axis=-1) + x["sinr_an_exact"] + x["sinr_no_exact"]
+        return ds, bu, ui, np.divide(ds, rest, out=np.zeros_like(ds), where=ds > 0)
 
     ds_ana, sinr_ana, bu_ana, ui_ana, _, _ = sinr_user(stats, est, 0)
     row("sinr_ds", ds_ana, lambda x: sinr_groups(x)[0])

@@ -31,7 +31,9 @@ class SinrBreakdown:
 
     @property
     def sinr(self) -> np.ndarray:
-        return self.ds / (self.i2 + self.i3)
+        """ds / (i2 + i3), and 0 where ds is 0: no signal, no rate."""
+        ds = self.ds
+        return np.divide(ds, self.i2 + self.i3, out=np.zeros_like(ds), where=ds > 0)
 
 
 def sinr_all(stats: SecondOrderStats, est_stats: EstimationStats) -> SinrBreakdown:
@@ -81,8 +83,8 @@ def sinr_all(stats: SecondOrderStats, est_stats: EstimationStats) -> SinrBreakdo
 def sinr_user(stats: SecondOrderStats, est_stats: EstimationStats, k: int):
     """User k's SINR written for that user alone: (ds, sinr, bu, ui, an, no).
 
-    ds and sinr equal those of `sinr_all` up to round-off: here ds squares a
-    float and the eight addends add left to right from 0.0. bu, ui, an, no
+    ds and sinr (0 where ds is 0) equal those of `sinr_all` up to round-off:
+    here ds squares a float and the eight addends add left to right from 0.0. bu, ui, an, no
     regroup the denominator into the expectation groups of the derivation:
     beamforming uncertainty, the (K,) per-interferer powers (zero at k),
     active RIS noise and AP noise. Only the Monte Carlo oracle asks for them.
@@ -130,7 +132,7 @@ def sinr_user(stats: SecondOrderStats, est_stats: EstimationStats, k: int):
             common += float((c @ kappa[:, kp]) ** 2) \
                 + t2 * float(np.sum(c2 * s[:, kp] ** 2))
         ui[kp] = sc.rho_u * common
-    return ds, ds / (i2 + (an + no)), bu, ui, an, no
+    return ds, (ds / (i2 + (an + no)) if ds > 0 else 0.0), bu, ui, an, no
 
 
 def evaluate_phases(realization: NetworkRealization, phases: np.ndarray, a: float,

@@ -171,6 +171,17 @@ class TestSweep:
             assert {float(r[header.index("a")]) for r in rows} == {1.0e6}
             assert {float(r[header.index("ee")]) for r in rows} == {0.0}
 
+    def test_no_signal_gives_zero_rate(self, tmp_path):
+        # rho_u = sigma2 = sigma2_bar = 0: ds and the SINR's denominator are both 0,
+        # which once wrote nan for sum_se and ee with exit 0; no signal, no rate
+        config = tmp_path / "no_signal.yaml"
+        config.write_text("M: 2\nK: 2\nN_H: 2\nN_V: 2\nradius: 100.0\ntau_p: 2\n"
+                          "rho_u: 0\nsigma2: 0\nsigma2_bar: 0\n")
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--config", str(config), "--param", "N_H", "--values", "2",
+                       "--out", str(out)) == 0
+        assert out.read_text().splitlines()[-1] == "2,0,0.0,0.0,10.0,0.0,1"
+
     def test_repeated_values_and_seeds_keep_their_rows(self, tmp_path, small_config):
         # four points of one (geometry, seed) group give four equal rows
         rows = {}

@@ -48,6 +48,18 @@ class TestSinrBreakdown:
         assert br.sinr == 0.0
         assert br.i1 == 0.0
 
+    def test_no_signal_no_rate(self):
+        # rho_u = sigma2 = sigma2_bar = 0: ds and the whole denominator are 0, and
+        # the SINR is 0, not 0 / 0
+        sc, rl, phases = cascade_instance(tau_p=1)
+        sc0 = Scenario(M=2, K=2, N_H=2, N_V=2, tau_p=1, rho=sc.rho, rho_u=0.0,
+                       sigma2=0.0, sigma2_bar=0.0, a_max=sc.a_max)
+        stats = compute_stats(replace(rl, scenario=sc0), RisState(phases=phases, a=2.0))
+        est = compute_estimation_stats(stats)
+        ds, sinr, *_ = sinr_user(stats, est, 0)
+        assert (ds, sinr) == (0.0, 0.0)
+        assert sinr_all(stats, est).sinr.tolist() == [0.0, 0.0]
+
     def test_terms_nonnegative_and_named(self):
         sc, rl, phases = cascade_instance(tau_p=1)
         br, *_ = breakdown(rl, phases, 2.0)
