@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -17,7 +18,7 @@ from .perf import energy_efficiency, evaluate_phases
 from .ris import RisState, amplitude_gain
 from .sac.agent import SacConfig, TrainingDiverged, save_checkpoint, load_checkpoint, train
 from .sac.env import RisEnv
-from .scenario import Scenario, config_field, load_scenario, sample_layout
+from .scenario import Scenario, config_field, load_config, sample_layout, scenario_from_dict
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -29,11 +30,11 @@ class UsageError(Exception):
     pass
 
 
-def _load_or_default(config_path: str | None) -> Scenario:
-    if config_path is None:
-        return Scenario()
+def _load_config(config_path: str | None) -> tuple[dict, Scenario]:
+    """The config's entries and its Scenario; the built-in default has no entries."""
     try:
-        return load_scenario(config_path)
+        entries = {} if config_path is None else load_config(config_path)
+        return entries, scenario_from_dict(entries)
     except (OSError, ValueError, KeyError, TypeError, yaml.YAMLError) as exc:
         raise UsageError(f"cannot load config {config_path!r}: {exc}") from exc
 
@@ -92,7 +93,7 @@ def cmd_validate(args) -> int:
         realization, state = oracle.benchmark_instance()
         scenario = realization.scenario
     else:
-        scenario = _load_or_default(args.config)
+        _, scenario = _load_config(args.config)
         realization, a = _instance(scenario, args.seed)
         state = RisState(phases=np.zeros(scenario.N), a=a)
 
@@ -179,14 +180,17 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     _check_out_dir(args.out, "--out")
-    scenario = _load_or_default(args.config)
+    entries, scenario = _load_config(args.config)
     swept = []
     for text in filter(None, args.values.split(",")):
-        # the config entry `param: text`, labelled as an int or as the number given
+        # the config with the entry `param: text` in place of any entry that spells
+        # the same field, labelled as an int or as the number given
         try:
             field, value = config_field(args.param, text)
             label = str(value) if isinstance(value, int) else _fmt(text)
-            swept.append((replace(scenario, **{field: value}), label))
+            point = {k: v for k, v in entries.items() if config_field(k, v)[0] != field}
+            point[args.param] = text
+            swept.append((scenario_from_dict(point), label))
         except ValueError as exc:
             raise UsageError(f"--param {args.param} --values {text}: {exc}") from exc
     if not swept:
@@ -235,7 +239,7 @@ def cmd_train(args) -> int:
     _check_seed(args.seed)
     _check_out_dir(args.out, "--out")
     _check_out_dir(args.checkpoint, "--checkpoint")
-    scenario = _load_or_default(args.config)
+    _, scenario = _load_config(args.config)
     overrides = {}
     if args.episodes:  # 0 = baseline only: keep the default, still check the other options
         overrides["episodes"] = args.episodes
@@ -299,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV report path (stdout if omitted)")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("sweep", help="closed-form parameter sweep to CSV")
     p.add_argument("--config", help="base scenario YAML")
@@ -312,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers over the (geometry, seed) groups of sweep points")
     p.add_argument("--out", help="CSV path (stdout if omitted)")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("train", help="optimize RIS phases with SAC")
     p.add_argument("--config", help="scenario YAML")
@@ -324,19 +326,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prelog", action="store_true")
     p.add_argument("--out", help="learning-curve CSV path (stdout if omitted)")
     p.add_argument("--checkpoint", help="write weights/best-phases npz here")
-    p.set_defaults(func=cmd_train)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call in this process. It keeps no state between
+    parses, and names its commands only, so a patched `cmd_*` is the one that runs."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already; normalize
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

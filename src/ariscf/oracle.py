@@ -460,7 +460,8 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
             row(f"gamma[{m},{k}]", est.gamma[m, k], lambda x: x["gamma"][at])
             row(f"err_var[{m},{k}]", stats.kappa[m, k] - est.gamma[m, k], lambda x: x["err_var"][at])
             row(f"nmse[{m},{k}]", est.nmse[m, k], lambda x: x["err_var"][at] / x["kappa"][at])
-    unit = float(np.sqrt(est.gamma[0, 0] * (stats.kappa[0, 0] - est.gamma[0, 0])))
+    # 0 under perfect estimation (no error); then, as in `row`, the absolute value
+    unit = float(np.sqrt(est.gamma[0, 0] * (stats.kappa[0, 0] - est.gamma[0, 0]))) or 1.0
     row("orthogonality", 0.0, lambda x: np.abs(x["orthogonality"]) / unit)
     if M > 1:
         coset = np.flatnonzero(sc.coset_mask[0])

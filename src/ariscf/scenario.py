@@ -130,15 +130,20 @@ class Scenario:
 _FIELD_TYPES = {f.name: f.type for f in fields(Scenario)}
 
 
-def load_scenario(path: str) -> Scenario:
-    """Load a Scenario from a flat key-value YAML file of `config_field` entries."""
+def load_config(path: str) -> dict:
+    """The entries of a flat key-value YAML config file, not yet parsed by `config_field`."""
     with open(path) as fh:
         raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ValueError(f"config {path!r} must be a flat key-value mapping")
-    return scenario_from_dict(raw)
+    return raw
+
+
+def load_scenario(path: str) -> Scenario:
+    """Load a Scenario from a flat key-value YAML file of `config_field` entries."""
+    return scenario_from_dict(load_config(path))
 
 
 def _integer(key: str, value) -> int:

@@ -50,6 +50,15 @@ def zero_rho_config(tmp_path):
 
 
 @pytest.fixture
+def no_signal_config(tmp_path):
+    # rho_u = sigma2 = sigma2_bar = 0: no data signal and perfect estimation
+    path = tmp_path / "no_signal.yaml"
+    path.write_text("M: 2\nK: 2\nN_H: 2\nN_V: 2\nradius: 100.0\ntau_p: 2\n"
+                    "rho_u: 0\nsigma2: 0\nsigma2_bar: 0\n")
+    return str(path)
+
+
+@pytest.fixture
 def train_config(tmp_path):
     path = tmp_path / "train.yaml"
     path.write_text(
@@ -83,6 +92,16 @@ class TestValidate:
         assert rows and {(r[header.index("stderr_rel")], r[header.index("status")])
                          for r in rows} == {("inf", "underpowered")}
         assert "FAIL" not in capsys.readouterr().err
+
+    def test_perfect_estimation_orthogonality_row(self, tmp_path, no_signal_config):
+        # the row's unit sqrt(gamma (kappa - gamma)) is 0 without estimation error,
+        # which once wrote nan and a FAIL verdict
+        out = tmp_path / "report.csv"
+        assert run_cli("validate", "--config", no_signal_config, "--trials", "12288",
+                       "--seed", "0", "--out", str(out)) == 0
+        text = out.read_text()
+        assert "orthogonality,0.0,0.0,0.0,0.0,12288,0.01,pass" in text.splitlines()
+        assert "nan" not in text
 
     def test_corrupt_config_usage_error(self, tmp_path):
         bad = tmp_path / "bad.yaml"
@@ -171,14 +190,11 @@ class TestSweep:
             assert {float(r[header.index("a")]) for r in rows} == {1.0e6}
             assert {float(r[header.index("ee")]) for r in rows} == {0.0}
 
-    def test_no_signal_gives_zero_rate(self, tmp_path):
-        # rho_u = sigma2 = sigma2_bar = 0: ds and the SINR's denominator are both 0,
-        # which once wrote nan for sum_se and ee with exit 0; no signal, no rate
-        config = tmp_path / "no_signal.yaml"
-        config.write_text("M: 2\nK: 2\nN_H: 2\nN_V: 2\nradius: 100.0\ntau_p: 2\n"
-                          "rho_u: 0\nsigma2: 0\nsigma2_bar: 0\n")
+    def test_no_signal_gives_zero_rate(self, tmp_path, no_signal_config):
+        # ds and the SINR's denominator are both 0, which once wrote nan for
+        # sum_se and ee with exit 0; no signal, no rate
         out = tmp_path / "sweep.csv"
-        assert run_cli("sweep", "--config", str(config), "--param", "N_H", "--values", "2",
+        assert run_cli("sweep", "--config", no_signal_config, "--param", "N_H", "--values", "2",
                        "--out", str(out)) == 0
         assert out.read_text().splitlines()[-1] == "2,0,0.0,0.0,10.0,0.0,1"
 
@@ -252,6 +268,20 @@ class TestSweep:
             rows[param] = self._rows(out)
         assert [r[0] for r in rows["carrier_frequency"]] == ["3500000000.0"] * 2
         assert [r[1:] for r in rows["carrier_frequency"]] == [r[1:] for r in rows["wavelength"]]
+
+    @pytest.mark.parametrize("key,text", [("carrier_frequency", "3.5e9"), ("wavelength", "0.1")])
+    def test_swept_entry_matches_config_entry(self, key, text, tmp_path, small_config):
+        # the element size follows a swept wavelength as it follows one in the
+        # config; the sweep once kept the base config's d_H, d_V
+        config = tmp_path / "entry.yaml"
+        config.write_text(Path(small_config).read_text() + f"{key}: {text}\n")
+        rows = []
+        for base in (small_config, str(config)):
+            out = tmp_path / "out.csv"
+            assert run_cli("sweep", "--config", base, "--param", key, "--values", text,
+                           "--seeds", "0,1", "--out", str(out)) == 0
+            rows.append(self._rows(out))
+        assert len(rows[0]) == 2 and rows[0] == rows[1]
 
     # (key, text, accepted): entries of a config and of `sweep --param key --values text`
     CONFIG_ENTRIES = [
@@ -696,3 +726,28 @@ class TestEntryPoint:
 
     def test_usage_error_missing_subcommand_args(self):
         assert run_cli("sweep") == 2
+
+    def test_main_is_reentrant(self, small_config, capsys):
+        # a usage error and --help in between leave the process's parser as it was
+        sweep = ("sweep", "--config", small_config, "--param", "rho", "--values", "0.1,1.0")
+        outs = []
+        for argv, code in ((sweep, 0), (("sweep", "--bogus"), 2), (("--help",), 0), (sweep, 0)):
+            assert run_cli(*argv) == code
+            outs.append(capsys.readouterr().out)
+        assert "param_value,seed" in outs[0] and outs[3] == outs[0]
+
+    def test_parser_built_once_per_process(self, monkeypatch, small_config):
+        cli._parser.cache_clear()
+        built = count_calls(monkeypatch, cli, "build_parser")
+        for _ in range(3):
+            assert run_cli("sweep", "--config", small_config, "--param", "rho",
+                           "--values", "0.1", "--out", os.devnull) == 0
+        assert len(built) == 1
+
+    def test_command_looked_up_at_call_time(self, monkeypatch, small_config):
+        argv = ("sweep", "--config", small_config, "--param", "rho", "--values", "0.1",
+                "--out", os.devnull)
+        assert run_cli(*argv) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_sweep", lambda args: seen.append(args.param) or 7)
+        assert run_cli(*argv) == 7 and seen == ["rho"]
