@@ -169,13 +169,13 @@ def compute_stats(realization: NetworkRealization, ris_state: RisState) -> Secon
     area = sc.element_area
     a = ris_state.a
 
-    xi_scale = (a * a * area * area) * np.outer(realization.alpha, realization.alpha_bar)
+    xi_scale = (a * a * area * area) * (realization.alpha[:, None] * realization.alpha_bar)
     kappa = realization.beta + xi_scale * t1
 
     # E{|pbar*_{m,k} q_{m,k}|^2}: direct term beta * sigma2_bar * tr(A^2 R_m)
     # plus the Wishart term sigma2_bar * tr(Theta Rbar_k Theta^H (R_m A^2 R_m + tr(A^2 R_m) R_m)).
     tr_rm = realization.alpha * area * sc.N
-    wishart = (a ** 4) * (area ** 3) * np.outer(realization.alpha ** 2, realization.alpha_bar) * (t3 + sc.N * t1)
+    wishart = (a ** 4) * (area ** 3) * ((realization.alpha ** 2)[:, None] * realization.alpha_bar) * (t3 + sc.N * t1)
     alpha_an = sc.sigma2_bar * ((a * a) * realization.beta * tr_rm[:, None] + wishart)
 
     return SecondOrderStats(

@@ -18,7 +18,7 @@ from .perf import energy_efficiency, evaluate_phases
 from .ris import RisState, amplitude_gain
 from .sac.agent import SacConfig, TrainingDiverged, save_checkpoint, load_checkpoint, train
 from .sac.env import RisEnv
-from .scenario import Scenario, config_field, load_config, sample_layout, scenario_from_dict
+from .scenario import Scenario, config_field, config_fields, load_config, sample_layout
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -31,10 +31,10 @@ class UsageError(Exception):
 
 
 def _load_config(config_path: str | None) -> tuple[dict, Scenario]:
-    """The config's entries and its Scenario; the built-in default has no entries."""
+    """The config's {field: value} map and its Scenario; the built-in default has no entries."""
     try:
-        entries = {} if config_path is None else load_config(config_path)
-        return entries, scenario_from_dict(entries)
+        fields = {} if config_path is None else config_fields(load_config(config_path))
+        return fields, Scenario(**fields)
     except (OSError, ValueError, KeyError, TypeError, yaml.YAMLError) as exc:
         raise UsageError(f"cannot load config {config_path!r}: {exc}") from exc
 
@@ -180,17 +180,14 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     _check_out_dir(args.out, "--out")
-    entries, scenario = _load_config(args.config)
+    fields, scenario = _load_config(args.config)
     swept = []
     for text in filter(None, args.values.split(",")):
-        # the config with the entry `param: text` in place of any entry that spells
-        # the same field, labelled as an int or as the number given
+        # the config's fields, the swept one as `param: text` sets it; labelled as an int or as the number given
         try:
             field, value = config_field(args.param, text)
             label = str(value) if isinstance(value, int) else _fmt(text)
-            point = {k: v for k, v in entries.items() if config_field(k, v)[0] != field}
-            point[args.param] = text
-            swept.append((scenario_from_dict(point), label))
+            swept.append((Scenario(**{**fields, field: value}), label))
         except ValueError as exc:
             raise UsageError(f"--param {args.param} --values {text}: {exc}") from exc
     if not swept:

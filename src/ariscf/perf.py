@@ -9,7 +9,7 @@ import numpy as np
 from .channel import SecondOrderStats, compute_stats
 from .estimation import EstimationStats, compute_estimation_stats
 from .ris import RisState, aris_power_consumption
-from .scenario import NetworkRealization
+from .scenario import NetworkRealization, pilot_plan
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,7 @@ def sinr_all(stats: SecondOrderStats, est_stats: EstimationStats) -> SinrBreakdo
     rho_tau = sc.rho * sc.tau_p
     c, gamma = est_stats.c, est_stats.gamma
     c2 = c * c
-    mask = sc.coset_mask.astype(float)           # (K, K) [k, j]: j shares k's pilot
-    contam, others = mask - np.eye(len(mask)), 1.0 - np.eye(len(mask))
+    mask, contam, others = pilot_plan(sc.K, sc.tau_p)[2:]  # mask [k, j]: j shares k's pilot
     u = c.T @ s                                  # (K, K) [k, j] = sum_m c_{m,k} s_{m,j}
     kc = c.T @ kappa                             # (K, K) [k, j] = sum_m c_{m,k} kappa_{m,j}
 

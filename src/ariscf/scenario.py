@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+import math
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -80,24 +81,28 @@ class Scenario:
 
     @property
     def pilot_of(self) -> np.ndarray:
-        """(K,) pilot index per user, round-robin: user k sends pilot k mod tau_p."""
-        return np.arange(self.K) % self.tau_p
+        """(K,) pilot index per user, round-robin: user k sends pilot k mod tau_p. Read-only."""
+        return pilot_plan(self.K, self.tau_p)[0]
 
     @property
     def coset_mask(self) -> np.ndarray:
-        """(K, K) boolean, [k, j] true iff user j shares user k's pilot."""
-        pilot_of = self.pilot_of
-        return pilot_of[:, None] == pilot_of[None, :]
+        """(K, K) boolean, [k, j] true iff user j shares user k's pilot. Read-only."""
+        return pilot_plan(self.K, self.tau_p)[1]
 
     @property
     def geometry(self) -> tuple:
         """The RIS fields that R depends on, in `build_correlation_matrix`'s argument order."""
         return (self.N_H, self.N_V, self.d_H, self.d_V, self.wavelength, self.grid_indexing)
 
+    @property
+    def layout(self) -> tuple:
+        """The fields `sample_layout` draws from, in `layout_arrays`' unpacking order."""
+        return (self.M, self.K, self.radius, self.beta_exp, self.alpha1_exp, self.alpha2_exp)
+
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not np.isfinite(value):
+            if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.M < 1 or self.K < 1 or self.N_H < 1 or self.N_V < 1:
             raise ValueError("M, K, N_H, N_V must all be >= 1")
@@ -122,12 +127,25 @@ class Scenario:
 
     def config_hash(self) -> str:
         """SHA-256 of the fully resolved parameter set (stable key order)."""
-        payload = json.dumps(asdict(self), sort_keys=True)
+        payload = json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
 # Declared type per field: "int" fields take integral values, the others floats or a str.
 _FIELD_TYPES = {f.name: f.type for f in fields(Scenario)}
+
+
+@lru_cache(maxsize=8)
+def pilot_plan(K: int, tau_p: int) -> tuple[np.ndarray, ...]:
+    """Read-only (pilot_of, coset_mask, mask, mask - I, 1 - I) of K users on tau_p
+    pilots: the last three are the float row weights of `perf.sinr_all`."""
+    pilot_of = np.arange(K) % tau_p
+    coset = pilot_of[:, None] == pilot_of[None, :]
+    mask, eye = coset.astype(float), np.eye(K)
+    plan = (pilot_of, coset, mask, mask - eye, 1.0 - eye)
+    for x in plan:
+        x.flags.writeable = False
+    return plan
 
 
 def load_config(path: str) -> dict:
@@ -183,15 +201,20 @@ def config_field(key: str, value) -> tuple[str, object]:
     raise ValueError(f"unknown config key: {key!r}")
 
 
-def scenario_from_dict(raw: dict) -> Scenario:
-    """A Scenario from config entries; a field given in two spellings is an error."""
+def config_fields(raw: dict) -> dict:
+    """The {field: value} map of config entries; a field given in two spellings is an error."""
     kwargs = {}
     for key, value in raw.items():
         name, value = config_field(key, value)
         if name in kwargs:
             raise ValueError(f"{name} is given twice: {key!r} spells it a second time")
         kwargs[name] = value
-    return Scenario(**kwargs)
+    return kwargs
+
+
+def scenario_from_dict(raw: dict) -> Scenario:
+    """A Scenario from config entries, parsed by `config_fields`."""
+    return Scenario(**config_fields(raw))
 
 
 def element_positions(N_H: int, N_V: int, d_H: float, d_V: float,
@@ -286,35 +309,31 @@ class NetworkRealization:
         return psd_factor(self.R)
 
 
-def sample_layout(scenario: Scenario, rng_seed: int) -> NetworkRealization:
-    """Drop APs equispaced on the disc diameter, the RIS at one diameter
-    endpoint, and users uniformly inside the disc; derive all large-scale
-    quantities. Deterministic in `rng_seed`."""
+@lru_cache(maxsize=1)
+def layout_arrays(layout: tuple, rng_seed: int) -> tuple[np.ndarray, ...]:
+    """The read-only (ap_positions, user_positions, beta, alpha, alpha_bar) of one
+    `Scenario.layout` and seed. The last key's are kept, as `ris_correlation` keeps R."""
+    M, K, r, beta_exp, alpha1_exp, alpha2_exp = layout
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
-    r = scenario.radius
-    m_idx = np.arange(scenario.M)
-    ap_positions = np.column_stack([-r + (2 * m_idx + 1) * r / scenario.M,
-                                    np.zeros(scenario.M)])
+    ap_positions = np.column_stack([-r + (2 * np.arange(M) + 1) * r / M, np.zeros(M)])
     ris_position = np.array([r, 0.0])
-
-    u = rng.uniform(size=scenario.K)
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=scenario.K)
+    u = rng.uniform(size=K)
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=K)
     user_positions = np.column_stack([r * np.sqrt(u) * np.cos(phi),
                                       r * np.sqrt(u) * np.sin(phi)])
 
     d_mk = np.linalg.norm(ap_positions[:, None, :] - user_positions[None, :, :], axis=-1)
     d_m = np.linalg.norm(ap_positions - ris_position, axis=-1)
     d_k = np.linalg.norm(user_positions - ris_position, axis=-1)
+    arrays = (ap_positions, user_positions, large_scale_gain(d_mk, beta_exp),
+              large_scale_gain(d_m, alpha1_exp), large_scale_gain(d_k, alpha2_exp))
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
 
-    beta = large_scale_gain(d_mk, scenario.beta_exp)
-    alpha = large_scale_gain(d_m, scenario.alpha1_exp)
-    alpha_bar = large_scale_gain(d_k, scenario.alpha2_exp)
 
-    return NetworkRealization(
-        scenario=scenario,
-        ap_positions=ap_positions,
-        user_positions=user_positions,
-        beta=beta,
-        alpha=alpha,
-        alpha_bar=alpha_bar,
-    )
+def sample_layout(scenario: Scenario, rng_seed: int) -> NetworkRealization:
+    """Drop APs equispaced on the disc diameter, the RIS at one diameter
+    endpoint, and users uniformly inside the disc; derive all large-scale
+    quantities. Deterministic in `rng_seed`; the realization carries `scenario`."""
+    return NetworkRealization(scenario, *layout_arrays(scenario.layout, rng_seed))

@@ -710,6 +710,21 @@ class TestEvaluationCost:
         assert channel.phase_traces.cache_info().misses == traces
         assert len(stats_calls) == 4
 
+    @pytest.mark.parametrize("param,values,layouts", [
+        ("rho_u", "0.01,0.1,1.0", 2),   # one layout per (geometry, seed) group
+        ("M", "2,3,4", 6),              # a layout field: one per point
+    ])
+    def test_sweep_draws_layout_once_per_group(self, monkeypatch, small_config,
+                                               param, values, layouts):
+        # a layout draw computes its three gain arrays: beta, alpha and alpha_bar
+        scenario.layout_arrays.cache_clear()
+        gains = count_calls(monkeypatch, scenario, "large_scale_gain")
+        layout_calls = count_calls(monkeypatch, scenario, "sample_layout")
+        assert run_cli("sweep", "--config", small_config, "--param", param,
+                       "--values", values, "--seeds", "0,1", "--phases", "random") == 0
+        assert len(gains) == 3 * layouts
+        assert len(layout_calls) == 6
+
     def test_train_never_factors_r(self, monkeypatch, tmp_path, train_config):
         factor_calls = count_calls(monkeypatch, scenario, "psd_factor")
         assert run_cli("train", "--config", train_config, "--episodes", "1", "--steps", "5",

@@ -40,12 +40,15 @@ class TestPilotPlan:
         assert sorted(seen) == list(range(7))
 
     def test_derived_not_fields(self):
-        # neither is a field, so config_hash and the loader never see them
+        # neither is a field, so config_hash and the loader never see them; both
+        # are shared per (K, tau_p), so neither can be written
         sc = Scenario(K=4, tau_p=2)
         assert not {"pilot_of", "coset_mask"} & set(asdict(sc))
         for name in ("pilot_of", "coset_mask"):
             with pytest.raises(FrozenInstanceError):
                 setattr(sc, name, np.zeros(4))
+            with pytest.raises(ValueError):
+                getattr(sc, name)[0] = 1
         assert list(replace(sc, tau_p=4).pilot_of) == [0, 1, 2, 3]
 
 

@@ -172,6 +172,51 @@ class TestCorrelationCache:
         assert ris_correlation(rl0.scenario.geometry)[1] is ris_correlation(rl1.scenario.geometry)[1]
 
 
+class TestLayoutCache:
+    ARRAYS = ("ap_positions", "user_positions", "beta", "alpha", "alpha_bar")
+
+    @pytest.mark.parametrize("change", [{"rho_u": 1.0}, {"P_aris": 0.1}, {"sigma2": 1e-12}])
+    def test_non_layout_fields_share_the_draw(self, change):
+        sc = Scenario(M=3, K=4, N_H=2, N_V=2)
+        other = replace(sc, **change)
+        rl, rl_other = sample_layout(sc, 0), sample_layout(other, 0)
+        for name in self.ARRAYS:
+            assert getattr(rl, name) is getattr(rl_other, name)
+        assert rl.scenario is sc and rl_other.scenario is other
+
+    @pytest.mark.parametrize("change", [
+        {"M": 4}, {"K": 5}, {"radius": 300.0}, {"beta_exp": 3.5}, {"alpha1_exp": 2.0},
+        {"alpha2_exp": 2.0},
+    ])
+    def test_each_layout_field_draws_afresh(self, change):
+        sc = Scenario(M=3, K=4, N_H=2, N_V=2)
+        other = replace(sc, **change)
+        assert other.layout != sc.layout
+        rl, rl_other = sample_layout(sc, 0), sample_layout(other, 0)
+        # the cached arrays are new objects with the bytes of an uncached draw
+        fresh = scenario.layout_arrays.__wrapped__(other.layout, 0)
+        for name, x in zip(self.ARRAYS, fresh):
+            assert getattr(rl_other, name) is not getattr(rl, name)
+            assert np.array_equal(getattr(rl_other, name).view(np.uint64), x.view(np.uint64))
+
+    def test_each_seed_draws_afresh(self):
+        sc = Scenario(M=3, K=4, N_H=2, N_V=2)
+        rl0, rl1 = sample_layout(sc, 0), sample_layout(sc, 1)
+        assert rl1.user_positions is not rl0.user_positions
+        assert not np.array_equal(rl1.user_positions, rl0.user_positions)
+        assert sample_layout(sc, 0).beta is not rl0.beta   # one slot: seed 1 evicted seed 0
+        assert np.array_equal(sample_layout(sc, 0).beta, rl0.beta)
+
+    def test_arrays_are_read_only(self):
+        rl = sample_layout(Scenario(M=3, K=4, N_H=2, N_V=2), 0)
+        for name in self.ARRAYS:
+            x = getattr(rl, name)
+            with pytest.raises(ValueError):
+                x[0] = 0.0
+            with pytest.raises(ValueError):
+                x *= 2.0
+
+
 class TestLargeScaleGain:
     def test_reference_distance(self):
         assert large_scale_gain(1.0, 3.7) == pytest.approx(1e-3)
@@ -365,3 +410,10 @@ class TestScenarioConfig:
     def test_config_hash_stable(self):
         assert Scenario().config_hash() == Scenario().config_hash()
         assert Scenario().config_hash() != Scenario(M=21).config_hash()
+
+    def test_config_hash_pinned(self):
+        # the config_sha256= comment of every CSV: these hashes must not move
+        assert Scenario().config_hash() == \
+            "62363c5cb964108195c9571463b060ec432928c397e2ed111a7efa2bc23ea202"
+        assert load_scenario(os.path.join(REPO, "configs", "default.yaml")).config_hash() == \
+            "1fb0f7e7782f642108cb6270cf1da16bc631d8cbac9f8ee08702bb5b8f056b04"
