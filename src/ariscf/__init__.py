@@ -11,7 +11,7 @@ from .scenario import (
     sample_layout,
 )
 from .ris import RisState, amplitude_gain, aris_output_power
-from .channel import SecondOrderStats, compute_stats, phase_traces
+from .channel import SecondOrderStats, compute_stats, phase_traces, scale_stats
 from .estimation import EstimationStats, compute_estimation_stats
 from .perf import (
     SinrBreakdown,

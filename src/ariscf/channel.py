@@ -80,27 +80,26 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SecondOrderStats:
-    """Second-order quantities of the aggregated channels for one RIS state.
+    """Second-order quantities of the aggregated channels for one amplitude gain
+    a and one set of phase traces.
 
     Every Xi_{m,k} = a^2 Psi Rbar_k Psi^H R_m is a scalar multiple of the
     common matrix W = (P o R) R with P_{ij} = exp(j(psi_i - psi_j)), so only
     the shared traces t1 = tr(W), t2 = tr(W^2), t3 = tr((P o R) R^2) and the
-    per-link scales are stored. `phase_traces` computes the traces in real
-    arithmetic from two SYRKs, without forming W.
+    per-link scales are stored. Two stages build them: `phase_traces`, the
+    O(N^3) one, computes the traces in real arithmetic from two SYRKs without
+    forming W, and `scale_stats`, the O(MK) one, scales them by a and the
+    large-scale gains. The phases themselves are not kept.
     """
 
     realization: NetworkRealization
-    ris_state: RisState
+    a: float               # common amplitude gain
     kappa: np.ndarray      # (M, K) aggregated channel power beta + tr(Xi)
     alpha_an: np.ndarray   # (M, K) active-noise cross moment E{|pbar* q|^2}
     xi_scale: np.ndarray   # (M, K) scale s with Xi_{m,k} = s * (P o R) R
     t1: float
     t2: float
     t3: float
-
-    @property
-    def K(self) -> int:
-        return self.kappa.shape[1]
 
 
 def _weighted_gram(R: np.ndarray, R2: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -162,29 +161,26 @@ def phase_traces(geometry: tuple, phases: bytes) -> tuple[float, float, float]:
 
 def compute_stats(realization: NetworkRealization, ris_state: RisState) -> SecondOrderStats:
     """Second-order statistics for one RIS state: the `phase_traces` of its
-    geometry and phases, scaled per link by a, alpha, alpha_bar, beta and the
+    geometry and phases, scaled by `scale_stats`."""
+    traces = phase_traces(realization.scenario.geometry, ris_state.phases.tobytes())
+    return scale_stats(realization, ris_state.a, *traces)
+
+
+def scale_stats(realization: NetworkRealization, a: float, t1: float, t2: float,
+                t3: float) -> SecondOrderStats:
+    """The O(MK) stage of `compute_stats`: the traces (t1, t2, t3) of any phase
+    vector, scaled per link by the gain a, alpha, alpha_bar, beta and the
     scenario scalars."""
     sc = realization.scenario
-    t1, t2, t3 = phase_traces(sc.geometry, ris_state.phases.tobytes())
     area = sc.element_area
-    a = ris_state.a
 
     xi_scale = (a * a * area * area) * (realization.alpha[:, None] * realization.alpha_bar)
     kappa = realization.beta + xi_scale * t1
 
     # E{|pbar*_{m,k} q_{m,k}|^2}: direct term beta * sigma2_bar * tr(A^2 R_m)
     # plus the Wishart term sigma2_bar * tr(Theta Rbar_k Theta^H (R_m A^2 R_m + tr(A^2 R_m) R_m)).
-    tr_rm = realization.alpha * area * sc.N
     wishart = (a ** 4) * (area ** 3) * ((realization.alpha ** 2)[:, None] * realization.alpha_bar) * (t3 + sc.N * t1)
-    alpha_an = sc.sigma2_bar * ((a * a) * realization.beta * tr_rm[:, None] + wishart)
+    alpha_an = sc.sigma2_bar * ((a * a) * realization.beta * realization.tr_rm[:, None] + wishart)
 
-    return SecondOrderStats(
-        realization=realization,
-        ris_state=ris_state,
-        kappa=kappa,
-        alpha_an=alpha_an,
-        xi_scale=xi_scale,
-        t1=t1,
-        t2=t2,
-        t3=t3,
-    )
+    return SecondOrderStats(realization=realization, a=a, kappa=kappa, alpha_an=alpha_an,
+                            xi_scale=xi_scale, t1=t1, t2=t2, t3=t3)

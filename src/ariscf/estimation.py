@@ -21,14 +21,13 @@ class EstimationStats:
 def compute_estimation_stats(stats: SecondOrderStats) -> EstimationStats:
     """LMMSE scaling c = rho tau_p kappa / (rho tau_p sum_coset kappa + pilot noise power).
 
-    The pilot-noise power is sigma2_bar a^2 tr(R_m) + sigma2; tr(R_m) carries
-    the d_H d_V element-area factor of the covariance model.
+    The pilot-noise power is sigma2_bar a^2 tr(R_m) + sigma2, with the stats' gain a;
+    tr(R_m) carries the d_H d_V element-area factor of the covariance model. It
+    reads only what `scale_stats` built, from `phase_traces` or any other traces.
     """
-    rl = stats.realization
-    sc = rl.scenario
+    sc = stats.realization.scenario
     coset_kappa = stats.kappa @ sc.coset_mask.T  # (M, K): sum over user k's coset
-    tr_rm = rl.alpha * sc.element_area * sc.N
-    active_noise = sc.sigma2_bar * stats.ris_state.a ** 2 * tr_rm
+    active_noise = sc.sigma2_bar * stats.a ** 2 * stats.realization.tr_rm
     rho_tau = sc.rho * sc.tau_p
     c = rho_tau * stats.kappa / (rho_tau * coset_kappa + active_noise[:, None] + sc.sigma2)
     gamma = stats.kappa * c

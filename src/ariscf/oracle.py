@@ -241,14 +241,14 @@ def exact_active_noise_power(stats, est_stats: EstimationStats, k: int) -> float
     """
     rl = stats.realization
     sc = rl.scenario
-    a2 = stats.ris_state.a ** 2
+    a2 = stats.a ** 2
     area = sc.element_area
     c = est_stats.c[:, k]
     coset = np.flatnonzero(sc.coset_mask[k])
     rho_tau = sc.rho * sc.tau_p
     s2b = sc.sigma2_bar
 
-    tr_rm = rl.alpha * area * sc.N                      # (M,) tr(R_m)
+    tr_rm = rl.tr_rm                                    # (M,) tr(R_m)
     tr_r2 = float(np.sum(rl.R * rl.R))                  # tr(R^2)
     tr_rm2 = rl.alpha ** 2 * area ** 2 * tr_r2          # (M,) tr(R_m^2)
     diag = (stats.alpha_an[:, coset].sum(axis=1)

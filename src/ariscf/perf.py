@@ -94,7 +94,7 @@ def sinr_user(stats: SecondOrderStats, est_stats: EstimationStats, k: int):
     c, gamma = est_stats.c[:, k], est_stats.gamma[:, k]
     coset = np.flatnonzero(sc.coset_mask[k])
     contam = coset[coset != k]
-    others = np.flatnonzero(np.arange(stats.K) != k)
+    others = np.flatnonzero(np.arange(sc.K) != k)
     u = c @ s                                  # (K,) sum_m c_m s_{m,j}
     kappa_coset = kappa[:, coset].sum(axis=1)  # (M,) coset channel power per AP
     c2 = c * c
@@ -123,7 +123,7 @@ def sinr_user(stats: SecondOrderStats, est_stats: EstimationStats, k: int):
         + np.sum(c2 * kappa[:, k] * (kappa_coset - kappa[:, k]))
         + np.sum(c2 * pilot_noise[:, k])
     )
-    ui = np.zeros(stats.K)
+    ui = np.zeros(sc.K)
     for kp in others:
         common = t2 * u_coset * u[kp] + float(np.sum(c2 * kappa[:, kp] * kappa_coset)) \
             + float(np.sum(c2 * pilot_noise[:, kp]))

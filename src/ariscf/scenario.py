@@ -161,7 +161,7 @@ def load_config(path: str) -> dict:
 
 def load_scenario(path: str) -> Scenario:
     """Load a Scenario from a flat key-value YAML file of `config_field` entries."""
-    return scenario_from_dict(load_config(path))
+    return Scenario(**config_fields(load_config(path)))
 
 
 def _integer(key: str, value) -> int:
@@ -210,11 +210,6 @@ def config_fields(raw: dict) -> dict:
             raise ValueError(f"{name} is given twice: {key!r} spells it a second time")
         kwargs[name] = value
     return kwargs
-
-
-def scenario_from_dict(raw: dict) -> Scenario:
-    """A Scenario from config entries, parsed by `config_fields`."""
-    return Scenario(**config_fields(raw))
 
 
 def element_positions(N_H: int, N_V: int, d_H: float, d_V: float,
@@ -302,6 +297,11 @@ class NetworkRealization:
     def R(self) -> np.ndarray:
         """(N, N) base correlation matrix of the scenario's RIS geometry, shared per geometry."""
         return ris_correlation(self.scenario.geometry)[0]
+
+    @cached_property
+    def tr_rm(self) -> np.ndarray:
+        """(M,) tr(R_m) = alpha_m d_H d_V N of the AP-RIS covariances R_m = alpha_m d_H d_V R."""
+        return self.alpha * self.scenario.element_area * self.scenario.N
 
     @cached_property
     def R_factor(self) -> np.ndarray:

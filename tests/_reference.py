@@ -42,12 +42,12 @@ def R_bar_k(realization, k: int) -> np.ndarray:
     return realization.alpha_bar[k] * realization.scenario.element_area * realization.R
 
 
-def dense_xi(stats, m: int, k: int) -> np.ndarray:
-    """Dense Xi_{m,k} = a^2 Psi Rbar_k Psi^H R_m, written as s_{m,k} (P o R) R."""
+def dense_xi(stats, phasor: np.ndarray, m: int, k: int) -> np.ndarray:
+    """Dense Xi_{m,k} = a^2 Psi Rbar_k Psi^H R_m, written as s_{m,k} (P o R) R,
+    for the phasor `stats` was computed at (the statistics keep only traces)."""
     rl = stats.realization
-    phasor = stats.ris_state.phasor
     modulated = (phasor[:, None] * np.conj(phasor)[None, :]) * rl.R
-    a2 = stats.ris_state.a ** 2
+    a2 = stats.a ** 2
     scale = a2 * rl.alpha[m] * rl.alpha_bar[k] * rl.scenario.element_area ** 2
     return scale * (modulated @ rl.R)
 
@@ -66,7 +66,7 @@ def active_noise_moment_main_text(stats, m: int, k: int) -> float:
     """
     rl = stats.realization
     sc = rl.scenario
-    a = stats.ris_state.a
+    a = stats.a
     r_m = R_m(rl, m)
     tr_rm = np.trace(r_m)
     tr_rm2 = np.trace(r_m @ r_m)

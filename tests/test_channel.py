@@ -2,15 +2,15 @@
 
 import os
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from ariscf import channel, oracle
-from ariscf.channel import complex_normal, compute_stats, phase_traces
-from ariscf.ris import RisState
+from ariscf.channel import SecondOrderStats, complex_normal, compute_stats, phase_traces, scale_stats
+from ariscf.ris import RisState, amplitude_gain
 from ariscf.scenario import Scenario, sample_layout
 
 from _instances import (
@@ -147,18 +147,20 @@ class TestSampling:
 class TestSecondOrderStats:
     def test_kappa_definition(self):
         sc, rl, phases = cascade_instance()
-        stats = compute_stats(rl, RisState(phases=phases, a=2.0))
+        state = RisState(phases=phases, a=2.0)
+        stats = compute_stats(rl, state)
         assert (stats.kappa > 0).all() and (stats.alpha_an > 0).all()
         for m in range(sc.M):
             for k in range(sc.K):
-                xi = dense_xi(stats, m, k)
+                xi = dense_xi(stats, state.phasor, m, k)
                 assert stats.kappa[m, k] == pytest.approx(rl.beta[m, k] + np.trace(xi).real, rel=1e-10, abs=0)
                 assert abs(np.trace(xi).imag) < 1e-9 * abs(np.trace(xi).real)
 
     def test_dense_xi_matches_factored_traces(self):
         sc, rl, phases = cascade_instance()
-        stats = compute_stats(rl, RisState(phases=phases, a=1.3))
-        xi00, xi11 = dense_xi(stats, 0, 0), dense_xi(stats, 1, 1)
+        state = RisState(phases=phases, a=1.3)
+        stats = compute_stats(rl, state)
+        xi00, xi11 = dense_xi(stats, state.phasor, 0, 0), dense_xi(stats, state.phasor, 1, 1)
         assert tr_xi(stats, 0, 0) == pytest.approx(np.trace(xi00).real, rel=1e-10, abs=0)
         assert oracle._tr_xi_xi(stats, 0, 0, 1, 1) == pytest.approx(np.trace(xi00 @ xi11).real, rel=1e-10, abs=0)
 
@@ -347,6 +349,66 @@ class TestRealGemmTraces:
         assert peak / (16 * sc.N ** 2) <= 1.6
 
 
+def _scale_instance(case):
+    """The realization of a shipped config at seed 0, or of the oracle's built-in instance."""
+    if case == "built-in":
+        return oracle.benchmark_instance()[0]
+    return config_instance(case, 0, phases="equal")[1]
+
+
+SCALE_CASES = ["default.yaml", "train_small.yaml", "built-in"]
+
+
+class TestScaleStats:
+    # A grid of (a, t1, t3) fixed before the first run, reached by no phase vector
+    # in particular: gains from RIS-off past every a_max, t1 from 0 past N^2 at
+    # N = 64, and t3 below 0 down to where t3 + N t1 = 0. t2 enters none of
+    # kappa, alpha_an and xi_scale.
+    A_GRID = (0.0, 1e-3, 0.5, 1.0, 2.0, 4.0, 1e2, 1e4)
+    T1_GRID = (0.0, 1e-9, 1e-3, 0.5, 1.0, 3.0, 64.0, 4096.0)
+    T3_GRID = (-1e3, -1.0, -1e-6, 0.0, 1e-6, 1.0, 50.0, 1e4)
+
+    @pytest.mark.parametrize("phases", ["equal", "random"])
+    @pytest.mark.parametrize("case", SCALE_CASES)
+    def test_traces_then_scale_is_compute_stats(self, case, phases):
+        rl = _scale_instance(case)
+        sc = rl.scenario
+        psi = np.zeros(sc.N)
+        if phases == "random":
+            psi = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, sc.N)
+        assert {f.name for f in fields(SecondOrderStats)} == {
+            "realization", "a", "kappa", "alpha_an", "xi_scale", "t1", "t2", "t3"}
+        for a in (0.0, amplitude_gain(sc, rl.alpha_bar)):
+            state = RisState(phases=psi, a=a)
+            expected = _fresh_stats(rl, state)
+            got = scale_stats(rl, a, *phase_traces(sc.geometry, state.phases.tobytes()))
+            assert got.realization is expected.realization and got.a == expected.a == a
+            _assert_same_bytes(got, expected)
+
+    @pytest.mark.parametrize("case", SCALE_CASES)
+    def test_non_decreasing_in_gain_and_traces(self, case):
+        # the premise of an interval bound over traces: every scaled statistic
+        # grows with a, t1 and t3 wherever t3 + N t1, a second moment, is >= 0
+        rl = _scale_instance(case)
+        N = rl.scenario.N
+        grid = {}
+        for i, a in enumerate(self.A_GRID):
+            for j, t1 in enumerate(self.T1_GRID):
+                for l, t3 in enumerate(self.T3_GRID):
+                    if t3 + N * t1 >= 0:
+                        grid[i, j, l] = scale_stats(rl, a, t1, t1 * t1, t3)
+        pairs = 0
+        for (i, j, l), lo in grid.items():
+            for step in ((i + 1, j, l), (i, j + 1, l), (i, j, l + 1)):
+                hi = grid.get(step)
+                if hi is None:
+                    continue
+                for name in ("kappa", "alpha_an", "xi_scale"):
+                    assert (getattr(hi, name) >= getattr(lo, name)).all(), ((i, j, l), step, name)
+                pairs += 1
+        assert pairs > 2 * len(grid)
+
+
 class TestMoments:
     def test_fourth_moment_off_state_gaussian(self):
         sc, rl, phases = cascade_instance(a=0.0)
@@ -379,8 +441,9 @@ class TestMoments:
 
     def test_cyclic_trace_is_real(self):
         sc, rl, phases = cascade_instance()
-        stats = compute_stats(rl, RisState(phases=phases, a=2.0))
-        xi_a, xi_b = dense_xi(stats, 0, 1), dense_xi(stats, 1, 0)
+        state = RisState(phases=phases, a=2.0)
+        stats = compute_stats(rl, state)
+        xi_a, xi_b = dense_xi(stats, state.phasor, 0, 1), dense_xi(stats, state.phasor, 1, 0)
         tr = np.trace(xi_a @ xi_b)
         assert abs(tr.imag) <= 1e-9 * abs(tr.real)
         assert oracle.cross_moment_cyclic(stats, 0, 1, 0, 1) == pytest.approx(tr.real, rel=1e-10, abs=0)

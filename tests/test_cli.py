@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, CSV determinism."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -299,7 +300,7 @@ class TestSweep:
     @pytest.mark.parametrize("key,text,accepted", CONFIG_ENTRIES)
     def test_sweep_takes_what_a_config_takes(self, key, text, accepted, tmp_path, capsys):
         try:
-            scenario.scenario_from_dict({key: text})
+            scenario.Scenario(**scenario.config_fields({key: text}))
             loads = True
         except ValueError:
             loads = False
@@ -535,6 +536,28 @@ class TestTrain:
         assert proc.returncode == 3
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("training diverged:"), proc.stderr
+
+
+class TestPinnedCsv:
+    # SHA-256 of each CSV. perfbench compares these outputs only to rel 1e-9, so a
+    # round-off move in the closed forms or the SAC update shows here first.
+    @pytest.mark.parametrize("argv, digest", [
+        (["sweep", "--config", "default.yaml", "--param", "rho_u", "--values", "0.01,0.1,1.0",
+          "--seeds", "0,1", "--phases", "equal"],
+         "6c5e5d2fbc61bc804e7729de2c589fa39a33ad30dfe41f91e6c4fc446f49e5cf"),
+        (["sweep", "--config", "default.yaml", "--param", "rho_u", "--values", "0.01,0.1,1.0",
+          "--seeds", "0,1", "--phases", "random"],
+         "94939c3d77c844b13017a598085d3d632c9e82ada6786780c5c1bac926bd5e3e"),
+        (["train", "--config", "train_small.yaml", "--seed", "0", "--episodes", "1",
+          "--steps", "100"],
+         "6dfe5ef08fe7b5cb870fa8b12e4eb38eae2fe383d967b778bc90bd2cdab849d2"),
+    ], ids=["sweep-equal", "sweep-random", "train"])
+    def test_csv_bytes_are_pinned(self, argv, digest, tmp_path, capsys):
+        argv = [os.path.join(CONFIG_DIR, arg) if arg.endswith(".yaml") else arg for arg in argv]
+        out = tmp_path / "out.csv"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # Each command's output-path flag, with what the command needs to run.

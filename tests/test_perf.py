@@ -141,7 +141,7 @@ class TestLiteralAssembly:
         est = compute_estimation_stats(stats)
         br = user_column(sinr_all(stats, est), k)
 
-        xi = [[dense_xi(stats, m, j) for j in range(K)] for m in range(M)]
+        xi = [[dense_xi(stats, state.phasor, m, j) for j in range(K)] for m in range(M)]
         tr_xi_xi = lambda m, j, m2, j2: np.trace(xi[m][j] @ xi[m2][j2]).real
         c = est.c
         kap = stats.kappa
@@ -184,7 +184,7 @@ def eager_breakdown(stats, est_stats, k):
     them eagerly in one pass, transcribed verbatim: (i1, i2_terms, i3, sinr,
     ds, bu, ui, an, no)."""
     sc = stats.realization.scenario
-    K = stats.K
+    K = sc.K
     c = est_stats.c[:, k]
     gamma = est_stats.gamma[:, k]
     kappa = stats.kappa

@@ -16,13 +16,13 @@ from ariscf.scenario import (
     Scenario,
     build_correlation_matrix,
     config_field,
+    config_fields,
     dbm_to_watt,
     element_positions,
     large_scale_gain,
     load_scenario,
     ris_correlation,
     sample_layout,
-    scenario_from_dict,
 )
 
 from _instances import count_calls
@@ -342,7 +342,7 @@ class TestScenarioConfig:
         assert dbm_to_watt(-80.0) == pytest.approx(1e-11, rel=1e-6, abs=0)
 
     def test_from_dict_with_dbm_and_frequency(self):
-        sc = scenario_from_dict({"M": 3, "rho_dbm": 20.0, "carrier_frequency": 3e9})
+        sc = Scenario(**config_fields({"M": 3, "rho_dbm": 20.0, "carrier_frequency": 3e9}))
         assert sc.M == 3
         assert sc.rho == pytest.approx(0.1)
         assert sc.wavelength == pytest.approx(299792458.0 / 3e9)
@@ -363,7 +363,7 @@ class TestScenarioConfig:
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
-            scenario_from_dict({"bogus": 1})
+            Scenario(**config_fields({"bogus": 1}))
 
     @pytest.mark.parametrize("text,message", [
         ("N_H: 2.7\n", "N_H must be an integer, got 2.7"),
