@@ -12,7 +12,7 @@ from .scenario import (
 )
 from .ris import RisState, amplitude_gain, aris_output_power
 from .channel import SecondOrderStats, compute_stats, phase_traces, scale_stats
-from .estimation import EstimationStats, compute_estimation_stats
+from .estimation import compute_estimation_stats
 from .perf import (
     SinrBreakdown,
     energy_efficiency,

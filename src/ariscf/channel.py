@@ -7,6 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .estimation import compute_estimation_stats
 from .ris import RisState
 from .scenario import NetworkRealization, ris_correlation
 
@@ -81,7 +82,7 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 @dataclass(frozen=True)
 class SecondOrderStats:
     """Second-order quantities of the aggregated channels for one amplitude gain
-    a and one set of phase traces.
+    a and one set of phase traces, and the LMMSE statistics built from them.
 
     Every Xi_{m,k} = a^2 Psi Rbar_k Psi^H R_m is a scalar multiple of the
     common matrix W = (P o R) R with P_{ij} = exp(j(psi_i - psi_j)), so only
@@ -89,7 +90,7 @@ class SecondOrderStats:
     per-link scales are stored. Two stages build them: `phase_traces`, the
     O(N^3) one, computes the traces in real arithmetic from two SYRKs without
     forming W, and `scale_stats`, the O(MK) one, scales them by a and the
-    large-scale gains. The phases themselves are not kept.
+    large-scale gains and adds the LMMSE statistics. The phases are not kept.
     """
 
     realization: NetworkRealization
@@ -100,6 +101,9 @@ class SecondOrderStats:
     t1: float
     t2: float
     t3: float
+    c: np.ndarray          # (M, K) LMMSE scaling, in (0, 1)
+    gamma: np.ndarray      # (M, K) estimate variance kappa * c
+    nmse: np.ndarray       # (M, K) normalized MSE 1 - c
 
 
 def _weighted_gram(R: np.ndarray, R2: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -170,7 +174,7 @@ def scale_stats(realization: NetworkRealization, a: float, t1: float, t2: float,
                 t3: float) -> SecondOrderStats:
     """The O(MK) stage of `compute_stats`: the traces (t1, t2, t3) of any phase
     vector, scaled per link by the gain a, alpha, alpha_bar, beta and the
-    scenario scalars."""
+    scenario scalars, and the `compute_estimation_stats` of the result."""
     sc = realization.scenario
     area = sc.element_area
 
@@ -182,5 +186,6 @@ def scale_stats(realization: NetworkRealization, a: float, t1: float, t2: float,
     wishart = (a ** 4) * (area ** 3) * ((realization.alpha ** 2)[:, None] * realization.alpha_bar) * (t3 + sc.N * t1)
     alpha_an = sc.sigma2_bar * ((a * a) * realization.beta * realization.tr_rm[:, None] + wishart)
 
+    c, gamma, nmse = compute_estimation_stats(realization, a, kappa)
     return SecondOrderStats(realization=realization, a=a, kappa=kappa, alpha_an=alpha_an,
-                            xi_scale=xi_scale, t1=t1, t2=t2, t3=t3)
+                            xi_scale=xi_scale, t1=t1, t2=t2, t3=t3, c=c, gamma=gamma, nmse=nmse)

@@ -168,10 +168,10 @@ def _sweep_group(payload):
     rows = []
     for sc, label in points:
         realization, a = _instance(sc, seed)
-        se, est = evaluate_phases(realization, phases, a, prelog)
+        se, stats = evaluate_phases(realization, phases, a, prelog)
         se_total = float(se.sum())
         ee = energy_efficiency(realization, se_total, a)
-        rows.append([label, str(seed), _fmt(se_total), _fmt(float(est.nmse.mean())), _fmt(a),
+        rows.append([label, str(seed), _fmt(se_total), _fmt(float(stats.nmse.mean())), _fmt(a),
                      _fmt(ee), "1" if a != 0.0 else "0"])
     return rows
 

@@ -2,33 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import SecondOrderStats
+from .scenario import NetworkRealization
 
 
-@dataclass(frozen=True)
-class EstimationStats:
-    """Closed-form LMMSE quantities per (AP, user) link."""
-
-    c: np.ndarray      # (M, K) LMMSE scaling, in (0, 1)
-    gamma: np.ndarray  # (M, K) estimate variance kappa * c
-    nmse: np.ndarray   # (M, K) normalized MSE 1 - c
-
-
-def compute_estimation_stats(stats: SecondOrderStats) -> EstimationStats:
-    """LMMSE scaling c = rho tau_p kappa / (rho tau_p sum_coset kappa + pilot noise power).
-
-    The pilot-noise power is sigma2_bar a^2 tr(R_m) + sigma2, with the stats' gain a;
-    tr(R_m) carries the d_H d_V element-area factor of the covariance model. It
-    reads only what `scale_stats` built, from `phase_traces` or any other traces.
-    """
-    sc = stats.realization.scenario
-    coset_kappa = stats.kappa @ sc.coset_mask.T  # (M, K): sum over user k's coset
-    active_noise = sc.sigma2_bar * stats.a ** 2 * stats.realization.tr_rm
+def compute_estimation_stats(realization: NetworkRealization, a: float, kappa: np.ndarray):
+    """LMMSE scaling c, estimate variance gamma = kappa c and NMSE 1 - c per (AP, user) link,
+    each (M, K): c = rho tau_p kappa / (rho tau_p sum_coset kappa + pilot noise power), with
+    pilot noise power sigma2_bar a^2 tr(R_m) + sigma2 at the gain a; tr(R_m) carries the
+    d_H d_V element-area factor of the covariance model."""
+    sc = realization.scenario
+    coset_kappa = kappa @ sc.coset_mask.T  # (M, K): sum over user k's coset
+    active_noise = sc.sigma2_bar * a ** 2 * realization.tr_rm
     rho_tau = sc.rho * sc.tau_p
-    c = rho_tau * stats.kappa / (rho_tau * coset_kappa + active_noise[:, None] + sc.sigma2)
-    gamma = stats.kappa * c
-    return EstimationStats(c=c, gamma=gamma, nmse=1.0 - c)
+    c = rho_tau * kappa / (rho_tau * coset_kappa + active_noise[:, None] + sc.sigma2)
+    return c, kappa * c, 1.0 - c

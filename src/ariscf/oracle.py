@@ -9,7 +9,6 @@ from operator import itemgetter
 import numpy as np
 
 from .channel import SecondOrderStats, _fill_correlated, _fill_normal, complex_normal, compute_stats
-from .estimation import EstimationStats, compute_estimation_stats
 from .perf import sinr_user
 from .ris import RisState, aris_output_power
 from .scenario import NetworkRealization, Scenario
@@ -223,16 +222,16 @@ def cross_moment_cyclic(stats: SecondOrderStats, m: int, m2: int, k: int, k2: in
 # ---------------------------------------------------------------------------
 # exact references for the MRC noise groups
 
-def exact_ap_noise_power(stats, est_stats: EstimationStats, k: int) -> float:
+def exact_ap_noise_power(stats: SecondOrderStats, k: int) -> float:
     """E{|sum_m qhat*_{m,k} w_m|^2} = sigma2 sum_m gamma_{m,k}.
 
     Exact at any estimation quality; the closed-form noise floor replaces
     gamma by kappa, which is tight only for near-perfect estimation.
     """
-    return stats.realization.scenario.sigma2 * float(est_stats.gamma[:, k].sum())
+    return stats.realization.scenario.sigma2 * float(stats.gamma[:, k].sum())
 
 
-def exact_active_noise_power(stats, est_stats: EstimationStats, k: int) -> float:
+def exact_active_noise_power(stats: SecondOrderStats, k: int) -> float:
     """Exact E{|sum_m qhat*_{m,k} p_m|^2}.
 
     Includes the estimate shrinkage, the pilot-noise quartic, and the
@@ -243,7 +242,7 @@ def exact_active_noise_power(stats, est_stats: EstimationStats, k: int) -> float
     sc = rl.scenario
     a2 = stats.a ** 2
     area = sc.element_area
-    c = est_stats.c[:, k]
+    c = stats.c[:, k]
     coset = np.flatnonzero(sc.coset_mask[k])
     rho_tau = sc.rho * sc.tau_p
     s2b = sc.sigma2_bar
@@ -337,7 +336,6 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
     sc = realization.scenario
     M, K, N = sc.M, sc.K, sc.N
     stats = compute_stats(realization, ris_state)
-    est = compute_estimation_stats(stats)
 
     # Wishart identity on R_0 = alpha_0 d_H d_V R with a fixed deterministic Hermitian A.
     R0 = realization.alpha[0] * sc.element_area * realization.R
@@ -379,18 +377,18 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
         add("alpha_an", np.abs(np.conj(blk.pbar[:, 0, sc.pilot_of[0]]) * q[:, 0, 0]) ** 2)
         add("aris_power", blk.aris)
 
-        qhat = est.c[None] * blk.y
+        qhat = stats.c[None] * blk.y
         err = q - qhat
         add("gamma", np.abs(qhat) ** 2)
         add("err_var", np.abs(err) ** 2)
         add("orthogonality", np.conj(qhat[:, 0, 0]) * err[:, 0, 0])
         if M > 1:
-            o0 = np.conj(qhat[:, 0, 0]) * q[:, 0, 0] - est.gamma[0, 0]
-            o1 = np.conj(qhat[:, 1, 0]) * q[:, 1, 0] - est.gamma[1, 0]
+            o0 = np.conj(qhat[:, 0, 0]) * q[:, 0, 0] - stats.gamma[0, 0]
+            o1 = np.conj(qhat[:, 1, 0]) * q[:, 1, 0] - stats.gamma[1, 0]
             add("corollary1", o0 * np.conj(o1))
 
         # MRC groups of user 0: T_j = qhat_0^H q_j, and the two noise projections.
-        qh = np.conj(est.c[None, :, 0] * blk.y[:, :, 0])   # (B, M)
+        qh = np.conj(stats.c[None, :, 0] * blk.y[:, :, 0])   # (B, M)
         T = np.einsum("tm,tmj->tj", qh, q)                  # (B, K)
         add("T_0", T[:, 0])
         add("|T_j|^2", np.abs(T) ** 2)
@@ -457,15 +455,15 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
     for m in range(M):
         for k in range(K):
             at = (..., m, k)
-            row(f"gamma[{m},{k}]", est.gamma[m, k], lambda x: x["gamma"][at])
-            row(f"err_var[{m},{k}]", stats.kappa[m, k] - est.gamma[m, k], lambda x: x["err_var"][at])
-            row(f"nmse[{m},{k}]", est.nmse[m, k], lambda x: x["err_var"][at] / x["kappa"][at])
+            row(f"gamma[{m},{k}]", stats.gamma[m, k], lambda x: x["gamma"][at])
+            row(f"err_var[{m},{k}]", stats.kappa[m, k] - stats.gamma[m, k], lambda x: x["err_var"][at])
+            row(f"nmse[{m},{k}]", stats.nmse[m, k], lambda x: x["err_var"][at] / x["kappa"][at])
     # 0 under perfect estimation (no error); then, as in `row`, the absolute value
-    unit = float(np.sqrt(est.gamma[0, 0] * (stats.kappa[0, 0] - est.gamma[0, 0]))) or 1.0
+    unit = float(np.sqrt(stats.gamma[0, 0] * (stats.kappa[0, 0] - stats.gamma[0, 0]))) or 1.0
     row("orthogonality", 0.0, lambda x: np.abs(x["orthogonality"]) / unit)
     if M > 1:
         coset = np.flatnonzero(sc.coset_mask[0])
-        row("corollary1", (est.c[0, 0] * est.c[1, 0] * stats.t2
+        row("corollary1", (stats.c[0, 0] * stats.c[1, 0] * stats.t2
                            * stats.xi_scale[0, 0] * float(stats.xi_scale[1, coset].sum())))
 
     # SINR groups of user 0: ds = rho_u |E T_0|^2, bu = rho_u (E|T_0|^2 - |E T_0|^2),
@@ -479,12 +477,12 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
         rest = bu + ui.sum(axis=-1) + x["sinr_an_exact"] + x["sinr_no_exact"]
         return ds, bu, ui, np.divide(ds, rest, out=np.zeros_like(ds), where=ds > 0)
 
-    ds_ana, sinr_ana, bu_ana, ui_ana, _, _ = sinr_user(stats, est, 0)
+    ds_ana, sinr_ana, bu_ana, ui_ana, _, _ = sinr_user(stats, 0)
     row("sinr_ds", ds_ana, lambda x: sinr_groups(x)[0])
     row("sinr_bu", bu_ana, lambda x: sinr_groups(x)[1])
     for kp in range(1, K):
         row(f"sinr_ui[{kp}]", ui_ana[kp], lambda x: sinr_groups(x)[2][..., kp])
-    row("sinr_an_exact", exact_active_noise_power(stats, est, 0))
-    row("sinr_no_exact", exact_ap_noise_power(stats, est, 0))
+    row("sinr_an_exact", exact_active_noise_power(stats, 0))
+    row("sinr_no_exact", exact_ap_noise_power(stats, 0))
     row("sinr_total", sinr_ana, lambda x: sinr_groups(x)[3])
     return rows

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SecondOrderStats, compute_stats
-from .estimation import EstimationStats, compute_estimation_stats
 from .ris import RisState, aris_power_consumption
 from .scenario import NetworkRealization, pilot_plan
 
@@ -36,7 +35,7 @@ class SinrBreakdown:
         return np.divide(ds, self.i2 + self.i3, out=np.zeros_like(ds), where=ds > 0)
 
 
-def sinr_all(stats: SecondOrderStats, est_stats: EstimationStats) -> SinrBreakdown:
+def sinr_all(stats: SecondOrderStats) -> SinrBreakdown:
     """Uplink SINR terms of every user under MRC on the LMMSE estimates.
 
     All statistics are S-CSI only. The contamination addends run over the
@@ -50,7 +49,7 @@ def sinr_all(stats: SecondOrderStats, est_stats: EstimationStats) -> SinrBreakdo
     sc = stats.realization.scenario
     s, kappa, alpha_an, t2 = stats.xi_scale, stats.kappa, stats.alpha_an, stats.t2
     rho_tau = sc.rho * sc.tau_p
-    c, gamma = est_stats.c, est_stats.gamma
+    c, gamma = stats.c, stats.gamma
     c2 = c * c
     mask, contam, others = pilot_plan(sc.K, sc.tau_p)[2:]  # mask [k, j]: j shares k's pilot
     u = c.T @ s                                  # (K, K) [k, j] = sum_m c_{m,k} s_{m,j}
@@ -79,7 +78,7 @@ def sinr_all(stats: SecondOrderStats, est_stats: EstimationStats) -> SinrBreakdo
                          i3=alpha_an.sum(axis=0) + sc.sigma2 * kappa.sum(axis=0))
 
 
-def sinr_user(stats: SecondOrderStats, est_stats: EstimationStats, k: int):
+def sinr_user(stats: SecondOrderStats, k: int):
     """User k's SINR written for that user alone: (ds, sinr, bu, ui, an, no).
 
     ds and sinr (0 where ds is 0) equal those of `sinr_all` up to round-off:
@@ -91,7 +90,7 @@ def sinr_user(stats: SecondOrderStats, est_stats: EstimationStats, k: int):
     sc = stats.realization.scenario
     kappa, s, t2 = stats.kappa, stats.xi_scale, stats.t2
     rho_tau = sc.rho * sc.tau_p
-    c, gamma = est_stats.c[:, k], est_stats.gamma[:, k]
+    c, gamma = stats.c[:, k], stats.gamma[:, k]
     coset = np.flatnonzero(sc.coset_mask[k])
     contam = coset[coset != k]
     others = np.flatnonzero(np.arange(sc.K) != k)
@@ -136,16 +135,15 @@ def sinr_user(stats: SecondOrderStats, est_stats: EstimationStats, k: int):
 
 def evaluate_phases(realization: NetworkRealization, phases: np.ndarray, a: float,
                     prelog: bool = False):
-    """Closed-form per-user SE (K,) and the LMMSE statistics for one RIS phase vector.
+    """Closed-form per-user SE (K,) and the statistics behind it for one RIS phase vector.
 
     SE_k = log2(1 + SINR_k), times the (1 - tau_p/tau_c) prelog when `prelog`.
     """
     stats = compute_stats(realization, RisState(phases=phases, a=a))
-    est = compute_estimation_stats(stats)
-    se = np.log2(1.0 + sinr_all(stats, est).sinr)
+    se = np.log2(1.0 + sinr_all(stats).sinr)
     if prelog:
         se *= 1.0 - realization.scenario.tau_p / realization.scenario.tau_c
-    return se, est
+    return se, stats
 
 
 def energy_efficiency(realization: NetworkRealization, sum_se_value: float, a: float) -> float:

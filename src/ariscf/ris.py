@@ -18,8 +18,8 @@ class RisState:
 
     def __post_init__(self):
         object.__setattr__(self, "phases", np.mod(np.asarray(self.phases, dtype=float), 2.0 * np.pi))
-        if self.a < 0:
-            raise ValueError("amplitude gain must be >= 0")
+        if not (np.isfinite(self.a) and self.a >= 0):   # nan < 0 is false
+            raise ValueError(f"amplitude gain must be finite and >= 0, got {self.a!r}")
 
     @property
     def phasor(self) -> np.ndarray:

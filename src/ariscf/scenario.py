@@ -148,10 +148,22 @@ def pilot_plan(K: int, tau_p: int) -> tuple[np.ndarray, ...]:
     return plan
 
 
+@lru_cache(maxsize=2)
+def _unique_key_loader(base: type) -> type:
+    """The PyYAML loader class `base` (libyaml's when PyYAML has it), refusing a key given twice."""
+    def construct_mapping(self, node, deep=False):
+        mapping = base.construct_mapping(self, node, deep)
+        if len(mapping) < len(node.value):
+            keys = [self.construct_object(key) for key, _ in node.value]
+            raise ValueError(f"{next(k for i, k in enumerate(keys) if k in keys[:i])} is given twice")
+        return mapping
+    return type(base.__name__, (base,), {"construct_mapping": construct_mapping})
+
+
 def load_config(path: str) -> dict:
-    """The entries of a flat key-value YAML config file, not yet parsed by `config_field`."""
+    """The entries of a flat key-value YAML config file, each key once, not yet parsed by `config_field`."""
     with open(path) as fh:
-        raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        raw = yaml.load(fh, Loader=_unique_key_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)))
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

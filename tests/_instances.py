@@ -11,7 +11,6 @@ import numpy as np
 
 from ariscf import oracle
 from ariscf.channel import compute_stats
-from ariscf.estimation import compute_estimation_stats
 from ariscf.ris import RisState, amplitude_gain
 from ariscf.scenario import NetworkRealization, Scenario, load_scenario, sample_layout
 
@@ -110,8 +109,7 @@ def empirical_sinr(realization: NetworkRealization, ris_state, n_trials: int,
     for j != 0, an = E|qhat_0^H p|^2 and no = E|qhat_0^H w|^2.
     """
     sc = realization.scenario
-    est = compute_estimation_stats(compute_stats(realization, ris_state))
-    c0 = est.c[:, 0]
+    c0 = compute_stats(realization, ris_state).c[:, 0]
     G = min(oracle.JACKKNIFE_GROUPS, n_trials)
     bounds = [g * n_trials // G for g in range(G + 1)]
     sums = {}

@@ -1,8 +1,9 @@
 """Dense, test-only transcriptions of quantities the package keeps in
 factored form: the reflection matrix, the per-AP and per-user RIS
 covariances, the Xi_{m,k} matrices and the main-text active-noise moment; the
-second-order statistics as computed before the real-GEMM traces, and the
-phase traces as computed before the SYRK kernel; the oracle's block draws as
+second-order statistics as computed before the real-GEMM traces, the
+phase traces as computed before the SYRK kernel and the LMMSE statistics as
+a record of their own; the oracle's block draws as
 made before they were split across two threads; and the SAC update with
 unstacked twin critics, the reference for the stacked one."""
 
@@ -123,6 +124,21 @@ def real_gemm_traces(realization, ris_state):
     t1 = _real_trace(np.trace(W))
     t2 = _real_trace(np.sum(W * W.T))
     return t1, t2, t3
+
+
+# ---------------- the LMMSE statistics as a record of their own ----------------
+
+def separate_estimation_stats(stats):
+    """(c, gamma, nmse) as `compute_estimation_stats(stats)` once built them
+    from a `SecondOrderStats`, before `scale_stats` held them, transcribed
+    verbatim."""
+    sc = stats.realization.scenario
+    coset_kappa = stats.kappa @ sc.coset_mask.T  # (M, K): sum over user k's coset
+    active_noise = sc.sigma2_bar * stats.a ** 2 * stats.realization.tr_rm
+    rho_tau = sc.rho * sc.tau_p
+    c = rho_tau * stats.kappa / (rho_tau * coset_kappa + active_noise[:, None] + sc.sigma2)
+    gamma = stats.kappa * c
+    return c, gamma, 1.0 - c
 
 
 # ---------------- the oracle's block draws before the two draw lanes ----------------

@@ -12,7 +12,6 @@ import numpy as np
 
 from ariscf import oracle
 from ariscf.channel import compute_stats
-from ariscf.estimation import compute_estimation_stats
 from ariscf.perf import evaluate_phases, sinr_all
 from ariscf.ris import RisState, amplitude_gain, aris_power_consumption
 from ariscf.sac.agent import SacConfig, train
@@ -87,8 +86,7 @@ def test_criterion_3_sinr_oracle_equivalence():
     for label, (sc, rl, phases), a in configs:
         state = RisState(phases=phases, a=a)
         stats = compute_stats(rl, state)
-        est = compute_estimation_stats(stats)
-        closed = sinr_all(stats, est).sinr[0]
+        closed = sinr_all(stats).sinr[0]
         emp = empirical_sinr(rl, state, 1_000_000, master_seed=31).sinr
         rel = abs(emp - closed) / closed
         details.append(f"{label}:{rel:.4f}")
@@ -108,7 +106,7 @@ def test_criterion_4_pilot_contamination_floor():
         sc2 = Scenario(M=2, K=2, N_H=2, N_V=2, tau_p=1, rho=float(rho), rho_u=sc.rho_u,
                        sigma2=sc.sigma2, sigma2_bar=sc.sigma2_bar, a_max=sc.a_max)
         stats = compute_stats(replace(rl, scenario=sc2), state)
-        nmse.append(compute_estimation_stats(stats).nmse[0, 0])
+        nmse.append(stats.nmse[0, 0])
     floor = 1.0 - stats.kappa[0, 0] / stats.kappa[0, :].sum()
     decreasing = all(a > b for a, b in zip(nmse, nmse[1:]))
     plateaued = abs(nmse[-1] - nmse[-2]) < 1e-3 * nmse[-1]
@@ -127,10 +125,10 @@ def test_criterion_5_equal_phase_nmse_optimality():
     for seed in range(5):
         rl = sample_layout(sc, seed)
         a = amplitude_gain(sc, rl.alpha_bar)
-        eq = compute_estimation_stats(compute_stats(rl, RisState(phases=np.zeros(sc.N), a=a))).nmse
+        eq = compute_stats(rl, RisState(phases=np.zeros(sc.N), a=a)).nmse
         for _ in range(100):
             ph = rng.uniform(0, 2 * np.pi, sc.N)
-            rand = compute_estimation_stats(compute_stats(rl, RisState(phases=ph, a=a))).nmse
+            rand = compute_stats(rl, RisState(phases=ph, a=a)).nmse
             violations += int(np.any(eq > rand + 1e-12))
     ok = report(5, "equal-phase NMSE optimality", violations == 0,
                 f"violations={violations}/500")

@@ -229,7 +229,7 @@ def _fresh_stats(rl, state):
 
 def _assert_same_bytes(got, expected):
     assert (got.t1, got.t2, got.t3) == (expected.t1, expected.t2, expected.t3)
-    for name in ("kappa", "alpha_an", "xi_scale"):
+    for name in ("kappa", "alpha_an", "xi_scale", "c", "gamma", "nmse"):
         assert np.array_equal(getattr(got, name), getattr(expected, name)), name
 
 
@@ -377,7 +377,8 @@ class TestScaleStats:
         if phases == "random":
             psi = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, sc.N)
         assert {f.name for f in fields(SecondOrderStats)} == {
-            "realization", "a", "kappa", "alpha_an", "xi_scale", "t1", "t2", "t3"}
+            "realization", "a", "kappa", "alpha_an", "xi_scale", "t1", "t2", "t3",
+            "c", "gamma", "nmse"}
         for a in (0.0, amplitude_gain(sc, rl.alpha_bar)):
             state = RisState(phases=psi, a=a)
             expected = _fresh_stats(rl, state)

@@ -1,5 +1,6 @@
 """Pilot assignment and LMMSE closed forms."""
 
+import os
 from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
@@ -8,11 +9,18 @@ from numpy.testing import assert_allclose
 
 from ariscf.channel import compute_stats
 from ariscf import oracle
-from ariscf.estimation import compute_estimation_stats
-from ariscf.ris import RisState
+from ariscf.ris import RisState, amplitude_gain
 from ariscf.scenario import Scenario
 
-from _instances import cascade_instance, draw_trials, sample_block, synthetic_realization
+from _instances import (
+    CONFIG_DIR,
+    cascade_instance,
+    config_instance,
+    draw_trials,
+    sample_block,
+    synthetic_realization,
+)
+from _reference import separate_estimation_stats
 
 
 def coset(sc: Scenario, k: int) -> np.ndarray:
@@ -60,9 +68,8 @@ class TestLmmseCoefficient:
         rl = synthetic_realization(sc, beta=np.array([[1e-8]]),
                                    alpha=np.array([1e-9]), alpha_bar=np.array([1e-9]))
         stats = compute_stats(rl, RisState(phases=np.zeros(1), a=0.0))
-        est = compute_estimation_stats(stats)
-        assert est.c[0, 0] == pytest.approx(0.5, rel=1e-12)
-        assert est.nmse[0, 0] == pytest.approx(0.5)
+        assert stats.c[0, 0] == pytest.approx(0.5, rel=1e-12)
+        assert stats.nmse[0, 0] == pytest.approx(0.5)
 
     def test_high_power_limits(self):
         sc, rl, phases = cascade_instance(tau_p=1)
@@ -72,23 +79,21 @@ class TestLmmseCoefficient:
                 "M", "K", "N_H", "N_V", "tau_p", "rho_u", "sigma2", "sigma2_bar", "a_max")},
                 "rho": rho})
             stats = compute_stats(replace(rl, scenario=sc2), state)
-            est = compute_estimation_stats(stats)
             floor = stats.kappa[0, 0] / stats.kappa[0, :].sum()
-            assert est.c[0, 0] < floor
+            assert stats.c[0, 0] < floor
         # contaminated c approaches kappa_k / sum(coset kappa) from below
-        assert est.c[0, 0] == pytest.approx(floor, rel=1e-3)
+        assert stats.c[0, 0] == pytest.approx(floor, rel=1e-3)
         # singleton coset approaches 1 (two pilots: rho tau_p doubles)
         rl1 = replace(rl, scenario=replace(sc2, tau_p=2))
-        est1 = compute_estimation_stats(compute_stats(rl1, state))
-        assert est1.c[0, 0] == pytest.approx(1.0, rel=1e-3)
-        assert est1.nmse[0, 0] < 1e-3
+        stats1 = compute_stats(rl1, state)
+        assert stats1.c[0, 0] == pytest.approx(1.0, rel=1e-3)
+        assert stats1.nmse[0, 0] < 1e-3
 
     def test_independent_transcription(self):
         # c = E{y* q} / E{|y|^2} transcribed from scratch with plain python
         sc, rl, phases = cascade_instance(tau_p=1)
         state = RisState(phases=phases, a=2.0)
         stats = compute_stats(rl, state)
-        est = compute_estimation_stats(stats)
         m, k = 0, 0
         area = sc.d_H * sc.d_V
         t1 = 0.0
@@ -100,17 +105,16 @@ class TestLmmseCoefficient:
         rt = sc.rho * sc.tau_p
         pilot_noise = sc.sigma2_bar * 4.0 * rl.alpha[m] * area * sc.N + sc.sigma2
         c_expected = rt * kap[k] / (rt * (kap[0] + kap[1]) + pilot_noise)
-        assert est.c[m, k] == pytest.approx(c_expected, rel=1e-10)
+        assert stats.c[m, k] == pytest.approx(c_expected, rel=1e-10)
 
     def test_invariant_ranges_and_decomposition(self):
         sc, rl, phases = cascade_instance(tau_p=1)
         stats = compute_stats(rl, RisState(phases=phases, a=2.0))
-        est = compute_estimation_stats(stats)
-        assert ((est.c > 0) & (est.c < 1)).all()
-        assert_allclose(est.gamma, stats.kappa * est.c, rtol=1e-12)
-        assert_allclose(est.nmse, 1.0 - est.c, rtol=1e-12)
+        assert ((stats.c > 0) & (stats.c < 1)).all()
+        assert_allclose(stats.gamma, stats.kappa * stats.c, rtol=1e-12)
+        assert_allclose(stats.nmse, 1.0 - stats.c, rtol=1e-12)
         # kappa = gamma + error variance, exactly in closed form
-        assert_allclose(stats.kappa, est.gamma + (stats.kappa - est.gamma), rtol=1e-15)
+        assert_allclose(stats.kappa, stats.gamma + (stats.kappa - stats.gamma), rtol=1e-15)
 
     def test_nmse_decreasing_in_rho_with_floor(self):
         sc, rl, phases = cascade_instance(tau_p=1)
@@ -122,7 +126,7 @@ class TestLmmseCoefficient:
                            rho_u=sc.rho_u, sigma2=sc.sigma2, sigma2_bar=sc.sigma2_bar,
                            a_max=sc.a_max)
             stats = compute_stats(replace(rl, scenario=sc2), state)
-            vals.append(compute_estimation_stats(stats).nmse[0, 0])
+            vals.append(stats.nmse[0, 0])
         assert all(v1 > v2 for v1, v2 in zip(vals, vals[1:]))
         floor = 1.0 - stats.kappa[0, 0] / stats.kappa[0, :].sum()
         assert vals[-1] == pytest.approx(floor, rel=1e-4)
@@ -130,9 +134,9 @@ class TestLmmseCoefficient:
 
     def test_nmse_phase_rotation_invariant(self):
         sc, rl, phases = cascade_instance(tau_p=1)
-        e1 = compute_estimation_stats(compute_stats(rl, RisState(phases=phases, a=2.0)))
-        e2 = compute_estimation_stats(compute_stats(rl, RisState(phases=phases + 0.77, a=2.0)))
-        assert_allclose(e1.nmse, e2.nmse, rtol=1e-12)
+        s1 = compute_stats(rl, RisState(phases=phases, a=2.0))
+        s2 = compute_stats(rl, RisState(phases=phases + 0.77, a=2.0))
+        assert_allclose(s1.nmse, s2.nmse, rtol=1e-12)
 
 
 class TestEstimateChannels:
@@ -143,28 +147,52 @@ class TestEstimateChannels:
         sc, rl, _ = cascade_instance(tau_p=2, rho=1e4)
         state = RisState(phases=np.zeros(sc.N), a=2.0)
         stats = compute_stats(rl, state)
-        est = compute_estimation_stats(stats)
         blk = sample_block(rl, state, 0, 0, 1)
-        q, q_hat = blk.q[0], est.c * blk.y[0]
+        q, q_hat = blk.q[0], stats.c * blk.y[0]
         assert np.abs(q - q_hat).max() / np.abs(q).min() < 1e-2
         # the identity suite's estimates are the same c * y
         rows = {r.name: r.empirical for r in oracle.verify_moment_identities(
             rl, state, oracle.CHUNK_TRIALS, master_seed=0)}
         y = sample_block(rl, state, 0, 0, oracle.CHUNK_TRIALS).y
         gamma_rows = [[rows[f"gamma[{m},{k}]"] for k in range(sc.K)] for m in range(sc.M)]
-        assert_allclose(gamma_rows, np.mean(np.abs(est.c * y) ** 2, axis=0), rtol=1e-12)
+        assert_allclose(gamma_rows, np.mean(np.abs(stats.c * y) ** 2, axis=0), rtol=1e-12)
 
     def test_estimate_statistics_match(self):
         sc, rl, phases = cascade_instance(tau_p=1)
         state = RisState(phases=phases, a=2.0)
         stats = compute_stats(rl, state)
-        est = compute_estimation_stats(stats)
         n = 6000
         blk = draw_trials(rl, state, n, master_seed=4)
-        qh = est.c * blk.y
+        qh = stats.c * blk.y
         ee = blk.q - qh
-        assert_allclose(np.mean(np.abs(qh) ** 2, axis=0), est.gamma, rtol=0.08)
-        assert_allclose(np.mean(np.abs(ee) ** 2, axis=0), stats.kappa - est.gamma, rtol=0.08)
+        assert_allclose(np.mean(np.abs(qh) ** 2, axis=0), stats.gamma, rtol=0.08)
+        assert_allclose(np.mean(np.abs(ee) ** 2, axis=0), stats.kappa - stats.gamma, rtol=0.08)
         corr = np.abs(np.mean(np.conj(qh[:, 0, 0]) * ee[:, 0, 0]))
         corr /= np.sqrt(np.mean(np.abs(qh[:, 0, 0]) ** 2) * np.mean(np.abs(ee[:, 0, 0]) ** 2))
         assert corr < 4 / np.sqrt(n)
+
+
+def _one_record_instance(name):
+    """(realization, budget gain) of one instance the one-record check runs on."""
+    if name == "built-in":
+        rl, _ = oracle.benchmark_instance()
+    elif name == "cascade-tau1":
+        _, rl, _ = cascade_instance(tau_p=1)
+    else:
+        _, rl, _ = config_instance(name, 0)
+    return rl, amplitude_gain(rl.scenario, rl.alpha_bar)
+
+
+class TestOneRecord:
+    """`compute_stats` holds the LMMSE statistics the separate record once held."""
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)) + ["built-in", "cascade-tau1"])
+    def test_bytes_match_separate_record(self, name):
+        rl, budget = _one_record_instance(name)
+        N = rl.scenario.N
+        for phases in (np.zeros(N), np.random.default_rng(0).uniform(0, 2 * np.pi, N)):
+            for a in (0.0, budget):
+                stats = compute_stats(rl, RisState(phases=phases, a=a))
+                for got, ref in zip((stats.c, stats.gamma, stats.nmse),
+                                    separate_estimation_stats(stats)):
+                    assert np.array_equal(got, ref), (name, a)

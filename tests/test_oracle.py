@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose
 
 from ariscf import oracle
 from ariscf.channel import complex_normal, compute_stats
-from ariscf.estimation import compute_estimation_stats
 from ariscf.perf import sinr_all, sinr_user
 from ariscf.ris import RisState
 from ariscf.scenario import Scenario, sample_layout
@@ -38,9 +37,9 @@ ORACLE_COVERAGE = {
     "oracle.cross_moment_cyclic": "cyclic",
     "channel.SecondOrderStats.alpha_an": "alpha_an",
     "ris.aris_output_power": "aris_power",
-    "estimation.EstimationStats.c": "nmse",
-    "estimation.EstimationStats.gamma": "gamma",
-    "estimation.EstimationStats.nmse": "nmse",
+    "channel.SecondOrderStats.c": "nmse",
+    "channel.SecondOrderStats.gamma": "gamma",
+    "channel.SecondOrderStats.nmse": "nmse",
     "perf.sinr_user.ds": "sinr_ds",
     "perf.sinr_user.bu": "sinr_bu",
     "perf.sinr_user.ui": "sinr_ui",
@@ -94,10 +93,9 @@ class TestLiteralPhases:
         sc, rl, phases = cascade_instance(tau_p=1)
         state = RisState(phases=phases, a=2.0)
         stats = compute_stats(rl, state)
-        est = compute_estimation_stats(stats)
         y = draw_trials(rl, state, 40_000, master_seed=6).y
         power = np.mean(np.abs(y) ** 2, axis=0)
-        expected = stats.kappa / est.c  # kappa_mk / c_mk = denominator / (rho tau_p)
+        expected = stats.kappa / stats.c  # kappa_mk / c_mk = denominator / (rho tau_p)
         assert_allclose(power, expected, rtol=0.02)
 
     def test_data_phase_power_budget(self):
@@ -128,8 +126,7 @@ class TestEmpiricalSinr:
         sc, rl, phases = cascade_instance(tau_p=1)
         state = RisState(phases=phases, a=2.0)
         stats = compute_stats(rl, state)
-        est = compute_estimation_stats(stats)
-        br = sinr_all(stats, est)
+        br = sinr_all(stats)
         r = empirical_sinr(rl, state, 150_000, master_seed=1)
         assert r.sinr == pytest.approx(br.sinr[0], rel=0.05)
         assert r.ds == pytest.approx(br.ds[0], rel=0.03, abs=0)
@@ -265,9 +262,8 @@ class TestIdentitySuite:
                                    alpha_bar=np.array([4e-4, 3e-4]) / sc.element_area)
         state = RisState(phases=np.full(sc.N, 0.4), a=2.0)
         stats = compute_stats(rl, state)
-        est = compute_estimation_stats(stats)
-        assert est.c.min() > 0.99  # validity regime
-        ds, _, bu, ui, an, no = sinr_user(stats, est, 0)
+        assert stats.c.min() > 0.99  # validity regime
+        ds, _, bu, ui, an, no = sinr_user(stats, 0)
         r = empirical_sinr(rl, state, 400_000, master_seed=11)
         assert r.ds == pytest.approx(ds, rel=0.05, abs=0)
         assert r.bu == pytest.approx(bu, rel=0.05, abs=0)
@@ -280,11 +276,10 @@ class TestIdentitySuite:
         sc, rl, phases = cascade_instance(tau_p=1)
         state = RisState(phases=phases, a=2.0)
         stats = compute_stats(rl, state)
-        est = compute_estimation_stats(stats)
-        assert est.c.max() < 0.9
+        assert stats.c.max() < 0.9
         r = empirical_sinr(rl, state, 300_000, master_seed=12)
-        assert r.no == pytest.approx(oracle.exact_ap_noise_power(stats, est, 0), rel=0.03, abs=0)
-        assert r.an == pytest.approx(oracle.exact_active_noise_power(stats, est, 0), rel=0.03, abs=0)
+        assert r.no == pytest.approx(oracle.exact_ap_noise_power(stats, 0), rel=0.03, abs=0)
+        assert r.an == pytest.approx(oracle.exact_active_noise_power(stats, 0), rel=0.03, abs=0)
 
     def test_csv_rows_shape(self):
         sc, rl, phases = cascade_instance(tau_p=1)
@@ -309,8 +304,8 @@ class TestIdentitySuite:
             "channel.SecondOrderStats.kappa", "channel.SecondOrderStats.alpha_an",
             "oracle.fourth_moment", "oracle.cross_moments", "oracle.cross_moment_cyclic",
             "ris.aris_output_power",
-            "estimation.EstimationStats.c", "estimation.EstimationStats.gamma",
-            "estimation.EstimationStats.nmse",
+            "channel.SecondOrderStats.c", "channel.SecondOrderStats.gamma",
+            "channel.SecondOrderStats.nmse",
             "perf.sinr_user.ds", "perf.sinr_user.bu", "perf.sinr_user.ui",
             "perf.sinr_user.an", "perf.sinr_user.no", "perf.sinr_user.sinr",
         }

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from ariscf import perf
 from ariscf.channel import compute_stats
-from ariscf.estimation import compute_estimation_stats
 from ariscf.perf import energy_efficiency, evaluate_phases, sinr_all, sinr_user
 from ariscf.ris import RisState, amplitude_gain, aris_power_consumption
 from ariscf.scenario import Scenario, sample_layout
@@ -35,8 +34,7 @@ def user_column(br, k):
 def breakdown(rl, phases, a, k=0):
     state = RisState(phases=phases, a=a)
     stats = compute_stats(rl, state)
-    est = compute_estimation_stats(stats)
-    return user_column(sinr_all(stats, est), k), stats, est
+    return user_column(sinr_all(stats), k), stats
 
 
 class TestSinrBreakdown:
@@ -55,10 +53,9 @@ class TestSinrBreakdown:
         sc0 = Scenario(M=2, K=2, N_H=2, N_V=2, tau_p=1, rho=sc.rho, rho_u=0.0,
                        sigma2=0.0, sigma2_bar=0.0, a_max=sc.a_max)
         stats = compute_stats(replace(rl, scenario=sc0), RisState(phases=phases, a=2.0))
-        est = compute_estimation_stats(stats)
-        ds, sinr, *_ = sinr_user(stats, est, 0)
+        ds, sinr, *_ = sinr_user(stats, 0)
         assert (ds, sinr) == (0.0, 0.0)
-        assert sinr_all(stats, est).sinr.tolist() == [0.0, 0.0]
+        assert sinr_all(stats).sinr.tolist() == [0.0, 0.0]
 
     def test_terms_nonnegative_and_named(self):
         sc, rl, phases = cascade_instance(tau_p=1)
@@ -74,8 +71,8 @@ class TestSinrBreakdown:
         for tau_p in (1, 2):
             sc, rl, phases = cascade_instance(tau_p=tau_p)
             for k in range(sc.K):
-                br, stats, est = breakdown(rl, phases, 2.0, k=k)
-                _, _, bu, ui, an, no = sinr_user(stats, est, k)
+                br, stats = breakdown(rl, phases, 2.0, k=k)
+                _, _, bu, ui, an, no = sinr_user(stats, k)
                 assert bu + ui.sum() + an + no == pytest.approx(
                     br.i2 + br.i3, rel=1e-12, abs=0)
                 assert br.ds == pytest.approx(br.i1 ** 2, rel=1e-12, abs=0)
@@ -138,12 +135,11 @@ class TestLiteralAssembly:
         phases = rng.uniform(0, 2 * np.pi, sc.N)
         state = RisState(phases=phases, a=2.0)
         stats = compute_stats(rl, state)
-        est = compute_estimation_stats(stats)
-        br = user_column(sinr_all(stats, est), k)
+        br = user_column(sinr_all(stats), k)
 
         xi = [[dense_xi(stats, state.phasor, m, j) for j in range(K)] for m in range(M)]
         tr_xi_xi = lambda m, j, m2, j2: np.trace(xi[m][j] @ xi[m2][j2]).real
-        c = est.c
+        c = stats.c
         kap = stats.kappa
         coset = list(np.flatnonzero(sc.coset_mask[k]))
         contam = [j for j in coset if j != k]
@@ -156,7 +152,7 @@ class TestLiteralAssembly:
                     for m2 in range(M):
                         t["coherent_xi"] += c[m, k] * c[m2, k] * tr_xi_xi(m, kp, m2, kpp)
         for m in range(M):
-            t["gamma_sq"] += est.gamma[m, k] ** 2
+            t["gamma_sq"] += stats.gamma[m, k] ** 2
             for kp in range(K):
                 t["active_noise_pilot"] += c[m, k] ** 2 * stats.alpha_an[m, kp] / rho_tau
                 t["ap_noise_pilot"] += sc.sigma2 * c[m, k] ** 2 * kap[m, kp] / rho_tau
@@ -173,20 +169,20 @@ class TestLiteralAssembly:
         for name, value in t.items():
             assert br.i2_terms[name] == pytest.approx(rho_u * value, rel=1e-9, abs=0), name
 
-        i1 = np.sqrt(rho_u) * est.gamma[:, k].sum()
+        i1 = np.sqrt(rho_u) * stats.gamma[:, k].sum()
         i3 = stats.alpha_an[:, k].sum() + sc.sigma2 * kap[:, k].sum()
         assert br.i1 == pytest.approx(i1, rel=1e-12, abs=0)
         assert br.i3 == pytest.approx(i3, rel=1e-12, abs=0)
 
 
-def eager_breakdown(stats, est_stats, k):
+def eager_breakdown(stats, k):
     """The SINR terms and groups as the one-user `sinr_closed_form` once built
     them eagerly in one pass, transcribed verbatim: (i1, i2_terms, i3, sinr,
     ds, bu, ui, an, no)."""
     sc = stats.realization.scenario
     K = sc.K
-    c = est_stats.c[:, k]
-    gamma = est_stats.gamma[:, k]
+    c = stats.c[:, k]
+    gamma = stats.gamma[:, k]
     kappa = stats.kappa
     s = stats.xi_scale
     t2 = stats.t2
@@ -253,12 +249,11 @@ class TestLazyRegrouping:
         # sinr_user to the bit; the batched kernel adds in its own order
         sc, rl, state = config_instance(name, seed, **overrides)
         stats = compute_stats(rl, state)
-        est = compute_estimation_stats(stats)
-        batched = sinr_all(stats, est)
+        batched = sinr_all(stats)
         for k in range(sc.K):
             br = user_column(batched, k)
-            g_ds, g_sinr, g_bu, g_ui, g_an, g_no = sinr_user(stats, est, k)
-            i1, terms, i3, sinr, ds, bu, ui, an, no = eager_breakdown(stats, est, k)
+            g_ds, g_sinr, g_bu, g_ui, g_an, g_no = sinr_user(stats, k)
+            i1, terms, i3, sinr, ds, bu, ui, an, no = eager_breakdown(stats, k)
             assert_allclose([br.i1, br.i3, br.sinr, br.ds], [i1, i3, sinr, ds], rtol=SINR_RTOL)
             assert_allclose([br.i2_terms[t] for t in I2_TERM_NAMES],
                             [terms[t] for t in I2_TERM_NAMES], rtol=SINR_RTOL)
@@ -271,11 +266,11 @@ class TestLazyRegrouping:
         monkeypatch.setattr(perf, "sinr_user", fail)
         kernel_calls = count_calls(monkeypatch, perf, "sinr_all")
         sc, rl, state = config_instance("train_small.yaml", 0)
-        se, est = evaluate_phases(rl, state.phases, state.a)
+        se, _ = evaluate_phases(rl, state.phases, state.a)
         assert se.shape == (sc.K,) and np.isfinite(se).all()
         assert len(kernel_calls) == 1
         with pytest.raises(AssertionError, match="regrouping"):
-            perf.sinr_user(compute_stats(rl, state), est, 0)
+            perf.sinr_user(compute_stats(rl, state), 0)
 
 
 class TestVectorizedSinr:
@@ -296,11 +291,10 @@ class TestVectorizedSinr:
         # sinr_user's ds and sinr equal it to the bit
         sc, rl, state = config_instance(name, seed, phases, **overrides)
         stats = compute_stats(rl, state)
-        est = compute_estimation_stats(stats)
-        br = sinr_all(stats, est)
+        br = sinr_all(stats)
         assert br.sinr.shape == (sc.K,)
         for k in range(sc.K):
-            i1, terms, i3, sinr, ds, *_ = eager_breakdown(stats, est, k)
+            i1, terms, i3, sinr, ds, *_ = eager_breakdown(stats, k)
             assert br.i1[k] == pytest.approx(i1, rel=SINR_RTOL, abs=0), k
             for term in I2_TERM_NAMES:
                 assert br.i2_terms[term][k] == pytest.approx(
@@ -308,7 +302,7 @@ class TestVectorizedSinr:
             assert br.i3[k] == pytest.approx(i3, rel=SINR_RTOL, abs=0), k
             assert br.ds[k] == pytest.approx(ds, rel=SINR_RTOL, abs=0), k
             assert br.sinr[k] == pytest.approx(sinr, rel=SINR_RTOL, abs=0), k
-            assert sinr_user(stats, est, k)[:2] == (ds, sinr), k
+            assert sinr_user(stats, k)[:2] == (ds, sinr), k
 
 
 class TestSpectralEfficiency:
@@ -317,7 +311,7 @@ class TestSpectralEfficiency:
         """evaluate_phases with user k's closed-form SINR replaced by sinrs[k]."""
         sc = Scenario(**{"M": 2, "K": len(sinrs), "N_H": 2, "N_V": 2, "tau_p": 1, **scenario_kw})
         monkeypatch.setattr(perf, "sinr_all",
-                            lambda stats, est: SimpleNamespace(sinr=np.array(sinrs)))
+                            lambda stats: SimpleNamespace(sinr=np.array(sinrs)))
         se, _ = evaluate_phases(sample_layout(sc, 0), np.zeros(sc.N), 1.0, prelog)
         return se
 
@@ -336,10 +330,9 @@ class TestSpectralEfficiency:
         rl = sample_layout(sc, 3)
         state = RisState(phases=np.zeros(sc.N), a=1.0)
         stats = compute_stats(rl, state)
-        est = compute_estimation_stats(stats)
         se, _ = evaluate_phases(rl, state.phases, state.a)
         assert se.sum() == pytest.approx(
-            np.log2(1.0 + sinr_all(stats, est).sinr[0]), rel=1e-6, abs=0)
+            np.log2(1.0 + sinr_all(stats).sinr[0]), rel=1e-6, abs=0)
 
     @pytest.mark.parametrize("prelog", [False, True])
     def test_per_user_se_is_log2_of_closed_form_sinr(self, prelog):
@@ -347,12 +340,11 @@ class TestSpectralEfficiency:
         rl = sample_layout(sc, 5)
         state = RisState(phases=np.random.default_rng(0).uniform(0, 2 * np.pi, sc.N), a=1.5)
         stats = compute_stats(rl, state)
-        est_ref = compute_estimation_stats(stats)
-        se, est = evaluate_phases(rl, state.phases, state.a, prelog)
-        assert_allclose(est.gamma, est_ref.gamma, rtol=0)
-        assert_allclose(est.nmse, est_ref.nmse, rtol=0)
+        se, se_stats = evaluate_phases(rl, state.phases, state.a, prelog)
+        assert_allclose(se_stats.gamma, stats.gamma, rtol=0)
+        assert_allclose(se_stats.nmse, stats.nmse, rtol=0)
         factor = 1.0 - sc.tau_p / sc.tau_c if prelog else 1.0
-        sinr = sinr_all(stats, est_ref).sinr
+        sinr = sinr_all(stats).sinr
         expected = [factor * np.log2(1.0 + sinr[k]) for k in range(sc.K)]
         assert se.shape == (sc.K,)
         assert_allclose(se, expected, rtol=1e-12)

@@ -98,6 +98,12 @@ class TestReflectionMatrix:
         assert ((st.phases >= 0) & (st.phases < 2 * np.pi)).all()
         assert st.phases[0] == pytest.approx(np.pi)
 
+    @pytest.mark.parametrize("a", [-1.0, float("nan"), float("inf")])
+    def test_state_rejects_gain(self, a):
+        # nan and inf were once accepted, and compute_stats then gave an all-nan kappa
+        with pytest.raises(ValueError, match="amplitude gain must be finite and >= 0"):
+            RisState(phases=np.zeros(4), a=a)
+
 
 class TestPowerAccounting:
     def test_zero_amplitude_zero_power(self):

@@ -373,14 +373,24 @@ class TestScenarioConfig:
         ("carrier_frequency: -1.9e+9\n", "carrier_frequency must be > 0"),
         ("rho: 0.1\nrho_dbm: 40.0\n", "rho is given twice: 'rho_dbm'"),
         ("carrier_frequency: 3.0e+9\nwavelength: 0.1\n", "wavelength is given twice: 'wavelength'"),
+        ("K: 2\nK: 3\n", "K is given twice"),
     ], ids=["fractional-int", "bool-int", "bool-float", "zero-frequency", "negative-frequency",
-            "power-two-spellings", "wavelength-two-spellings"])
+            "power-two-spellings", "wavelength-two-spellings", "repeated-key"])
     def test_bad_value_rejected(self, tmp_path, text, message):
         # each was once truncated, coerced, kept last or a ZeroDivisionError
         path = tmp_path / "sc.yaml"
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
             load_scenario(str(path))
+
+    def test_repeated_key_rejected_by_both_loaders(self, tmp_path, monkeypatch):
+        # a key given twice once kept its last value silently
+        path = tmp_path / "sc.yaml"
+        path.write_text("M: 3\nK: 2\nN_H: 2\nK: 3\n")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="K is given twice"):
+                load_scenario(str(path))
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
 
     def test_integral_values_accepted(self, tmp_path):
         path = tmp_path / "sc.yaml"
