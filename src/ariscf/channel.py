@@ -34,8 +34,8 @@ def _fill_normal(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
 
 
 def _fill_correlated(rng: np.random.Generator, out: np.ndarray, F: np.ndarray, scale) -> np.ndarray:
-    """scale * (complex_normal(rng, out.shape) @ F.T) into the given complex
-    array for a real square F, equal up to round-off; returns `out`.
+    """scale * (complex_normal(rng, out.shape) @ F.T) into the given complex array
+    of two or more axes for a real square F, equal up to round-off; returns `out`.
 
     Draws the same planes in the same order as `complex_normal`, contracts
     them with F.T in real GEMMs over all leading axes, and applies
@@ -50,15 +50,14 @@ def _fill_correlated(rng: np.random.Generator, out: np.ndarray, F: np.ndarray, s
     (one row is a matrix-vector product) rounds differently, and so may a
     piece off the row grid of another BLAS kernel.
     """
-    lead = out if out.ndim > 1 else out[None]
-    n_lead, n = lead.shape[0], lead.shape[-1]
-    rows = int(np.prod(lead.shape[1:-1]))
+    n_lead, n = out.shape[0], out.shape[-1]
+    rows = int(np.prod(out.shape[1:-1]))
     bounds = [i * _GEMM_PIECE for i in range(max(n_lead // _GEMM_PIECE, 1))] + [n_lead]
     scale = np.asarray(scale) * _INV_SQRT2
     # the last piece is the longest
     plane = np.empty(((bounds[-1] - bounds[-2]) * rows, n))
     prod = np.empty_like(plane)
-    for part in (lead.real, lead.imag):
+    for part in (out.real, out.imag):
         for a, b in zip(bounds, bounds[1:]):
             x, y = plane[:(b - a) * rows], prod[:(b - a) * rows]
             rng.standard_normal(out=x)
@@ -137,6 +136,8 @@ def phase_traces(geometry: tuple, phases: bytes) -> tuple[float, float, float]:
     """
     R, R2 = ris_correlation(geometry)
     phases = np.frombuffer(phases)
+    if phases.size != len(R):
+        raise ValueError(f"phase vector has {phases.size} entries, the RIS has N={len(R)}")
     if (phases == phases[0]).all():
         # W = (P o R) R = R @ R, reduced with the complex arithmetic the
         # two-real-GEMM kernel did at zero phases: equal-phase values keep

@@ -110,7 +110,7 @@ def cmd_validate(args) -> int:
         comments.append(f"warning=fewer than {oracle.MIN_AUTHORITATIVE_TRIALS} trials; report is not authoritative")
     _write_csv(args.out, comments, oracle.CSV_HEADER, [r.csv_row() for r in rows])
 
-    failed = [r for r in rows if r.failed]
+    failed = [r for r in rows if r.status == "FAIL"]
     for r in failed:
         print(f"FAIL {r.name}: empirical={r.empirical:.6e} analytic={r.analytic:.6e} "
               f"rel_err={r.rel_err:.4f} tol={r.tol}", file=sys.stderr)
@@ -121,8 +121,7 @@ def cmd_validate(args) -> int:
     if not authoritative:
         print(f"non-authoritative run ({args.trials} < {oracle.MIN_AUTHORITATIVE_TRIALS} trials)",
               file=sys.stderr)
-        return EXIT_VALIDATION
-    return EXIT_VALIDATION if failed else EXIT_OK
+    return EXIT_VALIDATION if failed or not authoritative else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +134,9 @@ def _load_phases(spec: str):
     if spec.startswith("trained:"):
         path = spec.split(":", 1)[1]
         try:
-            phases = load_checkpoint(path)["best_phases"]
-        except (OSError, ValueError, KeyError) as exc:
+            return load_checkpoint(path)["best_phases"]
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot load checkpoint {path!r}: {exc}") from exc
-        if phases.ndim != 1 or phases.dtype.kind != "f" or not np.isfinite(phases).all():
-            raise UsageError(f"checkpoint {path!r}: best_phases must be a 1-D finite float vector")
-        return phases
     raise UsageError(f"--phases must be equal, random, or trained:<path>, got {spec!r}")
 
 
@@ -253,38 +249,37 @@ def cmd_train(args) -> int:
 
     realization, a = _instance(scenario, args.seed)
     env = RisEnv(realization, a, prelog=args.prelog)
-    comments = [f"config_sha256={scenario.config_hash()}", f"master_seed={args.seed}"]
     baseline = env.equal_phase_se
-    if args.episodes == 0:
-        _write_csv(args.out, comments + [f"baseline_equal_sum_se={_fmt(baseline)}"],
-                   ["episode", "cumulative_reward"], [])
+    rows = []
+    if args.episodes:
+        if a == 0.0:
+            print("active-RIS power budget exhausted (a = 0): every phase vector gives the "
+                  "same sum SE, so training sees a constant reward", file=sys.stderr)
+        try:
+            result = train(env, config, args.seed)
+        except TrainingDiverged as exc:
+            diag_path = (args.out or "training") + ".diverged.npz"
+            np.savez(diag_path, **exc.snapshot)
+            print(f"training diverged: {exc}; diagnostics at {diag_path}", file=sys.stderr)
+            return EXIT_DIVERGED
+        steps = config.episodes * config.episode_len
+        if steps < config.batch:  # the buffer never held a batch: the policy is the initial one
+            print(f"no gradient update: {steps} steps never reached the batch of {config.batch}",
+                  file=sys.stderr)
+        rows = [[str(i), _fmt(r)] for i, r in enumerate(result.episode_rewards)]
+
+    comments = [f"config_sha256={scenario.config_hash()}", f"master_seed={args.seed}",
+                f"baseline_equal_sum_se={_fmt(baseline)}"]
+    _write_csv(args.out, comments, ["episode", "cumulative_reward"], rows)
+    if args.episodes:
+        if args.checkpoint:
+            save_checkpoint(args.checkpoint, result)
+        print(f"best sum SE found: {result.best_sum_se:.6f}")
+        print(f"equal-phase baseline sum SE: {baseline:.6f}")
+    else:
         if args.checkpoint:
             print("no checkpoint written: --episodes 0 runs no training", file=sys.stderr)
         print(f"baseline equal-phase sum SE: {baseline:.6f} (no training requested)")
-        return EXIT_OK
-
-    if a == 0.0:
-        print("active-RIS power budget exhausted (a = 0): every phase vector gives the "
-              "same sum SE, so training sees a constant reward", file=sys.stderr)
-    try:
-        result = train(env, config, args.seed)
-    except TrainingDiverged as exc:
-        diag_path = (args.out or "training") + ".diverged.npz"
-        np.savez(diag_path, **exc.snapshot)
-        print(f"training diverged: {exc}; diagnostics at {diag_path}", file=sys.stderr)
-        return EXIT_DIVERGED
-
-    steps = config.episodes * config.episode_len
-    if steps < config.batch:  # the buffer never held a batch: the policy is the initial one
-        print(f"no gradient update: {steps} steps never reached the batch of {config.batch}",
-              file=sys.stderr)
-    rows = [[str(i), _fmt(r)] for i, r in enumerate(result.episode_rewards)]
-    _write_csv(args.out, comments + [f"baseline_equal_sum_se={_fmt(baseline)}"],
-               ["episode", "cumulative_reward"], rows)
-    if args.checkpoint:
-        save_checkpoint(args.checkpoint, result)
-    print(f"best sum SE found: {result.best_sum_se:.6f}")
-    print(f"equal-phase baseline sum SE: {baseline:.6f}")
     return EXIT_OK
 
 

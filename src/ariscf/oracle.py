@@ -290,10 +290,6 @@ class IdentityCheck:
             return "pass"
         return "FAIL"
 
-    @property
-    def failed(self) -> bool:
-        return self.status == "FAIL"
-
     def csv_row(self):
         return [self.name, repr(self.empirical), repr(self.analytic), repr(self.rel_err),
                 repr(self.stderr_rel), str(self.n_trials), repr(self.tol), self.status]

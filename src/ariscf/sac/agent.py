@@ -10,7 +10,7 @@ import numpy as np
 
 from .buffer import ReplayBuffer
 from .env import RisEnv
-from .nets import DenseNet, make_optimizer
+from .nets import OPTIMIZERS, DenseNet, make_optimizer
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
@@ -58,6 +58,8 @@ class SacConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if self.batch > self.buffer_capacity:
             raise ValueError("batch must not exceed buffer_capacity")
+        if not isinstance(self.optimizer, str) or self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"optimizer must be one of {', '.join(OPTIMIZERS)}, got {self.optimizer!r}")
 
 
 def gaussian_tanh_log_prob(u: np.ndarray, mean: np.ndarray, std_eff: np.ndarray) -> np.ndarray:
@@ -306,8 +308,8 @@ def save_checkpoint(path: str, result: TrainResult) -> None:
 def load_checkpoint(path: str) -> dict:
     """Load a checkpoint; returns config, best phases, and the raw weight arrays.
 
-    A file that is no npz archive, or whose fields or config cannot be read,
-    raises ValueError.
+    A file that is no npz archive, lacks a field, has a field or config that cannot
+    be read, or best phases that are no 1-D finite float vector raises ValueError.
     """
     with open(path, "rb") as fh:   # np.load(path) would leave the file open on a damaged archive
         try:
@@ -320,16 +322,19 @@ def load_checkpoint(path: str) -> dict:
             version = int(data["version"])
             if version != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {version}")
+            best_phases = np.asarray(data["best_phases"])
+            if best_phases.ndim != 1 or best_phases.dtype.kind != "f" or not np.isfinite(best_phases).all():
+                raise ValueError("best_phases must be a 1-D finite float vector")
             return {
                 "config": SacConfig(**json.loads(str(data["config_json"]))),
                 "obs_dim": int(data["obs_dim"]),
                 "act_dim": int(data["act_dim"]),
-                "best_phases": np.asarray(data["best_phases"]),
+                "best_phases": best_phases,
                 "best_sum_se": float(data["best_sum_se"]),
                 "master_seed": int(data["master_seed"]),
                 "weights": {key: np.asarray(data[key]) for key in data.files
                             if key.endswith(tuple(f"_{p}{i}" for p in "wb" for i in range(3)))},
             }
-        except TypeError as exc:
-            # a field of the wrong shape or type, or config keys SacConfig does not take
+        except (KeyError, TypeError) as exc:
+            # a missing field, a field of the wrong shape or type, or config keys SacConfig does not take
             raise ValueError(f"unreadable field: {exc}") from exc

@@ -99,26 +99,26 @@ class SgdOptimizer:
 class AdamOptimizer:
     """Adaptive-moment variant, available behind a config flag."""
 
-    def __init__(self, net: DenseNet, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, net: DenseNet, lr: float):
         self.net = net
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = np.zeros_like(net.params)
         self.v = np.zeros_like(net.params)
         self.t = 0
 
     def step(self, grad: np.ndarray) -> None:
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
-        m_hat = self.m / (1 - self.beta1 ** self.t)
-        v_hat = self.v / (1 - self.beta2 ** self.t)
-        self.net.params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = self.BETA1 * self.m + (1 - self.BETA1) * grad
+        self.v = self.BETA2 * self.v + (1 - self.BETA2) * grad * grad
+        m_hat = self.m / (1 - self.BETA1 ** self.t)
+        v_hat = self.v / (1 - self.BETA2 ** self.t)
+        self.net.params -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+
+
+OPTIMIZERS = {"sgd": SgdOptimizer, "adam": AdamOptimizer}
 
 
 def make_optimizer(net: DenseNet, name: str, lr: float):
-    if name == "sgd":
-        return SgdOptimizer(net, lr)
-    if name == "adam":
-        return AdamOptimizer(net, lr)
-    raise ValueError(f"unknown optimizer {name!r}")
+    return OPTIMIZERS[name](net, lr)

@@ -43,9 +43,13 @@ ORACLE_COVERAGE = {
     "perf.sinr_user.ds": "sinr_ds",
     "perf.sinr_user.bu": "sinr_bu",
     "perf.sinr_user.ui": "sinr_ui",
-    "perf.sinr_user.an": "sinr_an_exact",
-    "perf.sinr_user.no": "sinr_no_exact",
+    # the paper's noise floors reach the suite through the SINR alone; the
+    # exact noise powers have rows of their own
+    "perf.sinr_user.an": "sinr_total",
+    "perf.sinr_user.no": "sinr_total",
     "perf.sinr_user.sinr": "sinr_total",
+    "oracle.exact_active_noise_power": "sinr_an_exact",
+    "oracle.exact_ap_noise_power": "sinr_no_exact",
 }
 
 
@@ -308,8 +312,14 @@ class TestIdentitySuite:
             "channel.SecondOrderStats.nmse",
             "perf.sinr_user.ds", "perf.sinr_user.bu", "perf.sinr_user.ui",
             "perf.sinr_user.an", "perf.sinr_user.no", "perf.sinr_user.sinr",
+            "oracle.exact_active_noise_power", "oracle.exact_ap_noise_power",
         }
         assert public == set(ORACLE_COVERAGE)
+        # the two exact rows compare the exact noise powers, not the paper's floors
+        stats = compute_stats(rl, state)
+        analytic = {r.name: r.analytic for r in rows}
+        assert analytic["sinr_an_exact"] == oracle.exact_active_noise_power(stats, 0)
+        assert analytic["sinr_no_exact"] == oracle.exact_ap_noise_power(stats, 0)
 
 
 def _lane_instance(case: str):

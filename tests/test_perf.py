@@ -349,6 +349,21 @@ class TestSpectralEfficiency:
         assert se.shape == (sc.K,)
         assert_allclose(se, expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("shape, match", [(5, "5 entries, the RIS has N=64"),
+                                              (65, "65 entries, the RIS has N=64"),
+                                              ((64, 1), r"1-D vector, got shape \(64, 1\)")],
+                             ids=["5", "N+1", "column"])
+    @pytest.mark.parametrize("distinct", [False, True], ids=["equal", "distinct"])
+    def test_phase_vector_of_wrong_shape_is_refused(self, shape, match, distinct):
+        # zero phases of any length once gave the 64-element sum SE, as the
+        # equal-phase traces never read the length; distinct ones died in a
+        # numpy broadcast
+        sc, rl, state = config_instance("default.yaml", 0)
+        assert sc.N == 64
+        phases = np.arange(np.prod(shape), dtype=float).reshape(shape) if distinct else np.zeros(shape)
+        with pytest.raises(ValueError, match=match):
+            evaluate_phases(rl, phases, state.a)
+
     def test_user_permutation_symmetry(self):
         sc, rl, phases = cascade_instance(tau_p=2)
         se1, _ = evaluate_phases(rl, phases, 2.0)

@@ -384,6 +384,12 @@ class TestConfig:
         assert cfg.episode_len == 400
         assert cfg.episodes == 2000
 
+    @pytest.mark.parametrize("optimizer", ["foo", 5, "Adam"])
+    def test_unknown_optimizer_is_refused(self, optimizer):
+        # once accepted here, failing only when a SacAgent was built
+        with pytest.raises(ValueError, match="optimizer"):
+            SacConfig(optimizer=optimizer)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SacConfig(polyak=0.0)

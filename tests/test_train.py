@@ -1,5 +1,8 @@
 """Training loop behavior: environment, determinism, divergence, checkpoints."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -110,6 +113,35 @@ class TestTraining:
 
 
 class TestCheckpoint:
+    @pytest.mark.parametrize("damage", ["no-fields", "no-version", "phases-2d", "phases-int",
+                                        "phases-nan", "optimizer-foo"])
+    def test_damaged_checkpoint_raises_value_error(self, damage, tmp_path):
+        # a missing field once raised KeyError; the bad phases and the unknown
+        # optimizer loaded
+        *_, env = small_env()
+        cfg = SacConfig(batch=8)
+        path = tmp_path / "ckpt.npz"
+        agent = SacAgent(env.obs_dim, env.act_dim, cfg, seed=0)
+        save_checkpoint(str(path), TrainResult(episode_rewards=[], best_phases=np.zeros(env.act_dim),
+                                               best_sum_se=0.5, agent=agent, config=cfg, master_seed=0))
+        with np.load(path) as data:
+            arrays = dict(data)
+        if damage == "no-fields":
+            arrays = {}
+        elif damage == "no-version":
+            del arrays["version"]
+        elif damage == "phases-2d":
+            arrays["best_phases"] = arrays["best_phases"].reshape(2, -1)
+        elif damage == "phases-int":
+            arrays["best_phases"] = np.zeros(env.act_dim, dtype=int)
+        elif damage == "phases-nan":
+            arrays["best_phases"] = np.full(env.act_dim, np.nan)
+        else:
+            arrays["config_json"] = np.array(json.dumps({**asdict(cfg), "optimizer": "foo"}))
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError):
+            load_checkpoint(str(path))
+
     def test_roundtrip(self, tmp_path):
         *_, env = small_env()
         cfg = SacConfig(episodes=2, episode_len=15, batch=8, buffer_capacity=200)
