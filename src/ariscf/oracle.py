@@ -186,40 +186,6 @@ def _wishart_sum(x: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# quartic references of the aggregated channels
-
-def _tr_xi_xi(stats: SecondOrderStats, m: int, k: int, m2: int, k2: int) -> float:
-    """tr(Xi_{m,k} Xi_{m2,k2}) = s_{m,k} s_{m2,k2} t2."""
-    return stats.xi_scale[m, k] * stats.xi_scale[m2, k2] * stats.t2
-
-
-def fourth_moment(stats: SecondOrderStats, m: int, k: int) -> float:
-    """E{|q_{m,k}|^4} = 2 kappa^2 + 2 tr(Xi^2)."""
-    return 2.0 * stats.kappa[m, k] ** 2 + 2.0 * _tr_xi_xi(stats, m, k, m, k)
-
-
-def cross_moments(stats: SecondOrderStats, m: int, m2: int, k: int, k2: int) -> float:
-    """E{|q_{m,k} q*_{m2,k2}|^2} for distinct link pairs.
-
-    kappa kappa' when both indices differ; kappa kappa' + tr(Xi Xi') when
-    exactly one does. The identical pair is the fourth moment and is rejected.
-    """
-    if m == m2 and k == k2:
-        raise ValueError("identical link pair: use fourth_moment")
-    base = stats.kappa[m, k] * stats.kappa[m2, k2]
-    if m != m2 and k != k2:
-        return float(base)
-    return float(base + _tr_xi_xi(stats, m, k, m2, k2))
-
-
-def cross_moment_cyclic(stats: SecondOrderStats, m: int, m2: int, k: int, k2: int) -> float:
-    """E{q*_{m,k} q_{m,k2} q*_{m2,k2} q_{m2,k}} = tr(Xi_{m,k2} Xi_{m2,k}) for m != m2, k != k2."""
-    if m == m2 or k == k2:
-        raise ValueError("cyclic cross moment requires m != m2 and k != k2")
-    return _tr_xi_xi(stats, m, k2, m2, k)
-
-
-# ---------------------------------------------------------------------------
 # exact references for the MRC noise groups
 
 def exact_ap_noise_power(stats: SecondOrderStats, k: int) -> float:
@@ -431,20 +397,23 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
 
     # row evaluates each statistic at once, so a lambda reads the current `at`, `unit` or `kp`
     row("wishart", R0 @ A @ R0 + np.trace(A @ R0) * R0)
+    # tr(Xi_{m,k} Xi_{m',k'}) = s_{m,k} s_{m',k'} t2
+    s, t2 = stats.xi_scale, stats.t2
     for m in range(M):
         for k in range(K):
             at = (..., m, k)
             row(f"kappa[{m},{k}]", stats.kappa[m, k], lambda x: x["kappa"][at])
-            row(f"fourth[{m},{k}]", fourth_moment(stats, m, k), lambda x: x["fourth"][at])
+            row(f"fourth[{m},{k}]", 2.0 * stats.kappa[m, k] ** 2 + 2.0 * (s[m, k] * s[m, k] * t2),
+                lambda x: x["fourth"][at])
     if M > 1 and K > 1:
-        row("cross[mk|m'k']", cross_moments(stats, 0, 1, 0, 1))
-        row("cyclic", cross_moment_cyclic(stats, 0, 1, 0, 1))
+        row("cross[mk|m'k']", stats.kappa[0, 0] * stats.kappa[1, 1])
+        row("cyclic", s[0, 1] * s[1, 0] * t2)
     if M > 1:
-        row("cross[mk|m'k]", cross_moments(stats, 0, 1, 0, 0))
+        row("cross[mk|m'k]", stats.kappa[0, 0] * stats.kappa[1, 0] + s[0, 0] * s[1, 0] * t2)
         unit = float(np.sqrt(stats.kappa[0, 0] * stats.kappa[1, 0]))
         row("uncorrelated", 0.0, lambda x: np.abs(x["uncorrelated"]) / unit)
     if K > 1:
-        row("cross[mk|mk']", cross_moments(stats, 0, 0, 0, 1))
+        row("cross[mk|mk']", stats.kappa[0, 0] * stats.kappa[0, 1] + s[0, 0] * s[0, 1] * t2)
     row("alpha_an", stats.alpha_an[0, 0])
     row("aris_power", aris_output_power(realization, ris_state.a))
 
@@ -459,8 +428,7 @@ def verify_moment_identities(realization: NetworkRealization, ris_state: RisStat
     row("orthogonality", 0.0, lambda x: np.abs(x["orthogonality"]) / unit)
     if M > 1:
         coset = np.flatnonzero(sc.coset_mask[0])
-        row("corollary1", (stats.c[0, 0] * stats.c[1, 0] * stats.t2
-                           * stats.xi_scale[0, 0] * float(stats.xi_scale[1, coset].sum())))
+        row("corollary1", stats.c[0, 0] * stats.c[1, 0] * t2 * s[0, 0] * float(s[1, coset].sum()))
 
     # SINR groups of user 0: ds = rho_u |E T_0|^2, bu = rho_u (E|T_0|^2 - |E T_0|^2),
     # ui_j = rho_u E|T_j|^2 for j != 0, an = E|qhat_0^H p|^2, no = E|qhat_0^H w|^2,

@@ -17,9 +17,12 @@ class RisState:
     a: float             # common amplitude gain, >= 0
 
     def __post_init__(self):
-        object.__setattr__(self, "phases", np.mod(np.asarray(self.phases, dtype=float), 2.0 * np.pi))
-        if self.phases.ndim != 1:
-            raise ValueError(f"phases must be one 1-D vector, got shape {self.phases.shape}")
+        phases = np.asarray(self.phases, dtype=float)
+        if phases.ndim != 1:
+            raise ValueError(f"phases must be one 1-D vector, got shape {phases.shape}")
+        if not np.isfinite(phases).all():   # checked before np.mod, which warns on inf
+            raise ValueError("phases must be finite")
+        object.__setattr__(self, "phases", np.mod(phases, 2.0 * np.pi))
         if not (np.isfinite(self.a) and self.a >= 0):   # nan < 0 is false
             raise ValueError(f"amplitude gain must be finite and >= 0, got {self.a!r}")
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .buffer import ReplayBuffer
 from .env import RisEnv
-from .nets import OPTIMIZERS, DenseNet, make_optimizer
+from .nets import OPTIMIZERS, DenseNet
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
@@ -18,10 +18,11 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when any loss goes non-finite.
+    """Raised when any loss or an action goes non-finite.
 
     `snapshot` maps names to arrays, ready for `np.savez`: one `losses_<net>`
-    scalar per loss, then each network's flat parameter vector under its name.
+    scalar per loss, or the `action`, then each network's flat parameter
+    vector under its name.
     """
 
     def __init__(self, message: str, snapshot: dict):
@@ -97,9 +98,9 @@ class SacAgent:
         self.critics = DenseNet.stack([self.q1, self.q2])
         self.value = DenseNet(obs_dim, 1, hidden, np.random.default_rng(keys[3]))
         self.value_target = self.value.clone()
-        self.opt_policy = make_optimizer(self.policy, config.optimizer, config.lr)
-        self.opt_critics = make_optimizer(self.critics, config.optimizer, config.lr)
-        self.opt_value = make_optimizer(self.value, config.optimizer, config.lr)
+        self.opt_policy = OPTIMIZERS[config.optimizer](self.policy, config.lr)
+        self.opt_critics = OPTIMIZERS[config.optimizer](self.critics, config.lr)
+        self.opt_value = OPTIMIZERS[config.optimizer](self.value, config.lr)
 
     # ---------------- policy ----------------
 
@@ -196,15 +197,19 @@ class SacAgent:
         q1_loss, q2_loss = q_losses.tolist()
         losses = {"value": v_loss, "q1": q1_loss, "q2": q2_loss, "policy": p_loss}
         if not all(np.isfinite(list(losses.values()))):
-            snapshot = {f"losses_{net}": np.asarray(loss) for net, loss in losses.items()}
-            snapshot.update(policy=self.policy.params.copy(), value=self.value.params.copy(),
-                            q1=self.q1.params.copy(), q2=self.q2.params.copy())
-            raise TrainingDiverged(f"non-finite loss: {losses}", snapshot)
+            raise self._diverged(f"non-finite loss: {losses}",
+                                 {f"losses_{net}": np.asarray(loss) for net, loss in losses.items()})
         self.opt_value.step(v_grads)
         self.opt_critics.step(q_grads)
         self.opt_policy.step(p_grads)
         polyak_update(self.value_target, self.value, self.config.polyak)
         return losses
+
+    def _diverged(self, message: str, snapshot: dict) -> TrainingDiverged:
+        """TrainingDiverged with `snapshot` followed by a copy of each network's parameters."""
+        snapshot.update(policy=self.policy.params.copy(), value=self.value.params.copy(),
+                        q1=self.q1.params.copy(), q2=self.q2.params.copy())
+        return TrainingDiverged(message, snapshot)
 
 
 def polyak_update(target: DenseNet, online: DenseNet, tau_bar: float) -> None:
@@ -249,7 +254,7 @@ def train(env: RisEnv, config: SacConfig, master_seed: int) -> TrainResult:
     best_phases = np.zeros(env.act_dim)
     curve = []
 
-    # `SacAgent.update` turns non-finite losses into TrainingDiverged; numpy's
+    # Non-finite losses and actions end in TrainingDiverged; numpy's
     # overflow and invalid-value warnings on the way there would only flood stderr.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.episodes):
@@ -260,6 +265,8 @@ def train(env: RisEnv, config: SacConfig, master_seed: int) -> TrainResult:
             total = 0.0
             for _ in range(config.episode_len):
                 action = agent.act(obs, rng_act)
+                if not np.isfinite(action).all():   # RisEnv.step would raise ValueError
+                    raise agent._diverged("non-finite action", {"action": action})
                 next_obs, reward = env.step(action)
                 total += reward
                 if reward > best_se:

@@ -118,7 +118,3 @@ class AdamOptimizer:
 
 
 OPTIMIZERS = {"sgd": SgdOptimizer, "adam": AdamOptimizer}
-
-
-def make_optimizer(net: DenseNet, name: str, lr: float):
-    return OPTIMIZERS[name](net, lr)

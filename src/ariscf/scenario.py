@@ -102,6 +102,8 @@ class Scenario:
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ValueError(f"{f.name} must be an int, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.M < 1 or self.K < 1 or self.N_H < 1 or self.N_V < 1:

@@ -15,7 +15,7 @@ import numpy as np
 from ariscf import oracle
 from ariscf.scenario import ris_correlation
 from ariscf.sac.agent import LOG_STD_MAX, LOG_STD_MIN, gaussian_tanh_log_prob, polyak_update
-from ariscf.sac.nets import DenseNet, make_optimizer, relu
+from ariscf.sac.nets import OPTIMIZERS, DenseNet, relu
 
 # Analytic traces are real; anything beyond this relative imaginary residual
 # indicates a transcription bug rather than round-off.
@@ -246,7 +246,7 @@ class UnstackedSac:
         self.q2 = DenseNet(obs_dim + act_dim, 1, hidden, np.random.default_rng(keys[2]))
         self.value = DenseNet(obs_dim, 1, hidden, np.random.default_rng(keys[3]))
         self.value_target = self.value.clone()
-        self.opts = {name: make_optimizer(getattr(self, name), config.optimizer, config.lr)
+        self.opts = {name: OPTIMIZERS[config.optimizer](getattr(self, name), config.lr)
                      for name in ("policy", "q1", "q2", "value")}
 
     def policy_sample(self, obs, eps_hat):

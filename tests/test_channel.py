@@ -162,7 +162,9 @@ class TestSecondOrderStats:
         stats = compute_stats(rl, state)
         xi00, xi11 = dense_xi(stats, state.phasor, 0, 0), dense_xi(stats, state.phasor, 1, 1)
         assert tr_xi(stats, 0, 0) == pytest.approx(np.trace(xi00).real, rel=1e-10, abs=0)
-        assert oracle._tr_xi_xi(stats, 0, 0, 1, 1) == pytest.approx(np.trace(xi00 @ xi11).real, rel=1e-10, abs=0)
+        # tr(Xi_{0,0} Xi_{1,1}) = s_{0,0} s_{1,1} t2
+        assert stats.xi_scale[0, 0] * stats.xi_scale[1, 1] * stats.t2 == pytest.approx(
+            np.trace(xi00 @ xi11).real, rel=1e-10, abs=0)
 
     def test_off_state(self):
         sc, rl, phases = cascade_instance(a=0.0)
@@ -410,35 +412,30 @@ class TestScaleStats:
         assert pairs > 2 * len(grid)
 
 
-class TestMoments:
-    def test_fourth_moment_off_state_gaussian(self):
-        sc, rl, phases = cascade_instance(a=0.0)
-        stats = compute_stats(rl, RisState(phases=phases, a=0.0))
-        assert oracle.fourth_moment(stats, 0, 0) == pytest.approx(2 * rl.beta[0, 0] ** 2, rel=1e-12, abs=0)
+def _analytic(rl, state) -> dict:
+    """The identity suite's closed forms by row name, at 64 trials: the Monte Carlo
+    draws never reach the analytic column."""
+    return {r.name: r.analytic for r in oracle.verify_moment_identities(rl, state, 64, master_seed=0)}
 
-    def test_fourth_moment_jensen(self):
+
+class TestMoments:
+    def test_fourth_row_off_state_gaussian(self):
+        sc, rl, phases = cascade_instance(a=0.0)
+        analytic = _analytic(rl, RisState(phases=phases, a=0.0))
+        assert analytic["fourth[0,0]"] == pytest.approx(2 * rl.beta[0, 0] ** 2, rel=1e-12, abs=0)
+
+    def test_fourth_row_jensen(self):
         sc, rl, phases = cascade_instance()
-        stats = compute_stats(rl, RisState(phases=phases, a=2.0))
+        state = RisState(phases=phases, a=2.0)
+        stats, analytic = compute_stats(rl, state), _analytic(rl, state)
         for m in range(2):
             for k in range(2):
-                assert oracle.fourth_moment(stats, m, k) >= stats.kappa[m, k] ** 2
+                assert analytic[f"fourth[{m},{k}]"] >= stats.kappa[m, k] ** 2
 
     def test_cross_moment_independent_case(self):
         sc, rl, phases = cascade_instance(a=0.0)
-        stats = compute_stats(rl, RisState(phases=phases, a=0.0))
-        assert oracle.cross_moments(stats, 0, 1, 0, 1) == pytest.approx(rl.beta[0, 0] * rl.beta[1, 1], rel=1e-12, abs=0)
-
-    def test_cross_moment_rejects_identical_pair(self):
-        sc, rl, phases = cascade_instance()
-        stats = compute_stats(rl, RisState(phases=phases, a=1.0))
-        with pytest.raises(ValueError):
-            oracle.cross_moments(stats, 0, 0, 1, 1)  # m==m2, k==k2 ordering: (m,m2,k,k2)
-
-    def test_cyclic_requires_both_distinct(self):
-        sc, rl, phases = cascade_instance()
-        stats = compute_stats(rl, RisState(phases=phases, a=1.0))
-        with pytest.raises(ValueError):
-            oracle.cross_moment_cyclic(stats, 0, 0, 0, 1)
+        analytic = _analytic(rl, RisState(phases=phases, a=0.0))
+        assert analytic["cross[mk|m'k']"] == pytest.approx(rl.beta[0, 0] * rl.beta[1, 1], rel=1e-12, abs=0)
 
     def test_cyclic_trace_is_real(self):
         sc, rl, phases = cascade_instance()
@@ -447,13 +444,13 @@ class TestMoments:
         xi_a, xi_b = dense_xi(stats, state.phasor, 0, 1), dense_xi(stats, state.phasor, 1, 0)
         tr = np.trace(xi_a @ xi_b)
         assert abs(tr.imag) <= 1e-9 * abs(tr.real)
-        assert oracle.cross_moment_cyclic(stats, 0, 1, 0, 1) == pytest.approx(tr.real, rel=1e-10, abs=0)
+        assert _analytic(rl, state)["cyclic"] == pytest.approx(tr.real, rel=1e-10, abs=0)
 
     def test_moments_against_monte_carlo(self):
         # quick 1e5-draw check; the acceptance suite runs the full million
         sc, rl, phases = cascade_instance()
         state = RisState(phases=phases, a=2.0)
-        stats = compute_stats(rl, state)
+        analytic = _analytic(rl, state)
         rng = np.random.default_rng(2)
         n = 100_000
         area = sc.element_area
@@ -461,8 +458,8 @@ class TestMoments:
         z = np.sqrt(rl.alpha_bar * area)[None, :, None] * (complex_normal(rng, (n, 2, sc.N)) @ rl.R_factor.T)
         g = np.sqrt(rl.beta)[None] * complex_normal(rng, (n, 2, 2))
         q = g + 2.0 * np.einsum("tmn,n,tkn->tmk", np.conj(h), state.phasor, z)
-        assert np.mean(np.abs(q[:, 0, 0]) ** 4) == pytest.approx(oracle.fourth_moment(stats, 0, 0), rel=0.05, abs=0)
+        assert np.mean(np.abs(q[:, 0, 0]) ** 4) == pytest.approx(analytic["fourth[0,0]"], rel=0.05, abs=0)
         assert np.mean(np.abs(q[:, 0, 0] * np.conj(q[:, 1, 0])) ** 2) == pytest.approx(
-            oracle.cross_moments(stats, 0, 1, 0, 0), rel=0.05, abs=0)
+            analytic["cross[mk|m'k]"], rel=0.05, abs=0)
         assert np.mean(np.abs(q[:, 0, 0] * np.conj(q[:, 0, 1])) ** 2) == pytest.approx(
-            oracle.cross_moments(stats, 0, 0, 0, 1), rel=0.05, abs=0)
+            analytic["cross[mk|mk']"], rel=0.05, abs=0)

@@ -13,7 +13,7 @@ import pytest
 
 from ariscf import channel, cli, scenario
 from ariscf.cli import main
-from ariscf.sac.agent import SacConfig
+from ariscf.sac.agent import SacAgent, SacConfig
 
 from _instances import count_calls
 from _reference import UnstackedSac, save_unstacked_checkpoint
@@ -527,6 +527,17 @@ class TestTrain:
         for net in ("policy", "q1", "q2", "value"):
             assert not np.isfinite(diag[f"losses_{net}"])
 
+    def test_non_finite_action_is_a_divergence(self, tmp_path, train_config, monkeypatch):
+        # a nan action once scored sum SE 0.0; RisState now refuses its phases, and train
+        # must end in exit 3 with the dump, not in RisEnv.step's ValueError
+        monkeypatch.setattr(SacAgent, "act", lambda self, obs, rng: np.full(self.act_dim, np.nan))
+        out = tmp_path / "curve.csv"
+        code = run_cli("train", "--config", train_config, "--episodes", "1", "--steps", "10",
+                       "--out", str(out))
+        assert code == 3 and not out.exists()
+        diag = np.load(tmp_path / "curve.csv.diverged.npz")
+        assert diag.files == ["action", "policy", "value", "q1", "q2"]
+        assert np.isnan(diag["action"]).all()
 
     def test_divergence_prints_one_stderr_line(self, tmp_path):
         # numpy's overflow warnings on the way to divergence stay off stderr

@@ -28,13 +28,13 @@ from _instances import (
 )
 from _reference import serial_sample_block
 
-# Closed-form quantities and the identity family that gives each its empirical
-# counterpart; a coverage test enforces the two-sided mapping.
+# Closed-form quantities and the identity family, or families, that give each its
+# empirical counterpart; a coverage test enforces the two-sided mapping.
 ORACLE_COVERAGE = {
     "channel.SecondOrderStats.kappa": "kappa",
-    "oracle.fourth_moment": "fourth",
-    "oracle.cross_moments": "cross",
-    "oracle.cross_moment_cyclic": "cyclic",
+    # the quartic rows, built from kappa and tr(Xi_{m,k} Xi_{m',k'}) = s_{m,k} s_{m',k'} t2
+    "channel.SecondOrderStats.xi_scale": ("fourth", "cross", "cyclic"),
+    "channel.SecondOrderStats.t2": ("fourth", "cross", "cyclic"),
     "channel.SecondOrderStats.alpha_an": "alpha_an",
     "ris.aris_output_power": "aris_power",
     "channel.SecondOrderStats.c": "nmse",
@@ -209,6 +209,14 @@ class TestIdentitySuite:
     @pytest.mark.parametrize("case, n_rows, digest", [
         ("default.yaml", 1529, "a3b0f7fe2d87509b93d8280dd2f2ce1ab5d3226e8f56d5e14cd2413cd4a34f37"),
         ("built-in", 36, "db2bcf827037de6a9d877df9cdf49c338761f40e11e7315388268e84a4ef1e80"),
+        # M=4, K=3, users sharing pilots
+        ("train_small.yaml", 77, "06db72993d625aaff23353b59b756d9e72c005f598825071a33831889a9482bf"),
+        # M = K = 1: no cross, cyclic or corollary1 rows
+        ("toy_n1.yaml", 14, "102111d35b22143a4a0e7e8103d09fe522b50aaca8974844a765b93aa63254b7"),
+        # M > 1, K = 1: cross[mk|m'k] and corollary1 without the K > 1 rows
+        pytest.param(("small.yaml", {"K": 1, "tau_p": 1}), 22,
+                     "c979a0500e5345b802a0057f367e53f772b8bd6fdea6a1ea1a3694508e377f75",
+                     id="small.yaml-K=1"),
     ])
     def test_analytic_column_is_pinned(self, case, n_rows, digest):
         # validate's instances at master seed 0, hashed as perfbench's analytic_digest
@@ -218,7 +226,8 @@ class TestIdentitySuite:
         if case == "built-in":
             rl, state = oracle.benchmark_instance()
         else:
-            _, rl, state = config_instance(case, 0, phases="equal")
+            name, overrides = (case, {}) if isinstance(case, str) else case
+            _, rl, state = config_instance(name, 0, phases="equal", **overrides)
         rows = oracle.verify_moment_identities(rl, state, 64, master_seed=0)
         h = hashlib.sha256()
         for r in rows:
@@ -295,18 +304,19 @@ class TestIdentitySuite:
         assert [r[-1] for r in csv_rows] == [r.status for r in rows]
 
     def test_coverage_registry(self):
-        # every exported closed-form quantity has exactly one empirical
-        # counterpart in the identity suite
+        # every exported closed-form quantity has its empirical counterpart
+        # rows in the identity suite
         sc, rl, phases = cascade_instance(tau_p=1)
         state = RisState(phases=phases, a=2.0)
         rows = oracle.verify_moment_identities(rl, state, 8192, master_seed=0)
         names = {r.name.split("[")[0] for r in rows} | {r.name for r in rows}
-        for export, family in ORACLE_COVERAGE.items():
-            assert family in names, f"{export} has no empirical counterpart row"
+        for export, families in ORACLE_COVERAGE.items():
+            for family in (families,) if isinstance(families, str) else families:
+                assert family in names, f"{export} has no {family} row"
         # and the registry covers the public closed-form surface
         public = {
             "channel.SecondOrderStats.kappa", "channel.SecondOrderStats.alpha_an",
-            "oracle.fourth_moment", "oracle.cross_moments", "oracle.cross_moment_cyclic",
+            "channel.SecondOrderStats.xi_scale", "channel.SecondOrderStats.t2",
             "ris.aris_output_power",
             "channel.SecondOrderStats.c", "channel.SecondOrderStats.gamma",
             "channel.SecondOrderStats.nmse",

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ariscf.channel import compute_stats
+from ariscf.perf import evaluate_phases
 from ariscf.ris import RisState, amplitude_gain, aris_output_power, aris_power_consumption
 from ariscf.scenario import Scenario, sample_layout
 
@@ -103,6 +105,22 @@ class TestReflectionMatrix:
         # nan and inf were once accepted, and compute_stats then gave an all-nan kappa
         with pytest.raises(ValueError, match="amplitude gain must be finite and >= 0"):
             RisState(phases=np.zeros(4), a=a)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_state_rejects_non_finite_phases(self, bad):
+        # nan phases once gave sum SE 0.0 (nan traces make ds > 0 false), and inf ones
+        # passed after np.mod warned "invalid value encountered in remainder"
+        sc = Scenario()
+        rl = sample_layout(sc, 0)
+        a = amplitude_gain(sc, rl.alpha_bar)
+        phases = np.zeros(sc.N)
+        phases[5] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="phases must be finite"):
+                evaluate_phases(rl, phases, a)
+            with pytest.raises(ValueError, match="phases must be finite"):
+                compute_stats(rl, RisState(phases=phases, a=a))
 
 
 class TestPowerAccounting:

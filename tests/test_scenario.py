@@ -2,6 +2,7 @@
 
 import glob
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -305,6 +306,18 @@ class TestScenarioConfig:
             Scenario(xi=0.0)
         with pytest.raises(ValueError):
             Scenario(a_max=0.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("tau_p", 1.5), ("N_H", 2.5), ("M", 2.5), ("K", np.int64(15)), ("N_V", 8.0),
+        ("tau_c", "200"), ("M", True),
+    ])
+    def test_int_field_takes_only_an_int(self, field, value):
+        # tau_p = 1.5 once scored a sum SE with pilot indices k mod 1.5, N_H = 2.5 gave
+        # N = 20.0, M = 2.5 failed inside numpy and an np.int64 K broke config_hash
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an int, got {value!r}")):
+            Scenario(**{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            replace(Scenario(), **{field: value})
 
     def test_negative_pbt_rejected(self, tmp_path):
         # Pbt (W per bit/s) is no power field, so the power-field check missed it
