@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -105,13 +106,25 @@ class SecondOrderStats:
     nmse: np.ndarray       # (M, K) normalized MSE 1 - c
 
 
-def _weighted_gram(R: np.ndarray, R2: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """R diag(w) R for a real symmetric R and w in [-1, 1], as one SYRK:
+def _weighted_gram(R: np.ndarray, R2: np.ndarray, w: np.ndarray, X: np.ndarray, G: np.ndarray):
+    """R diag(w) R into G for a real symmetric R and w in [-1, 1], as one SYRK:
     X^T X - R @ R with X = diag(sqrt(1 + w)) R, formed in the buffer X."""
     np.multiply(np.sqrt(1.0 + w)[:, None], R, out=X)
-    G = X.T @ X
+    np.matmul(X.T, X, out=G)
     G -= R2
-    return G
+
+
+# Held over every use of the `_trace_buffers`, so two threads never share them.
+_TRACE_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=1)
+def _trace_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three real (n, n) work arrays X, Br and Bi of `phase_traces`, kept for
+    the last RIS size as `ris_correlation` keeps the last geometry's R: fresh
+    arrays of that size are returned to the OS after each call and
+    page-faulted in again on the next."""
+    return np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
 
 
 @lru_cache(maxsize=1)
@@ -130,9 +143,10 @@ def phase_traces(geometry: tuple, phases: bytes) -> tuple[float, float, float]:
       t1 = tr(D_v B)   = sum_i c_i Br_ii + s_i Bi_ii,
       t3 = tr(D_v B R) = sum_ij R_ij (c_i Br_ij + s_i Bi_ij),
       t2 = Re sum_ij v_i v_j B_ij^2 = c^T D c - s^T D s + 4 s^T (Br o Bi) c,
-    with D = Br o Br - Bi o Bi. No complex N x N array is formed, and three
-    real ones are alive at most. When all phases are equal, P o R = R and the
-    traces are read from R and R @ R.
+    with D = Br o Br - Bi o Bi. No complex N x N array is formed: the three real
+    ones are the `_trace_buffers` of N, used under `_TRACE_LOCK`, so a call
+    allocates only vectors. When all phases are equal, P o R = R and the
+    traces are read from R and R @ R, without the buffers or the lock.
     """
     R, R2 = ris_correlation(geometry)
     phases = np.frombuffer(phases)
@@ -150,17 +164,18 @@ def phase_traces(geometry: tuple, phases: bytes) -> tuple[float, float, float]:
         # exp as in `RisState.phasor`: cos and sin may round differently
         v = np.exp(1j * phases)
         c, s = v.real, v.imag
-        X = np.empty_like(R)
-        Br = _weighted_gram(R, R2, c, X)
-        Bi = _weighted_gram(R, R2, s, X)
-        t1 = float(c @ Br.diagonal() + s @ Bi.diagonal())
-        t3 = float(c @ np.einsum("ij,ij->i", R, Br) + s @ np.einsum("ij,ij->i", R, Bi))
-        # Br o Bi into X, then D into Br
-        E = np.multiply(Br, Bi, out=X)
-        Br *= Br
-        Bi *= Bi
-        Br -= Bi
-        t2 = float(c @ Br @ c - s @ Br @ s + 4.0 * (s @ E @ c))
+        with _TRACE_LOCK:
+            X, Br, Bi = _trace_buffers(len(R))
+            _weighted_gram(R, R2, c, X, Br)
+            _weighted_gram(R, R2, s, X, Bi)
+            t1 = float(c @ Br.diagonal() + s @ Bi.diagonal())
+            t3 = float(c @ np.einsum("ij,ij->i", R, Br) + s @ np.einsum("ij,ij->i", R, Bi))
+            # Br o Bi into X, then D into Br
+            E = np.multiply(Br, Bi, out=X)
+            Br *= Br
+            Bi *= Bi
+            Br -= Bi
+            t2 = float(c @ Br @ c - s @ Br @ s + 4.0 * (s @ E @ c))
     return t1, t2, t3
 
 

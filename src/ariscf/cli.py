@@ -7,7 +7,6 @@ import csv
 import functools
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -208,6 +207,8 @@ def cmd_sweep(args) -> int:
     payloads = [(points, seed, phases, args.prelog) for (_, seed), points in groups.items()]
     jobs = min(args.jobs, len(payloads))  # a pool forks all its workers at its first submit
     if jobs > 1:
+        # imported here: it loads multiprocessing, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = [row for group in pool.map(_sweep_group, payloads) for row in group]
     else:

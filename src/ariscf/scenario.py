@@ -198,20 +198,23 @@ def config_field(key: str, value) -> tuple[str, object]:
     # YAML reads true/yes/on as bools, which int() and float() would take as 1
     if isinstance(value, bool):
         raise ValueError(f"{key} must not be a boolean, got {value!r}")
-    if key == "carrier_frequency":
-        value = float(value)
-        if value <= 0:
-            raise ValueError(f"carrier_frequency must be > 0, got {value!r}")
-        return "wavelength", SPEED_OF_LIGHT / value
-    if key.endswith("_dbm") and key[:-4] in POWER_FIELDS:
-        return key[:-4], dbm_to_watt(float(value))
-    if _FIELD_TYPES.get(key) == "int":
-        return key, _integer(key, value)
-    if key == "grid_indexing":
-        return key, str(value)
-    if key in _FIELD_TYPES:
-        # YAML 1.1 reads exponents like 1.0e6 as strings; coerce
-        return key, float(value)
+    try:
+        if key == "carrier_frequency":
+            value = float(value)
+            if value <= 0:
+                raise ValueError(f"carrier_frequency must be > 0, got {value!r}")
+            return "wavelength", SPEED_OF_LIGHT / value
+        if key.endswith("_dbm") and key[:-4] in POWER_FIELDS:
+            return key[:-4], dbm_to_watt(float(value))
+        if _FIELD_TYPES.get(key) == "int":
+            return key, _integer(key, value)
+        if key == "grid_indexing":
+            return key, str(value)
+        if key in _FIELD_TYPES:
+            # YAML 1.1 reads exponents like 1.0e6 as strings; coerce
+            return key, float(value)
+    except OverflowError:   # 10 ** (dBm / 10), or float() of an int, past the float range
+        raise ValueError(f"{key} is out of the float range, got {value!r}") from None
     raise ValueError(f"unknown config key: {key!r}")
 
 

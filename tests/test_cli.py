@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, CSV determinism."""
 
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -163,7 +164,8 @@ class TestSweep:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        # `cmd_sweep` imports the pool class from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         outs = {}
         for jobs, seeds in (("1", "0,1"), ("64", "0,1"), ("64", "0")):
             out = tmp_path / f"{jobs}-{seeds}.csv"
@@ -607,16 +609,22 @@ class TestUsageErrors:
         ["sweep", "--config", "{default}", "--param", "Pbt", "--values=-1e-3", "--seeds", "0"],
         ["sweep", "--config", "{shipped_small}", "--param", "rho", "--values", "0"],
         ["train", "--config", "{zero_rho}", "--episodes", "0"],
+        ["sweep", "--config", "{big_dbm}", "--param", "rho_u", "--values", "1"],
+        ["sweep", "--config", "{default}", "--param", "rho_u_dbm", "--values", "4000"],
     ], ids=["seeds-x", "trained-missing", "trials-0", "trials-negative", "steps-0",
             "episodes-negative", "lr-negative", "n_h-0", "tau_p-above-tau_c",
             "bad-value-after-good", "validate-seed-negative", "train-seed-negative",
             "sweep-seed-negative", "jobs-0", "jobs-negative", "baseline-steps-negative",
             "baseline-lr-negative", "value-nan", "lr-nan", "lr-inf", "pbt-negative",
-            "sweep-rho-0", "train-rho-0"])
+            "sweep-rho-0", "train-rho-0", "config-dbm-overflow", "value-dbm-overflow"])
     def test_bad_input_exits_usage(self, argv, tmp_path, small_config, train_config,
                                    zero_rho_config, capsys):
-        # rho = 0 leaves LMMSE without pilot power: it once gave NaN SE with exit 0
+        # rho = 0 leaves LMMSE without pilot power: it once gave NaN SE with exit 0;
+        # 4000 dBm, 1e397 W, once ended in an OverflowError traceback with exit 1
+        big_dbm = tmp_path / "big_dbm.yaml"
+        big_dbm.write_text("rho_u_dbm: 4000\n")
         paths = {"small": small_config, "train": train_config, "zero_rho": zero_rho_config,
+                 "big_dbm": str(big_dbm),
                  "default": os.path.join(CONFIG_DIR, "default.yaml"),
                  "shipped_small": os.path.join(CONFIG_DIR, "small.yaml"),
                  "missing": str(tmp_path / "missing.npz")}
@@ -772,6 +780,14 @@ class TestEntryPoint:
                           "--param", "rho", "--values", "0.1", "--seeds", "0")
         assert proc.returncode == 0
         assert "param_value,seed" in proc.stdout
+
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # only `sweep --jobs` above 1 uses a process pool, and imports it then
+        pythonpath = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, ariscf.cli; print('multiprocessing' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath})
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
     def test_usage_error_missing_subcommand_args(self):
         assert run_cli("sweep") == 2

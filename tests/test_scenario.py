@@ -374,6 +374,13 @@ class TestScenarioConfig:
             with pytest.raises(ValueError, match="unknown config key"):
                 config_field(key, 2)
 
+    def test_value_past_float_range_rejected(self):
+        # 10 ** (4000 / 10) and float() of a 401-digit int once raised OverflowError
+        for key, value in (("rho_u_dbm", 4000), ("rho_u_dbm", "4000"), ("rho_u", 10**400),
+                           ("carrier_frequency", 10**400)):
+            with pytest.raises(ValueError, match=f"{key} is out of the float range"):
+                config_field(key, value)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             Scenario(**config_fields({"bogus": 1}))
